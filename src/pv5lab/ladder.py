@@ -36,7 +36,7 @@ from mpmath import mp
 
 from .errors import LadderIneligible, NoConvergence, PoleError
 from .model import gap_edge, v_prime
-from .orthopoly import OrthoState
+from .orthopoly import OrthoState, eval_monic, eval_monic_derivative
 from .quadrature import PrecisionContext
 
 
@@ -158,7 +158,7 @@ def A_integral(n: int, z, ortho: OrthoState, ctx: PrecisionContext):
         z = mp.mpf(z)
         vpz = v_prime(z, params)
         val = _quad(table, [lambda: table.sq(n), lambda: table.dd(z, vpz)],
-                    scale=state_scale(ortho, n))
+                    scale=ortho.h[n])
         return val / ortho.h[n]
 
 
@@ -172,18 +172,12 @@ def B_integral(n: int, z, ortho: OrthoState, ctx: PrecisionContext):
         z = mp.mpf(z)
         vpz = v_prime(z, params)
         val = _quad(table, [lambda: table.adj(n), lambda: table.dd(z, vpz)],
-                    scale=state_scale(ortho, n - 1))
+                    scale=ortho.h[n - 1])
         return val / ortho.h[n - 1]
-
-
-def state_scale(ortho: OrthoState, n: int):
-    return ortho.h[n]
 
 
 def lowering_residual(n: int, z, ortho: OrthoState, lad: LadderState):
     """|P_n' + B_n P_n - beta_n A_n P_{n-1}| over the largest term, rational route."""
-    from .orthopoly import eval_monic, eval_monic_derivative
-
     params = ortho.params
     with mp.workprec(params.work_bits):
         z = mp.mpf(z)
@@ -196,8 +190,6 @@ def lowering_residual(n: int, z, ortho: OrthoState, lad: LadderState):
 
 def raising_residual(n: int, z, ortho: OrthoState, lad: LadderState):
     """|P_{n-1}' - (B_n + v') P_{n-1} + A_{n-1} P_n| over the largest term."""
-    from .orthopoly import eval_monic, eval_monic_derivative
-
     params = ortho.params
     with mp.workprec(params.work_bits):
         z = mp.mpf(z)

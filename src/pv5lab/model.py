@@ -19,6 +19,7 @@ regular control case.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from mpmath import mp
@@ -113,10 +114,16 @@ def gap_edge(params: ModelParams):
     """
     if params.k2 <= 0:
         raise ParameterError("gap_edge is defined only for k2 > 0")
-    with mp.workprec(params.work_bits):
-        rk = mp.sqrt(params.k2)
-        bump = 1 + mp.mpf(2) ** (2 - params.work_bits)
-        while rk * rk < params.k2:
+    return _gap_edge(params.k2, params.work_bits)
+
+
+@functools.lru_cache(maxsize=64)
+def _gap_edge(k2, work_bits: int):
+    # depends on k2 and the precision only, so all t of one sweep share it
+    with mp.workprec(work_bits):
+        rk = mp.sqrt(k2)
+        bump = 1 + mp.mpf(2) ** (2 - work_bits)
+        while rk * rk < k2:
             rk = rk * bump
         return rk
 

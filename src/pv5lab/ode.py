@@ -199,8 +199,7 @@ def riccati_rhs(params: ModelParams, n: int):
     return f
 
 
-def integrate_riccati(params: ModelParams, n: int, t0, t1, init, tol,
-                      ctx: PrecisionContext = None) -> Trajectory:
+def integrate_riccati(params: ModelParams, n: int, t0, t1, init, tol) -> Trajectory:
     """Integrate the coupled pair from quadrature-style initial data (R, r)."""
     _require_dynamic(params, n, mp.mpf(t0))
     with mp.workprec(params.work_bits):
@@ -230,8 +229,7 @@ def pv_ode_rhs(params: ModelParams, n: int):
     return f
 
 
-def integrate_pv(params: ModelParams, n: int, t0, t1, init, tol,
-                 ctx: PrecisionContext = None) -> Trajectory:
+def integrate_pv(params: ModelParams, n: int, t0, t1, init, tol) -> Trajectory:
     """Integrate the Painleve V form from initial data (Phi, Phi')."""
     _require_dynamic(params, n, mp.mpf(t0))
     with mp.workprec(params.work_bits):

@@ -50,38 +50,34 @@ class OrthoState:
 def _stieltjes_pass(table: WeightTable, level: int, n_max: int):
     """One full recurrence sweep using nodes up to ``level``.
 
-    Returns (h, beta, sym) where sym is the worst odd-moment leak.
+    The rows P_n(y) stay in the table's integer form; every norm is one
+    ``table.trapezoid`` kernel sum.  Returns (h, beta).
     """
-    step = mp.mpf(2) ** (-level)
-    blocks = range(level + 1)
-    ys = [table.y[lv] for lv in blocks]
-    cws = [table.cw[lv] for lv in blocks]
-    prev = [[mp.mpf(0)] * len(table.y[lv]) for lv in blocks]
-    cur = [[mp.mpf(1)] * len(table.y[lv]) for lv in blocks]
+    prev, cur = None, table.unit_rows(level)
     h = []
     beta = [mp.mpf(0)]
-    sym = mp.mpf(0)
     for n in range(n_max + 1):
-        cw_cur = [[c * p for c, p in zip(cws[lv], cur[lv])] for lv in blocks]
-        hn = step * mp.fsum(mp.fdot(cw_cur[lv], cur[lv]) for lv in blocks)
+        hn = table.trapezoid([table.cw, cur, cur], level)
         if not mp.isfinite(hn) or hn <= 0:
             raise PrecisionExhausted(
                 f"norm h_{n} = {hn} at level {level}; no significant digits left")
-        cross = step * mp.fsum(
-            mp.fdot(cw_cur[lv], [y * p for y, p in zip(ys[lv], cur[lv])])
-            for lv in blocks)
-        sym = max(sym, abs(cross) / hn)
         h.append(hn)
         if n >= 1:
             beta.append(h[n] / h[n - 1])
         if n < n_max:
-            bn = beta[n] if n >= 1 else mp.mpf(0)
-            nxt = [
-                [y * c - bn * p for y, c, p in zip(ys[lv], cur[lv], prev[lv])]
-                for lv in blocks
-            ]
-            prev, cur = cur, nxt
-    return h, beta, sym
+            prev, cur = cur, table.recur_rows(cur, prev, beta[n])
+    return h, beta
+
+
+def _symmetry_leak(table: WeightTable, h):
+    """max_n |<z P_n, P_n>| / h_n over the frozen rows at the top level."""
+    top = table.nlevels - 1
+    worst = mp.mpf(0)
+    for n, hn in enumerate(h):
+        rows = [table.row(n, lv) for lv in range(top + 1)]
+        cross = table.trapezoid([table.cw, rows, rows, table.y], top)
+        worst = max(worst, abs(cross) / hn)
+    return worst
 
 
 def _build_impl(params: ModelParams, ctx: PrecisionContext) -> OrthoState:
@@ -90,11 +86,11 @@ def _build_impl(params: ModelParams, ctx: PrecisionContext) -> OrthoState:
         table.ensure_levels(MIN_LEVEL)
         rel = mp.mpf(ctx.rel_tol)
         prev_h = None
-        h = beta = sym = None
+        h = beta = None
         h_err = None
         for level in range(MIN_LEVEL, ctx.max_level + 1):
             table.ensure_levels(level)
-            h, beta, sym = _stieltjes_pass(table, level, params.n_max)
+            h, beta = _stieltjes_pass(table, level, params.n_max)
             if prev_h is not None:
                 h_err = tuple(abs(a - b) / a for a, b in zip(h, prev_h))
                 if max(h_err) <= rel:
@@ -114,7 +110,7 @@ def _build_impl(params: ModelParams, ctx: PrecisionContext) -> OrthoState:
             h=tuple(h),
             beta=tuple(beta),
             p_sub=tuple(p_sub),
-            symmetry_diag=sym,
+            symmetry_diag=_symmetry_leak(table, h),
             level=table.nlevels - 1,
             h_error=h_err,
             table=table,

@@ -5,15 +5,23 @@ Two layers:
 * ``integrate`` / ``moment`` - a generic double-exponential rule over the
   support intervals, for arbitrary integrands.  Each interval is refined by
   halving the trapezoid step until the last doubling changes the result by
-  less than the requested relative tolerance.
+  less than the requested relative tolerance.  It works in mpf throughout
+  and serves as the independent route.
 
 * ``WeightTable`` - the shared engine behind the orthogonal-polynomial
   pipeline.  It caches, per refinement level, the mapped nodes together
   with the weight already folded into the quadrature coefficients, the
   stable products 1-y^2 and y^2-k2, the values v'(y), and (once the
-  recurrence is frozen) the monic-polynomial rows.  Every inner product
-  downstream is then a dot product over these arrays, and every integral
-  still reports a doubling-based error estimate.
+  recurrence is frozen) the monic-polynomial rows.  Every array is stored
+  once, in integer form (``IntArray``): an int mantissa of ``work_bits``
+  bits with its own exponent, or, for the bounded y and P_n(y), one fixed
+  point int at scale 2^-(work_bits+64).  Every inner product downstream is
+  one call of the kernel ``_dot`` per level: the mantissa products are
+  exact, each is floor-shifted to the largest product exponent emax, and
+  the shifted products are summed as one Python int, so the loops run in
+  C through ``map`` over ``operator`` functions.  The truncation is less
+  than N * 2^emax for N nodes; that bound is added to each integral's
+  error floor, beside the doubling-based error estimate.
 
 Node positions are generated from the closed forms 1 -+ x = 2/(e^{2v}+1),
 2/(1+e^{-2v}) of the tanh map, so distances to interval endpoints are known
@@ -25,10 +33,13 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import add, floordiv, lshift, mul, rshift, sub
+from typing import NamedTuple
 
 from mpmath import mp
 
-from .errors import NoConvergence, ParameterError
+from .errors import NoConvergence, ParameterError, PrecisionExhausted
 from .model import (GUARD_BITS, ModelParams, Support, gap_edge, support,
                     v_second, weight)
 
@@ -37,6 +48,9 @@ MIN_LEVEL = 3
 
 #: node generation stops this many bits short of the working precision
 _EDGE_MARGIN_BITS = 32
+
+#: fraction bits of the fixed-point arrays beyond the working precision
+_FIXED_GUARD_BITS = 64
 
 
 @dataclass(frozen=True)
@@ -206,12 +220,118 @@ def moment(j: int, params: ModelParams, ctx: PrecisionContext = DEFAULT_CONTEXT)
         return res.value
 
 
+# ----------------------------------------------------------------------
+# integer form of the node arrays, and the dot-product kernel
+
+
+class IntArray(NamedTuple):
+    """One level's node values in integer form: value_i = man[i] * 2^exp_i.
+
+    ``exp`` is either a list (floating form: every nonzero mantissa has
+    ``work_bits`` bits, give or take one, and its own exponent) or one int
+    shared by all elements (fixed-point form, for values bounded by a small
+    power of two: the nodes y and the monic rows P_n(y)).  The exponent of a
+    zero element carries no meaning.
+    """
+
+    man: list
+    exp: object
+
+
+def _normalize(mans, exps, bits):
+    """Floating form of exact values man*2^exp: mantissas floored to ``bits`` bits.
+
+    ``(m << bits) >> bitlength(m)`` has ``bits`` bits for every nonzero m
+    and never needs a negative shift, so zero passes through unchanged.
+    """
+    lengths = list(map(int.bit_length, mans))
+    man = list(map(rshift, map(lshift, mans, repeat(bits)), lengths))
+    exp = list(map(add, exps, map(sub, lengths, repeat(bits))))
+    return IntArray(man, exp)
+
+
+def _pack(values, bits):
+    """Floating integer form of a list of finite mpf values (exact for
+    values of at most ``bits`` bits)."""
+    mans, exps = [], []
+    for v in values:
+        sign, man, exp, _bc = v._mpf_
+        if not man and exp:
+            raise PrecisionExhausted(f"non-finite node value {v}")
+        mans.append(-man if sign else man)
+        exps.append(exp)
+    return _normalize(mans, exps, bits)
+
+
+def _fixed(value, frac_bits):
+    """An mpf value * 2^frac_bits truncated toward zero, as an int."""
+    sign, man, exp, _bc = value._mpf_
+    shift = exp + frac_bits
+    out = man << shift if shift >= 0 else man >> -shift
+    return -out if sign else out
+
+
+def _dot(arrays):
+    """Sum over the elements of the product of one level's integer arrays.
+
+    The mantissa products are exact.  Each nonzero product is floor-shifted
+    to emax, the largest exponent among the products, and the shifted
+    products are summed as one int.  Returns (total, emax, count): the exact
+    sum lies in [total * 2^emax, (total + count) * 2^emax), count being the
+    number of nonzero products.  emax is None when every product is zero;
+    count is 0 when all factors are fixed-point (one common exponent, so
+    nothing is shifted).
+    """
+    prods = arrays[0].man
+    for a in arrays[1:]:
+        prods = map(mul, prods, a.man)
+    if len(arrays) > 1:
+        prods = list(prods)
+    fixed = sum(a.exp for a in arrays if type(a.exp) is int)
+    floating = [a.exp for a in arrays if type(a.exp) is not int]
+    if not floating:
+        return sum(prods), fixed, 0
+    exps = floating[0]
+    for e in floating[1:]:
+        exps = map(add, exps, e)
+    if 0 in prods:  # a zero product has no meaningful exponent: drop it
+        exps = list(compress(exps, prods))
+        prods = list(compress(prods, prods))
+        if not prods:
+            return 0, None, 0
+    elif type(exps) is not list:
+        exps = list(exps)
+    emax = max(exps)
+    total = sum(map(rshift, prods, map(sub, repeat(emax), exps)))
+    return total, emax + fixed, len(prods)
+
+
+def _level_terms(factors, top):
+    """``_dot`` of per-level factor arrays on each level 0..top."""
+    return [_dot([fac[lv] for fac in factors]) for lv in range(top + 1)]
+
+
+def _accumulate(terms):
+    """Combine per-level ``_dot`` results the same way: floor-shift each
+    total to the largest emax and add.  Returns (total, emax, count) with
+    the meaning of ``_dot``'s."""
+    live = [t for t in terms if t[1] is not None]
+    if not live:
+        return 0, 0, 0
+    emax = max(e for _, e, _ in live)
+    total = sum(s >> (emax - e) for s, e, _ in live)
+    count = sum(n + (e < emax) for _, e, n in live)
+    return total, emax, count
+
+
 class WeightTable:
     """Cached per-level node data for one (params, ctx) pair.
 
-    Arrays per level block (lists of mpf):
+    Arrays per level block, each an ``IntArray`` (floating integer form
+    unless noted):
 
-    ``y``     node positions over all integration intervals
+    ``y``     node positions over all integration intervals (fixed point,
+              ``frac_bits`` fraction bits)
     ``cw``    half-width * tanh-sinh weight * w(y); trapezoid step applied
               at summation time
     ``om2``   (1-y)(1+y), built from exact endpoint distances
@@ -219,13 +339,18 @@ class WeightTable:
     ``vp``    v'(y) evaluated from om2/zk2 (no pole guard; the folded weight
               suppresses the near-edge blow-up)
 
-    After ``freeze(beta)`` the monic rows P_n(y) and the folded products
-    cw*P_n^2 and cw*P_n*P_{n-1} become available per degree.
+    The node values are computed in mpf at the working precision and stored
+    only in integer form.  After ``freeze(beta)`` the monic rows P_n(y)
+    (fixed point) and the folded products cw*P_n^2 and cw*P_n*P_{n-1}
+    become available per degree.  Every integral is a sum of ``_dot``
+    products over these arrays.
     """
 
     def __init__(self, params: ModelParams, ctx: PrecisionContext):
         self.params = params
         self.ctx = ctx
+        self.work_bits = ctx.work_bits
+        self.frac_bits = ctx.work_bits + _FIXED_GUARD_BITS
         with mp.workprec(ctx.work_bits):
             self.intervals = integration_intervals(params)
         self.y = []
@@ -233,10 +358,11 @@ class WeightTable:
         self.om2 = []
         self.zk2 = []
         self.vp = []
-        self._abs_mass = []  # per level: sum |cw|, for absolute error floors
+        self._mass = []  # per level: _dot of cw, for absolute error floors
         self.nlevels = 0
         self.beta = None
-        self._rows = []  # [n][level] -> tuple of P_n values
+        self._beta_fixed = ()
+        self._rows = []  # [level][n] -> fixed-point P_n values
         self._sq = {}
         self._adj = {}
         self._inv = {}  # "om2"/"zk2" -> per-level arrays of reciprocals
@@ -252,18 +378,17 @@ class WeightTable:
 
     def _add_level(self, level: int):
         params = self.params
-        with mp.workprec(self.ctx.work_bits):
+        with mp.workprec(self.work_bits):
             alpha = params.alpha
             t = params.t
             k2 = params.k2
             rk = gap_edge(params) if k2 > 0 else None
             excess = (rk * rk - k2) if rk is not None else None
             ys, cws, om2s, zk2s, vps = [], [], [], [], []
-            mass = mp.mpf(0)
             for a, b in self.intervals:
                 mid = (a + b) / 2
                 half = (b - a) / 2
-                for x, omx, opx, wq in _ts_block(self.ctx.work_bits, level):
+                for x, omx, opx, wq in _ts_block(self.work_bits, level):
                     mirror = (1,) if x == 0 else (1, -1)
                     for sgn in mirror:
                         yv = mid + half * x if sgn > 0 else mid - half * x
@@ -281,45 +406,63 @@ class WeightTable:
                         wv = om2 ** alpha if alpha != 0 else mp.mpf(1)
                         if t > 0:
                             wv = wv * mp.exp(-t / zk2)
-                        cwv = half * wq * wv
                         vpv = 2 * alpha * yv / om2
                         if t > 0:
                             vpv = vpv - 2 * t * yv / (zk2 * zk2)
                         ys.append(yv)
-                        cws.append(cwv)
+                        cws.append(half * wq * wv)
                         om2s.append(om2)
                         zk2s.append(zk2)
                         vps.append(vpv)
-                        mass += cwv
-            self.y.append(ys)
-            self.cw.append(cws)
-            self.om2.append(om2s)
-            self.zk2.append(zk2s)
-            self.vp.append(vps)
-            self._abs_mass.append(mass)
-            self.nlevels = level + 1
-            # keep every frozen cache aligned with the new block
-            if self.beta is not None:
-                self._extend_rows(level)
-                for n in self._sq:
-                    self._sq[n].append(
-                        [c * p * p for c, p in zip(cws, self._rows[level][n])])
-                for n in self._adj:
-                    self._adj[n].append([
-                        c * p * q for c, p, q in
-                        zip(cws, self._rows[level][n], self._rows[level][n - 1])])
-            for key in self._inv:
-                src = self.om2 if key == "om2" else self.zk2
-                self._inv[key].append([1 / v for v in src[level]])
-            for z, arrs in self._dd.items():
-                arrs.append(self._dd_block(z, level))
+        bits = self.work_bits
+        self.y.append(IntArray([_fixed(v, self.frac_bits) for v in ys], -self.frac_bits))
+        self.cw.append(_pack(cws, bits))
+        self.om2.append(_pack(om2s, bits))
+        self.zk2.append(_pack(zk2s, bits))
+        self.vp.append(_pack(vps, bits))
+        self._mass.append(_dot([self.cw[level]]))
+        self.nlevels = level + 1
+        # keep every frozen cache aligned with the new block
+        if self.beta is not None:
+            self._extend_rows(level)
+            for n, arrs in self._sq.items():
+                arrs.append(self._folded(n, n, level))
+            for n, arrs in self._adj.items():
+                arrs.append(self._folded(n, n - 1, level))
+        for key, arrs in self._inv.items():
+            arrs.append(self._reciprocal(key, level))
+        for z, arrs in self._dd.items():
+            arrs.append(self._dd_block(z, level))
 
     # ------------------------------------------------------------------
-    # frozen-recurrence rows
+    # monic rows: the three-term recurrence in fixed point
+
+    def unit_rows(self, level: int):
+        """Per-level rows of P_0 = 1 over levels 0..level."""
+        return [self._unit_row(lv) for lv in range(level + 1)]
+
+    def _unit_row(self, level):
+        return IntArray([1 << self.frac_bits] * len(self.y[level].man), -self.frac_bits)
+
+    def recur_rows(self, cur, prev, beta_n):
+        """Per-level rows y*P_n - beta_n*P_{n-1} from rows ``cur`` and ``prev``
+        (``prev`` None for n = 0, where beta_0 = 0)."""
+        b = _fixed(beta_n, self.frac_bits)
+        return [self._next_row(lv, c, prev and prev[lv], b) for lv, c in enumerate(cur)]
+
+    def _next_row(self, level, cur, prev, b):
+        fb = self.frac_bits
+        acc = map(mul, self.y[level].man, cur.man)
+        if b:
+            acc = map(sub, acc, map(mul, repeat(b), prev.man))
+        # round to nearest; exact ties aside, odd symmetry in y is kept
+        acc = map(add, acc, repeat(1 << (fb - 1)))
+        return IntArray(list(map(rshift, acc, repeat(fb))), -fb)
 
     def freeze(self, beta):
         """Attach recurrence coefficients; monic rows become available."""
         self.beta = tuple(beta)
+        self._beta_fixed = tuple(_fixed(b, self.frac_bits) for b in self.beta)
         self._rows = []
         self._sq = {}
         self._adj = {}
@@ -327,16 +470,12 @@ class WeightTable:
             self._extend_rows(level)
 
     def _extend_rows(self, level: int):
-        ys = self.y[level]
-        with mp.workprec(self.ctx.work_bits):
-            prev = [mp.mpf(0)] * len(ys)
-            cur = [mp.mpf(1)] * len(ys)
-            rows = [tuple(cur)]
-            for n in range(len(self.beta) - 1):
-                bn = self.beta[n]
-                nxt = [y * c - bn * p for y, c, p in zip(ys, cur, prev)]
-                prev, cur = cur, nxt
-                rows.append(tuple(cur))
+        cur = self._unit_row(level)
+        prev = None
+        rows = [cur]
+        for n in range(len(self.beta) - 1):
+            prev, cur = cur, self._next_row(level, cur, prev, self._beta_fixed[n])
+            rows.append(cur)
         if len(self._rows) <= level:
             self._rows.extend([None] * (level + 1 - len(self._rows)))
         self._rows[level] = rows
@@ -344,48 +483,88 @@ class WeightTable:
     def row(self, n: int, level: int):
         return self._rows[level][n]
 
+    def _folded(self, n, m, level):
+        """cw * P_n * P_m on one level, floored to the working precision."""
+        cw = self.cw[level]
+        pn = self._rows[level][n].man
+        pm = self._rows[level][m].man
+        prods = list(map(mul, map(mul, cw.man, pn), pm))
+        return _normalize(prods, map(add, cw.exp, repeat(-2 * self.frac_bits)),
+                          self.work_bits)
+
     def sq(self, n: int):
         """Per-level arrays cw * P_n(y)^2."""
         if n not in self._sq:
-            self._sq[n] = [
-                [c * p * p for c, p in zip(self.cw[lv], self._rows[lv][n])]
-                for lv in range(self.nlevels)
-            ]
+            self._sq[n] = [self._folded(n, n, lv) for lv in range(self.nlevels)]
         return self._sq[n]
 
     def adj(self, n: int):
         """Per-level arrays cw * P_n(y) * P_{n-1}(y)."""
         if n not in self._adj:
-            self._adj[n] = [
-                [c * p * q for c, p, q in
-                 zip(self.cw[lv], self._rows[lv][n], self._rows[lv][n - 1])]
-                for lv in range(self.nlevels)
-            ]
+            self._adj[n] = [self._folded(n, n - 1, lv) for lv in range(self.nlevels)]
         return self._adj[n]
+
+    def _reciprocal(self, key, level):
+        src = (self.om2 if key == "om2" else self.zk2)[level]
+        # 2^(2b-1) // m has b bits, give or take one, for a b-bit mantissa m
+        top = 2 * self.work_bits - 1
+        return IntArray(list(map(floordiv, repeat(1 << top), src.man)),
+                        list(map(sub, repeat(-top), src.exp)))
 
     def inv(self, key: str):
         """Per-level reciprocal arrays for 'om2' or 'zk2'."""
         if key not in ("om2", "zk2"):
             raise ParameterError(f"unknown reciprocal key {key!r}")
         if key not in self._inv:
-            src = self.om2 if key == "om2" else self.zk2
-            self._inv[key] = [[1 / v for v in src[lv]] for lv in range(self.nlevels)]
+            self._inv[key] = [self._reciprocal(key, lv) for lv in range(self.nlevels)]
         return self._inv[key]
 
     def _dd_block(self, z, level: int):
-        vpz = self._vp_at[z]
-        guard = mp.mpf(10) ** (-(self.params.precision_bits / 8.0)) * (1 + abs(z))
-        out = []
-        for vpi, yi in zip(self.vp[level], self.y[level]):
-            if abs(z - yi) <= guard:
-                out.append(v_second(z, self.params))  # removable limit
+        """(v'(z) - v'(y)) / (z - y) on one level, from the integer arrays.
+
+        The difference z - y is exact in fixed point.  v'(z) - v'(y) is
+        exact when the two exponents differ by at most ``work_bits``, and
+        otherwise floored at ``work_bits`` bits below the larger term.  The
+        numerator is floored to ``work_bits + 2`` bits more than the
+        denominator has, and the quotient to the working precision.  Nodes
+        within the pole-guard radius of z take the removable limit v''(z).
+        """
+        wb, fb = self.work_bits, self.frac_bits
+        with mp.workprec(wb):
+            guard = mp.mpf(10) ** (-(self.params.precision_bits / 8.0)) * (1 + abs(z))
+            (vm,), (ve,) = _pack([self._vp_at[z]], wb)
+        den = list(map(sub, repeat(_fixed(z, fb)), self.y[level].man))
+        reach = _fixed(guard, fb)
+        close = [i for i, d in enumerate(den) if -reach <= d <= reach]
+        for i in close:
+            den[i] = 1
+        top = vm << wb
+        num, exps = [], []
+        for m, e in zip(*self.vp[level]):
+            if m and e > ve:
+                num.append((top >> (e - ve)) - (m << wb))
+                exps.append(e - wb)
             else:
-                out.append((vpz - vpi) / (z - yi))
+                num.append(top - ((m << wb) >> (ve - e)) if m else top)
+                exps.append(ve - wb)
+        # scale each numerator to bitlength(den) + work_bits + 2 bits, so that
+        # the quotient has work_bits + 1 or + 2 bits
+        up = list(map(add, map(int.bit_length, den), repeat(wb + 2)))
+        down = list(map(int.bit_length, num))
+        quot = map(floordiv, map(rshift, map(lshift, num, up), down), den)
+        exps = map(add, map(sub, exps, up), map(add, down, repeat(fb)))
+        out = _normalize(list(quot), exps, wb)
+        if close:
+            with mp.workprec(wb):
+                (lm,), (le,) = _pack([v_second(z, self.params)], wb)
+            for i in close:
+                out.man[i] = lm
+                out.exp[i] = le
         return out
 
     def dd(self, z, vpz):
         """Per-level arrays of (v'(z) - v'(y)) / (z - y) for fixed z."""
-        with mp.workprec(self.ctx.work_bits):
+        with mp.workprec(self.work_bits):
             z = mp.mpf(z)
         if z not in self._dd:
             self._vp_at[z] = vpz
@@ -395,54 +574,54 @@ class WeightTable:
     # ------------------------------------------------------------------
     # integration
 
+    def _value(self, terms, level):
+        """(value, bound) at trapezoid step 2^-level from per-level _dot results."""
+        total, emax, count = _accumulate(terms)
+        return mp.ldexp(total, emax - level), mp.ldexp(count, emax - level)
+
+    def trapezoid(self, factors, level: int):
+        """Trapezoid value at step 2^-level of a product of per-level arrays
+        over the nodes of levels 0..level, rounded to the working precision."""
+        with mp.workprec(self.work_bits):
+            return self._value(_level_terms(factors, level), level)[0]
+
     def _series(self, factors):
-        """Cumulative trapezoid values I(MIN_LEVEL..top) for a factor product."""
-        partial = []
-        for lv in range(self.nlevels):
-            arrs = [fac[lv] for fac in factors]
-            if len(arrs) == 1:
-                partial.append(mp.fsum(arrs[0]))
-            elif len(arrs) == 2:
-                partial.append(mp.fdot(arrs[0], arrs[1]))
-            else:
-                prod = arrs[0]
-                for extra in arrs[1:-1]:
-                    prod = [p * e for p, e in zip(prod, extra)]
-                partial.append(mp.fdot(prod, arrs[-1]))
-        series = []
-        for lv in range(MIN_LEVEL, self.nlevels):
-            series.append(mp.mpf(2) ** (-lv) * mp.fsum(partial[: lv + 1]))
-        return series
+        """(value, bound) of the trapezoid sums at levels MIN_LEVEL..top."""
+        terms = _level_terms(factors, self.nlevels - 1)
+        return [self._value(terms[: lv + 1], lv) for lv in range(MIN_LEVEL, self.nlevels)]
 
     def raw_integral(self, factors, scale=None, auto_extend=True) -> IntegralResult:
         """Integrate an elementwise product of per-level factor arrays.
 
         ``factors`` is a sequence of callables level->array or of per-level
         list structures owned by this table (``sq(n)``, ``inv('zk2')``, ...).
-        Exactly one factor family must carry the folded cw weight.
+        Exactly one factor family must carry the folded cw weight.  The
+        reported error is at least the kernel's truncation bound plus the
+        absolute floor 2^-(work_bits-8) * sum |cw|.
         """
-        with mp.workprec(self.ctx.work_bits):
-            floor_eps = mp.mpf(2) ** (-(self.ctx.work_bits - 8))
+        with mp.workprec(self.work_bits):
+            floor_eps = mp.mpf(2) ** (-(self.work_bits - 8))
             rel = mp.mpf(self.ctx.rel_tol)
             while True:
                 mats = [fac() if callable(fac) else fac for fac in factors]
                 series = self._series(mats)
-                value = series[-1]
+                value, bound = series[-1]
                 if len(series) >= 2:
-                    floor = floor_eps * self._abs_mass_total()
-                    err = max(abs(series[-1] - series[-2]), floor)
+                    floor = floor_eps * self._abs_mass_total() + bound
+                    err = max(abs(value - series[-2][0]), floor)
                     target = max(rel * max(abs(value), mp.mpf(scale or 0)), floor)
                     if err <= target:
                         return IntegralResult(value, err, True, self.nlevels - 1)
                 else:
-                    err = abs(value)
+                    err = abs(value) + bound
                 if auto_extend and self.nlevels <= self.ctx.max_level:
                     self.ensure_levels(self.nlevels)
                     continue
                 return IntegralResult(value, err, False, self.nlevels - 1)
 
     def _abs_mass_total(self):
-        return mp.fsum(self._abs_mass) * mp.mpf(2) ** (-(self.nlevels - 1))
+        """sum |cw| * 2^-(top level); cw >= 0, so this is the sum of cw."""
+        return self._value(self._mass, self.nlevels - 1)[0]
 
     def node_count(self):
-        return sum(len(b) for b in self.y)
+        return sum(len(block.man) for block in self.y)

@@ -75,7 +75,9 @@ def mpf(x):
 
 
 def pytest_runtest_logreport(report):
-    if report.when != "call":
+    # a failed setup (e.g. a shared fixture that raises) or teardown counts
+    # against the criterion too; skips stay unrecorded
+    if report.when != "call" and not report.failed:
         return
     m = _CRIT_RE.search(report.nodeid)
     if m:
