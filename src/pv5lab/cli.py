@@ -22,6 +22,7 @@ from mpmath import mp
 from . import ladder as ladder_mod
 from . import ode as ode_mod
 from . import orthopoly, report, verify
+from .equations import beta_expr, pv_rhs, s_of
 from .errors import NumericalError, ParameterError, SingularParams
 from .model import validate
 from .quadrature import PrecisionContext, moment
@@ -244,13 +245,13 @@ def _cmd_ode(args):
         count = max(args.samples, 2)
         step = (hi_s - lo_s) / (count - 1)
         rows = []
-        s = 2 * args.n + 2 * params.alpha + 1
+        s = s_of(args.n, params)
         for i in range(count):
             tv = lo_s + i * step
             R, r = traj.sample(tv)
-            beta = _beta_from_dynamics(params, args.n, tv, R, r)
+            beta = beta_expr(params, args.n, tv, R, r)
             phi = (R + s) / s
-            pv_res = _pv_residual_from_dense(traj, params, args.n, tv, s)
+            pv_res = _pv_residual_from_dense(traj, params, args.n, tv, s, phi)
             rows.append((tv, R, r, beta, phi, pv_res))
     _emit_csv(args, report.TRAJECTORY_HEADER, rows, ctx.bits)
     if args.out_json:
@@ -261,25 +262,13 @@ def _cmd_ode(args):
     return 0
 
 
-def _beta_from_dynamics(params, n, t, R, r):
-    """beta_n from the closed expression in (R_n, r_n); needs k2 != 0."""
-    k2 = params.k2
-    s = 2 * n + 2 * params.alpha + 1
-    return ((2 * k2 * (n + params.alpha) * r - 2 * k2 * t * n + 2 * t * r - r * r)
-            / (k2 * R * (s - 2))
-            - s * (r * r - 2 * t * r) / (k2 * R * R * (s - 2)))
-
-
-def _pv_residual_from_dense(traj, params, n, t, s):
-    """Painleve residual of the dense Phi(t) by stencil differences."""
+def _pv_residual_from_dense(traj, params, n, t, s, phi):
+    """Painleve residual of the dense Phi(t) = phi by stencil differences."""
     h = verify.stencil_step(t)
-
-    def phi(tv):
-        return (traj.sample(tv)[0] + s) / s
-
-    d2 = (phi(t + h) - 2 * phi(t) + phi(t - h)) / (h * h)
-    d1 = (phi(t + h) - phi(t - h)) / (2 * h)
-    rhs = verify.pv_rhs(params, n, t, phi(t), d1)
+    lo, hi = ((traj.sample(tv)[0] + s) / s for tv in (t - h, t + h))
+    d2 = (hi - 2 * phi + lo) / (h * h)
+    d1 = (hi - lo) / (2 * h)
+    rhs = pv_rhs(params, n, t, phi, d1)
     return abs(d2 - rhs) / (1 + max(abs(d2), abs(rhs)))
 
 
@@ -289,7 +278,7 @@ def _cmd_pv_residual(args):
     if params.k2 == 0:
         raise SingularParams("the Painleve V residual carries 1/k2; k2 must be nonzero")
     rows = []
-    s = 2 * args.n + 2 * params.alpha + 1
+    s = s_of(args.n, params)
     with mp.workprec(params.work_bits):
         for tv in t_grid:
             p = dataclasses.replace(params, t=tv)

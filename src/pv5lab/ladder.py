@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from mpmath import mp
 
 from .errors import LadderIneligible, NoConvergence, PoleError
-from .model import gap_edge, v_prime
+from .model import gap_edge, pole_guard, v_prime
 from .orthopoly import OrthoState, eval_monic, eval_monic_derivative
 from .quadrature import PrecisionContext
 
@@ -113,7 +113,7 @@ def compute(state: OrthoState, ctx: PrecisionContext) -> LadderState:
 
 def _rational_pieces(n, z, params):
     """(1-z^2, z^2-k2) at z with the pole guard of v'."""
-    g = mp.mpf(10) ** (-(params.precision_bits / 8.0))
+    g = pole_guard(params)
     if abs(1 - z) < g or abs(1 + z) < g:
         raise PoleError(f"z={z} within the guard radius of +-1")
     om2 = (1 - z) * (1 + z)

@@ -167,16 +167,22 @@ def weight(z, params: ModelParams):
         return value
 
 
-def _pole_guard(params: ModelParams):
-    # relative exclusion radius around the poles of v'(z)
-    return mp.mpf(10) ** (-(params.precision_bits / 8.0))
+def pole_guard(params: ModelParams):
+    """Relative exclusion radius 10^-(precision_bits/8) around the poles of v'(z)."""
+    return _pole_guard(params.precision_bits, mp.prec)
+
+
+@functools.lru_cache(maxsize=64)
+def _pole_guard(precision_bits: int, prec: int):
+    # keyed on the working precision too, which the power is rounded to
+    return mp.mpf(10) ** (-(precision_bits / 8.0))
 
 
 def v_prime(z, params: ModelParams):
     """v'(z) for v = -ln w:  2*alpha*z/(1-z^2) - 2*t*z/(z^2-k2)^2."""
     with mp.workprec(params.work_bits):
         z = mp.mpf(z)
-        g = _pole_guard(params)
+        g = pole_guard(params)
         if abs(1 - z) < g or abs(1 + z) < g:
             raise PoleError(f"z={z} within the guard radius of +-1")
         value = 2 * params.alpha * z / ((1 - z) * (1 + z))
@@ -196,7 +202,7 @@ def v_second(z, params: ModelParams):
     """v''(z) = 2*alpha*(1+z^2)/(1-z^2)^2 + 2*t*(3*z^2+k2)/(z^2-k2)^3."""
     with mp.workprec(params.work_bits):
         z = mp.mpf(z)
-        g = _pole_guard(params)
+        g = pole_guard(params)
         if abs(1 - z) < g or abs(1 + z) < g:
             raise PoleError(f"z={z} within the guard radius of +-1")
         one_minus = (1 - z) * (1 + z)
@@ -218,6 +224,6 @@ def dd_quotient(z, y, params: ModelParams):
     with mp.workprec(params.work_bits):
         z = mp.mpf(z)
         y = mp.mpf(y)
-        if abs(z - y) <= _pole_guard(params) * (1 + max(abs(z), abs(y))):
+        if abs(z - y) <= pole_guard(params) * (1 + max(abs(z), abs(y))):
             return v_second(z, params)
         return (v_prime(z, params) - v_prime(y, params)) / (z - y)

@@ -40,8 +40,8 @@ from typing import NamedTuple
 from mpmath import mp
 
 from .errors import NoConvergence, ParameterError, PrecisionExhausted
-from .model import (GUARD_BITS, ModelParams, Support, gap_edge, support,
-                    v_second, weight)
+from .model import (GUARD_BITS, ModelParams, Support, gap_edge, pole_guard,
+                    support, v_second, weight)
 
 #: coarsest level at which an integral value is first formed
 MIN_LEVEL = 3
@@ -50,7 +50,7 @@ MIN_LEVEL = 3
 _EDGE_MARGIN_BITS = 32
 
 #: fraction bits of the fixed-point arrays beyond the working precision
-_FIXED_GUARD_BITS = 64
+FIXED_GUARD_BITS = 64
 
 
 @dataclass(frozen=True)
@@ -350,7 +350,7 @@ class WeightTable:
         self.params = params
         self.ctx = ctx
         self.work_bits = ctx.work_bits
-        self.frac_bits = ctx.work_bits + _FIXED_GUARD_BITS
+        self.frac_bits = ctx.work_bits + FIXED_GUARD_BITS
         with mp.workprec(ctx.work_bits):
             self.intervals = integration_intervals(params)
         self.y = []
@@ -531,7 +531,7 @@ class WeightTable:
         """
         wb, fb = self.work_bits, self.frac_bits
         with mp.workprec(wb):
-            guard = mp.mpf(10) ** (-(self.params.precision_bits / 8.0)) * (1 + abs(z))
+            guard = pole_guard(self.params) * (1 + abs(z))
             (vm,), (ve,) = _pack([self._vp_at[z]], wb)
         den = list(map(sub, repeat(_fixed(z, fb)), self.y[level].man))
         reach = _fixed(guard, fb)

@@ -29,6 +29,10 @@ from mpmath import mp
 
 from . import ladder as ladder_mod
 from . import orthopoly
+from .equations import beta_expr, pv_rhs
+from .equations import ric_bigr_rhs as _ric_bigr_rhs
+from .equations import ric_r_rhs as _ric_r_rhs
+from .equations import s_of as _s_of
 from .errors import ParameterError, SingularParams
 from .model import ModelParams, gap_edge, v_prime
 from .quadrature import PrecisionContext
@@ -209,10 +213,6 @@ def _dual_residual(pair_h, pair_h2):
 
 # ----------------------------------------------------------------------
 # individual check bodies; each returns (residual, lhs_scale[, ratio])
-
-def _s_of(n, params):
-    return 2 * n + 2 * params.alpha + 1
-
 
 def _chk_s1(ev, n, t, z):
     ortho, _ = ev.states(t)
@@ -470,30 +470,7 @@ def _chk_zhu232(ev, n, t, z):
 
 def _chk_beta_expr(ev, n, t, z):
     ortho, lad = ev.states(t)
-    k2 = ev.params.k2
-    alpha = ev.params.alpha
-    s = _s_of(n, ev.params)
-    rn = lad.r[n]
-    Rn = lad.R[n]
-    rhs = ((2 * k2 * (n + alpha) * rn - 2 * k2 * t * n + 2 * t * rn - rn ** 2)
-           / (k2 * Rn * (s - 2))
-           - s * (rn ** 2 - 2 * t * rn) / (k2 * Rn ** 2 * (s - 2)))
-    return _nres(ortho.beta[n], rhs)
-
-
-def _ric_r_rhs(params, n, t, r, R):
-    k2 = params.k2
-    s = _s_of(n, params)
-    return (2 * (k2 * (n + params.alpha + 1) + t) * r
-            - 2 * s * (r ** 2 - 2 * t * r) / R
-            - r ** 2 - 2 * k2 * n * t)
-
-
-def _ric_bigr_rhs(params, n, t, r, R):
-    k2 = params.k2
-    s = _s_of(n, params)
-    return (2 * (k2 * (n + params.alpha + 1) + t) * R
-            - 2 * r * (s + R) + k2 * R ** 2 + 2 * s * t)
+    return _nres(ortho.beta[n], beta_expr(ev.params, n, t, lad.R[n], lad.r[n]))
 
 
 def _chk_ric_r(ev, n, t, z):
@@ -568,21 +545,6 @@ def _chk_ode_rn(ev, n, t, z):
     v_h = _ode_rn_value(ev.params, n, t, R, d1_h, d2_h)
     v_h2 = _ode_rn_value(ev.params, n, t, R, d1_h2, d2_h2)
     return _dual_residual((v_h, mp.mpf(0)), (v_h2, mp.mpf(0)))
-
-
-def pv_rhs(params, n, t, phi, phip):
-    """Right-hand side of the Painleve V form for Phi_n."""
-    s = _s_of(n, params)
-    k2 = params.k2
-    gamma = s ** 2 / 8
-    delta = -mp.mpf(1) / 8
-    epsilon = -params.alpha / k2
-    eta = -1 / (2 * k2 * k2)
-    return ((3 * phi - 1) * phip ** 2 / (2 * phi * (phi - 1))
-            - phip / t
-            + (phi - 1) ** 2 / t ** 2 * (gamma * phi + delta / phi)
-            + epsilon * phi / t
-            + eta * phi * (phi + 1) / (phi - 1))
 
 
 def _chk_pv_phi(ev, n, t, z):

@@ -1,10 +1,13 @@
 """Adaptive integrator: order behavior, round trips, singularity policy."""
 
+import random
+
 import pytest
 from mpmath import mp
 
 import pv5lab
 from pv5lab.errors import ParameterError, PoleHit, SingularParams, StepUnderflow
+from pv5lab.ode import fixed_type
 
 
 def harmonic(t, y):
@@ -125,3 +128,111 @@ def test_pv_short_span_crosscheck(oparams, octx):
     traj = pv5lab.integrate_pv(oparams, 2, "0.5", "0.51", init, 1e-12)
     dev = pv5lab.crosscheck(traj, oparams, octx, ["0.51"])
     assert mp.isfinite(dev)
+
+
+# ----------------------------------------------------------------------
+# the integrator's fixed-point numbers
+
+def _exact(x):
+    """The exact value of a fixed-point number, as an mpf."""
+    return mp.make_mpf(x._mpf_)
+
+
+def _fixed_samples(Fixed, seed):
+    # mixed signs, magnitudes 2^-60 .. 2^60, plus one unit of the scale
+    rng = random.Random(seed)
+    out = [Fixed(1), Fixed(-3)]
+    for e in range(-60, 61, 15):
+        for sign in (1, -1):
+            out.append(Fixed(sign * rng.getrandbits(Fixed.FRAC + e)))
+    return out
+
+
+def test_fixed_type_matches_mpf_at_raised_precision():
+    Fixed = fixed_type(192)
+    assert Fixed.FRAC == 192 + 128 and fixed_type(192) is Fixed
+    xs = _fixed_samples(Fixed, 11)
+    with mp.workprec(6 * Fixed.FRAC):
+        ulp = mp.mpf(2) ** -Fixed.FRAC
+        for a in xs:
+            ea = _exact(a)
+            assert _exact(-a) == -ea and _exact(abs(a)) == abs(ea)
+            assert bool(a) and a == a and not a < a and (a > 0) == (ea > 0)
+            for b in xs:
+                eb = _exact(b)
+                assert _exact(a + b) == ea + eb
+                assert _exact(a - b) == ea - eb
+                assert (a < b) == (ea < eb) and (a >= b) == (ea >= eb)
+                # products and quotients are floored onto the scale
+                assert 0 <= ea * eb - _exact(a * b) < ulp
+                assert 0 <= ea / eb - _exact(a / b) < ulp
+            for m in (3, -7, 1 << 70):
+                assert _exact(a + m) == ea + m and _exact(m - a) == m - ea
+                assert _exact(a * m) == ea * m and _exact(m * a) == ea * m
+                assert 0 <= ea / m - _exact(a / m) < ulp
+                assert 0 <= m / ea - _exact(m / a) < ulp
+                assert (a <= m) == (ea <= m)
+    assert not Fixed(0) and Fixed(0) == 0 and Fixed(5 << Fixed.FRAC) == 5
+
+
+def test_fixed_type_integer_powers():
+    Fixed = fixed_type(256)
+    with mp.workprec(6 * Fixed.FRAC):
+        rel = mp.mpf(2) ** -(Fixed.FRAC - 32)
+        for a in _fixed_samples(Fixed, 5)[2:]:
+            ea = _exact(a)
+            if not mp.mpf(2) ** -4 <= abs(ea) <= 16:
+                continue
+            assert _exact(a ** 0) == 1 and _exact(a ** 1) == ea
+            for n in (2, 3, 5, -1, -2):
+                assert abs(_exact(a ** n) - ea ** n) <= rel * (1 + abs(ea ** n))
+
+
+def test_fixed_type_mixes_into_mpf():
+    Fixed = fixed_type(192)
+    a = Fixed(-(5 << Fixed.FRAC) // 7)
+    with mp.workprec(256):
+        ea = _exact(a)
+        m = mp.mpf("0.3")
+        for got, want in ((a + m, ea + m), (m + a, m + ea), (a - m, ea - m),
+                          (m - a, m - ea), (a * m, ea * m), (m * a, m * ea),
+                          (a / m, ea / m), (m / a, m / ea), (a * 0.5, ea * 0.5),
+                          (abs(a) ** m, abs(ea) ** m), (mp.exp(a), mp.exp(ea)),
+                          (mp.mpf(a), ea), (a * Fixed(1) * fixed_type(64)(3), None)):
+            assert isinstance(got, mp.mpf)
+            if want is not None:
+                assert abs(got - want) <= mp.mpf(2) ** -250 * abs(want)
+        assert (a < m) and (m > a) and not (a == m)
+
+
+def test_rhs_on_fixed_numbers_match_mpf(oparams):
+    Fixed = fixed_type(oparams.precision_bits)
+    cases = ((pv5lab.ode.riccati_rhs(oparams, 2), ("0.5", "2.9", "-0.0163")),
+             (pv5lab.ode.pv_ode_rhs(oparams, 2), ("0.5", "1.41", "35.5")))
+    for f, raw in cases:
+        with mp.workprec(6 * Fixed.FRAC):
+            fixed = [Fixed(int(mp.mpf(v) * 2 ** Fixed.FRAC)) for v in raw]
+            t, y = fixed[0], tuple(fixed[1:])
+            want = f(_exact(t), tuple(map(_exact, y)))
+            got = f(t, y)
+            assert all(type(g) is Fixed for g in got)
+            for g, w in zip(got, want):
+                assert abs(_exact(g) - w) <= mp.mpf(2) ** -(Fixed.FRAC - 16) * (1 + abs(w))
+
+
+def test_generic_closure_with_mp_functions_reaches_exact_solution():
+    half = mp.mpf("0.5")
+
+    def f(t, y):
+        # y' = y exp(-t) / 2, solved by y = exp((1 - exp(-t)) / 2)
+        return (half * mp.exp(-t) * y[0],)
+
+    tol = mp.mpf(1e-20)
+    traj = pv5lab.integrate_ivp(f, 0, 1, (1,), tol, bits=192)
+    assert all(isinstance(v[0], mp.mpf) for v in traj.values)
+    with mp.workprec(256):
+        exact = mp.exp((1 - mp.exp(-1)) / 2)
+        assert abs(traj.values[-1][0] - exact) < 50 * tol
+        assert abs(traj.sample("0.5")[0] - mp.exp((1 - mp.exp("-0.5")) / 2)) < mp.mpf("1e-9")
+    with pytest.raises(PoleHit):
+        pv5lab.integrate_ivp(lambda t, y: (y[0] * mp.inf,), 0, 1, (1,), tol, bits=192)
