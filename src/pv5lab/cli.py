@@ -22,7 +22,7 @@ from mpmath import mp
 from . import ladder as ladder_mod
 from . import ode as ode_mod
 from . import orthopoly, report, verify
-from .equations import beta_expr, pv_rhs, s_of
+from .equations import beta_expr, phi_of, pv_rhs, s_of
 from .errors import NumericalError, ParameterError, SingularParams
 from .model import validate
 from .quadrature import PrecisionContext, moment
@@ -93,7 +93,7 @@ def build_parser():
     return ap
 
 
-def _t_grid(args, default_single=False):
+def _t_grid(args):
     """t or t_grid from flags; log default grid 0.05..1.0 with 12 points.
 
     Parsed at working precision so a flag like --t 0.4 means 0.4 to the
@@ -104,8 +104,6 @@ def _t_grid(args, default_single=False):
     with mp.workprec(args.bits + 64):
         if args.t is not None:
             return (mp.mpf(args.t),)
-        if args.t_start is None and default_single:
-            return (mp.mpf("0.5"),)
         start = mp.mpf(args.t_start) if args.t_start is not None else mp.mpf("0.05")
         stop = mp.mpf(args.t_stop) if args.t_stop is not None else mp.mpf("1.0")
         count = args.t_count if args.t_count is not None else 12
@@ -124,10 +122,15 @@ def _t_grid(args, default_single=False):
         return tuple(start + step * i for i in range(count))
 
 
+def _single_t(args):
+    """--t at working precision, 0.5 when not given."""
+    with mp.workprec(args.bits + 64):
+        return mp.mpf(args.t) if args.t is not None else mp.mpf("0.5")
+
+
 def _params_ctx(args, t):
     params = validate(args.alpha, args.k2, t, precision_bits=args.bits, n_max=args.n_max)
-    max_level = getattr(args, "max_level", 12)
-    ctx = PrecisionContext(bits=args.bits, rel_tol=args.rel_tol, max_level=max_level)
+    ctx = PrecisionContext(bits=args.bits, rel_tol=args.rel_tol, max_level=args.max_level)
     return params, ctx
 
 
@@ -155,9 +158,15 @@ def _params_block(args, params, ctx, extra=None):
     return block
 
 
+def _emit_params_report(args, params, ctx, extra):
+    """With --out-json, a report that carries only the parameters block."""
+    if args.out_json:
+        block = _params_block(args, params, ctx, extra)
+        report.emit_report([], verify.summarize([], ctx), args.out_json, block, ctx.bits)
+
+
 def _cmd_moments(args):
-    with mp.workprec(args.bits + 64):
-        t = mp.mpf(args.t) if args.t is not None else mp.mpf("0.5")
+    t = _single_t(args)
     j_max = args.n_max
     if j_max < 0:
         raise ParameterError("moments need --n-max >= 0")
@@ -165,35 +174,27 @@ def _cmd_moments(args):
     params, ctx = _params_ctx(args, t)
     rows = [(j, moment(j, params, ctx)) for j in range(j_max + 1)]
     _emit_csv(args, ["j", "mu_j"], rows, ctx.bits)
-    if args.out_json:
-        block = _params_block(args, params, ctx, {"t": report.numstr(t, ctx.bits)})
-        report.emit_report([], verify.summarize([], ctx), args.out_json, block, ctx.bits)
+    _emit_params_report(args, params, ctx, {"t": report.numstr(t, ctx.bits)})
     return 0
 
 
 def _cmd_recurrence(args):
-    with mp.workprec(args.bits + 64):
-        t = mp.mpf(args.t) if args.t is not None else mp.mpf("0.5")
+    t = _single_t(args)
     params, ctx = _params_ctx(args, t)
     state = orthopoly.build(params, ctx)
     rows = [(n, state.h[n], state.beta[n], state.p_sub[n]) for n in range(params.n_max + 1)]
     _emit_csv(args, ["n", "h_n", "beta_n", "p_n"], rows, ctx.bits)
-    if args.out_json:
-        block = _params_block(args, params, ctx, {"t": report.numstr(t, ctx.bits)})
-        report.emit_report([], verify.summarize([], ctx), args.out_json, block, ctx.bits)
+    _emit_params_report(args, params, ctx, {"t": report.numstr(t, ctx.bits)})
     return 0
 
 
 def _cmd_ladder(args):
-    with mp.workprec(args.bits + 64):
-        t = mp.mpf(args.t) if args.t is not None else mp.mpf("0.5")
+    t = _single_t(args)
     params, ctx = _params_ctx(args, t)
     lad = ladder_mod.compute(orthopoly.build(params, ctx), ctx)
     rows = [(n, lad.R[n], lad.r[n], lad.a[n], lad.b[n]) for n in range(params.n_max + 1)]
     _emit_csv(args, ["n", "R_n", "r_n", "a_n", "b_n"], rows, ctx.bits)
-    if args.out_json:
-        block = _params_block(args, params, ctx, {"t": report.numstr(t, ctx.bits)})
-        report.emit_report([], verify.summarize([], ctx), args.out_json, block, ctx.bits)
+    _emit_params_report(args, params, ctx, {"t": report.numstr(t, ctx.bits)})
     return 0
 
 
@@ -227,11 +228,6 @@ def _cmd_verify(args):
     return 0 if ok else 1
 
 
-def _pv_residual_at(params, ctx, n, t):
-    rep = verify.check(verify.IdentityId.PV_PHI, params, ctx, n, t)
-    return rep.residual
-
-
 def _cmd_ode(args):
     params, ctx = _params_ctx(args, mp.mpf(args.t0))
     with mp.workprec(params.work_bits):
@@ -250,22 +246,20 @@ def _cmd_ode(args):
             tv = lo_s + i * step
             R, r = traj.sample(tv)
             beta = beta_expr(params, args.n, tv, R, r)
-            phi = (R + s) / s
+            phi = phi_of(R, s)
             pv_res = _pv_residual_from_dense(traj, params, args.n, tv, s, phi)
             rows.append((tv, R, r, beta, phi, pv_res))
     _emit_csv(args, report.TRAJECTORY_HEADER, rows, ctx.bits)
-    if args.out_json:
-        extra = {"t0": report.numstr(t0, ctx.bits), "t1": report.numstr(t1, ctx.bits),
-                 "n": args.n, "ode_tol": repr(args.ode_tol)}
-        block = _params_block(args, params, ctx, extra)
-        report.emit_report([], verify.summarize([], ctx), args.out_json, block, ctx.bits)
+    extra = {"t0": report.numstr(t0, ctx.bits), "t1": report.numstr(t1, ctx.bits),
+             "n": args.n, "ode_tol": repr(args.ode_tol)}
+    _emit_params_report(args, params, ctx, extra)
     return 0
 
 
 def _pv_residual_from_dense(traj, params, n, t, s, phi):
     """Painleve residual of the dense Phi(t) = phi by stencil differences."""
     h = verify.stencil_step(t)
-    lo, hi = ((traj.sample(tv)[0] + s) / s for tv in (t - h, t + h))
+    lo, hi = (phi_of(traj.sample(tv)[0], s) for tv in (t - h, t + h))
     d2 = (hi - 2 * phi + lo) / (h * h)
     d1 = (hi - lo) / (2 * h)
     rhs = pv_rhs(params, n, t, phi, d1)
@@ -284,14 +278,12 @@ def _cmd_pv_residual(args):
             p = dataclasses.replace(params, t=tv)
             ortho = orthopoly.build(p, ctx)
             lad = ladder_mod.compute(ortho, ctx)
-            res = _pv_residual_at(params, ctx, args.n, tv)
-            phi = (lad.R[args.n] + s) / s
+            res = verify.check(verify.IdentityId.PV_PHI, params, ctx, args.n, tv).residual
+            phi = phi_of(lad.R[args.n], s)
             rows.append((tv, lad.R[args.n], lad.r[args.n], ortho.beta[args.n], phi, res))
     _emit_csv(args, report.TRAJECTORY_HEADER, rows, ctx.bits)
-    if args.out_json:
-        extra = {"t_grid": [report.numstr(tv, ctx.bits) for tv in t_grid], "n": args.n}
-        block = _params_block(args, params, ctx, extra)
-        report.emit_report([], verify.summarize([], ctx), args.out_json, block, ctx.bits)
+    extra = {"t_grid": [report.numstr(tv, ctx.bits) for tv in t_grid], "n": args.n}
+    _emit_params_report(args, params, ctx, extra)
     return 0
 
 

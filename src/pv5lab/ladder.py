@@ -19,12 +19,15 @@ sequences computed here:
     r_n = (2t/h_{n-1})  integral y P_n P_{n-1} w / (y^2-k2)
     b_n = (2alpha/h_{n-1}) integral y P_n P_{n-1} w / (1-y^2)
 
-    A_n(z) = a_n/(1-z^2) + (a_n-2n-2alpha-1)/(z^2-k2) + k2 R_n/(z^2-k2)^2
+    A_n(z) = a_n/(1-z^2) + (a_n-s)/(z^2-k2) + k2 R_n/(z^2-k2)^2
     B_n(z) = z b_n/(1-z^2) + z (b_n-n)/(z^2-k2) + z r_n/(z^2-k2)^2
 
-``A_integral``/``B_integral`` evaluate the defining integrals directly, so
-rational and integral routes can be compared as an end-to-end validation.
-r_0 = b_0 = 0 (their integrands contain P_{-1}).
+with s = 2n + 2alpha + 1 (``equations.s_of``).  The rational forms take
+1-z^2, z^2-k2 and the pole guard from ``model``, so they raise PoleError
+exactly where v'(z) does.  ``A_integral``/``B_integral`` evaluate the
+defining integrals directly, so rational and integral routes can be
+compared as an end-to-end validation.  r_0 = b_0 = 0 (their integrands
+contain P_{-1}).
 """
 
 from __future__ import annotations
@@ -34,8 +37,9 @@ from dataclasses import dataclass
 
 from mpmath import mp
 
-from .errors import LadderIneligible, NoConvergence, PoleError
-from .model import gap_edge, pole_guard, v_prime
+from .equations import s_of
+from .errors import LadderIneligible, NoConvergence
+from .model import _pole_basis, v_prime
 from .orthopoly import OrthoState, eval_monic, eval_monic_derivative
 from .quadrature import PrecisionContext
 
@@ -111,29 +115,13 @@ def compute(state: OrthoState, ctx: PrecisionContext) -> LadderState:
     return _compute_cached(state, ctx)
 
 
-def _rational_pieces(n, z, params):
-    """(1-z^2, z^2-k2) at z with the pole guard of v'."""
-    g = pole_guard(params)
-    if abs(1 - z) < g or abs(1 + z) < g:
-        raise PoleError(f"z={z} within the guard radius of +-1")
-    om2 = (1 - z) * (1 + z)
-    if params.k2 > 0:
-        rk = gap_edge(params)
-        if abs(abs(z) - rk) < g * (1 + rk):
-            raise PoleError(f"z={z} within the guard radius of +-sqrt(k2)")
-        zk2 = (abs(z) - rk) * (abs(z) + rk) + (rk * rk - params.k2)
-    else:
-        zk2 = z * z - params.k2
-    return om2, zk2
-
-
 def A_rational(n: int, z, ortho: OrthoState, lad: LadderState):
     """Three-pole rational form of A_n(z)."""
     params = ortho.params
     with mp.workprec(params.work_bits):
         z = mp.mpf(z)
-        om2, zk2 = _rational_pieces(n, z, params)
-        s = 2 * n + 2 * params.alpha + 1
+        om2, zk2 = _pole_basis(z, params)
+        s = s_of(n, params)
         return (lad.a[n] / om2
                 + (lad.a[n] - s) / zk2
                 + params.k2 * lad.R[n] / (zk2 * zk2))
@@ -144,7 +132,7 @@ def B_rational(n: int, z, ortho: OrthoState, lad: LadderState):
     params = ortho.params
     with mp.workprec(params.work_bits):
         z = mp.mpf(z)
-        om2, zk2 = _rational_pieces(n, z, params)
+        om2, zk2 = _pole_basis(z, params)
         return (z * lad.b[n] / om2
                 + z * (lad.b[n] - n) / zk2
                 + z * lad.r[n] / (zk2 * zk2))

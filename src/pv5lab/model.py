@@ -15,6 +15,9 @@ plain (1 - z^2)^alpha on [-1, 1] for any k2.
 k2 < 0 is allowed and gives a smooth strictly positive deformation on all
 of [-1, 1]; every downstream formula is rational in k2, so this serves as a
 regular control case.
+
+v'(z), the guard around its poles and the edge-stable z^2 - k2 are written
+once here (``_pole_basis``); ``ladder`` and the weight tables call them.
 """
 
 from __future__ import annotations
@@ -138,14 +141,25 @@ def support(params: ModelParams) -> Support:
         return Support(((-one, one),))
 
 
-def _z2_minus_k2(z, params):
-    """z^2 - k2, computed without sign-flipping cancellation near the gap edge."""
+def _gap(params: ModelParams):
+    """(rk, rk^2 - k2) with rk = gap_edge, at the current precision; None for k2 <= 0."""
     if params.k2 <= 0:
-        return z * z - params.k2
-    rk = gap_edge(params)
+        return None
+    rk = _gap_edge(params.k2, params.work_bits)
+    return rk, rk * rk - params.k2
+
+
+def _z2_minus_k2(z, k2, gap, d_in=None):
+    """z^2 - k2 without sign-flipping cancellation near the gap edge; ``gap``
+    is ``_gap(params)``, ``d_in`` an exact |z| - rk if the caller has one."""
+    if gap is None:
+        return z * z - k2
+    rk, excess = gap
     m = abs(z)
-    # (m - rk)(m + rk) + (rk^2 - k2); both addends >= 0 outside the gap
-    return (m - rk) * (m + rk) + (rk * rk - params.k2)
+    if d_in is None:
+        d_in = m - rk
+    # (|z| - rk)(|z| + rk) + (rk^2 - k2); both addends >= 0 outside the gap
+    return d_in * (m + rk) + excess
 
 
 def weight(z, params: ModelParams):
@@ -160,7 +174,7 @@ def weight(z, params: ModelParams):
                 return mp.mpf(0)
         value = one_minus ** params.alpha if params.alpha != 0 else mp.mpf(1)
         if params.t > 0:
-            den = _z2_minus_k2(z, params)
+            den = _z2_minus_k2(z, params.k2, _gap(params))
             if den == 0:
                 return mp.mpf(0)  # one-sided limit at the gap edge (k2 = 0, z = 0)
             value = value * mp.exp(-params.t / den)
@@ -178,43 +192,46 @@ def _pole_guard(precision_bits: int, prec: int):
     return mp.mpf(10) ** (-(precision_bits / 8.0))
 
 
+def _pole_basis(z, params: ModelParams):
+    """(1 - z^2, z^2 - k2) at z, after testing the guard radius around every
+    pole of v': z = +-1 always, z = +-sqrt(k2) when the gap is open, and
+    z = 0 when k2 = 0 and t > 0."""
+    g = _pole_guard(params.precision_bits, mp.prec)
+    if abs(1 - z) < g or abs(1 + z) < g:
+        raise PoleError(f"z={z} within the guard radius of +-1")
+    gap = _gap(params)
+    if params.t > 0:
+        if gap is not None:
+            rk = gap[0]
+            if abs(abs(z) - rk) < g * (1 + rk):
+                raise PoleError(f"z={z} within the guard radius of +-sqrt(k2)")
+        elif params.k2 == 0 and abs(z) < g:
+            raise PoleError("z=0 is a pole of v' when k2 = 0 and t > 0")
+    return (1 - z) * (1 + z), _z2_minus_k2(z, params.k2, gap)
+
+
+def _v_prime_from(z, om2, zk2, params: ModelParams):
+    """v'(z) from om2 = 1-z^2 and zk2 = z^2-k2, without a pole guard."""
+    value = 2 * params.alpha * z / om2
+    if params.t > 0:
+        value = value - 2 * params.t * z / (zk2 * zk2)
+    return value
+
+
 def v_prime(z, params: ModelParams):
     """v'(z) for v = -ln w:  2*alpha*z/(1-z^2) - 2*t*z/(z^2-k2)^2."""
     with mp.workprec(params.work_bits):
         z = mp.mpf(z)
-        g = pole_guard(params)
-        if abs(1 - z) < g or abs(1 + z) < g:
-            raise PoleError(f"z={z} within the guard radius of +-1")
-        value = 2 * params.alpha * z / ((1 - z) * (1 + z))
-        if params.t > 0:
-            if params.k2 > 0:
-                rk = gap_edge(params)
-                if abs(abs(z) - rk) < g * (1 + rk):
-                    raise PoleError(f"z={z} within the guard radius of +-sqrt(k2)")
-            elif params.k2 == 0 and abs(z) < g:
-                raise PoleError("z=0 is a pole of v' when k2 = 0 and t > 0")
-            den = _z2_minus_k2(z, params)
-            value = value - 2 * params.t * z / (den * den)
-        return value
+        return _v_prime_from(z, *_pole_basis(z, params), params)
 
 
 def v_second(z, params: ModelParams):
     """v''(z) = 2*alpha*(1+z^2)/(1-z^2)^2 + 2*t*(3*z^2+k2)/(z^2-k2)^3."""
     with mp.workprec(params.work_bits):
         z = mp.mpf(z)
-        g = pole_guard(params)
-        if abs(1 - z) < g or abs(1 + z) < g:
-            raise PoleError(f"z={z} within the guard radius of +-1")
-        one_minus = (1 - z) * (1 + z)
+        one_minus, den = _pole_basis(z, params)
         value = 2 * params.alpha * (1 + z * z) / (one_minus * one_minus)
         if params.t > 0:
-            if params.k2 > 0:
-                rk = gap_edge(params)
-                if abs(abs(z) - rk) < g * (1 + rk):
-                    raise PoleError(f"z={z} within the guard radius of +-sqrt(k2)")
-            elif params.k2 == 0 and abs(z) < g:
-                raise PoleError("z=0 is a pole of v'' when k2 = 0 and t > 0")
-            den = _z2_minus_k2(z, params)
             value = value + 2 * params.t * (3 * z * z + params.k2) / (den * den * den)
         return value
 

@@ -37,7 +37,7 @@ from mpmath.libmp import from_man_exp, round_nearest
 
 from . import ladder as ladder_mod
 from . import orthopoly
-from .equations import pv_rhs, ric_bigr_rhs, ric_r_rhs, s_of
+from .equations import phi_of, pv_rhs, ric_bigr_rhs, ric_r_rhs, s_of
 from .errors import ParameterError, PoleHit, SingularParams, StepUnderflow
 from .model import GUARD_BITS, ModelParams
 from .quadrature import FIXED_GUARD_BITS, PrecisionContext
@@ -481,7 +481,7 @@ def pv_initial(params: ModelParams, n: int, t0, ctx: PrecisionContext):
         def phi_at(tv):
             p = dataclasses.replace(params, t=tv)
             lad = ladder_mod.compute(orthopoly.build(p, ctx), ctx)
-            return (lad.R[n] + s) / s
+            return phi_of(lad.R[n], s)
 
         phi0 = phi_at(t0)
         phip = (phi_at(t0 + h) - phi_at(t0 - h)) / (2 * h)
@@ -510,7 +510,7 @@ def crosscheck(trajectory: Trajectory, params: ModelParams, ctx: PrecisionContex
                 got = dense
             else:
                 s = s_of(n, params)
-                targets = ((lad.R[n] + s) / s,)
+                targets = (phi_of(lad.R[n], s),)
                 got = dense[:1]
             for g, q in zip(got, targets):
                 worst = max(worst, abs(g - q) / (1 + abs(q)))

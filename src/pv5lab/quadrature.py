@@ -12,16 +12,18 @@ Two layers:
   pipeline.  It caches, per refinement level, the mapped nodes together
   with the weight already folded into the quadrature coefficients, the
   stable products 1-y^2 and y^2-k2, the values v'(y), and (once the
-  recurrence is frozen) the monic-polynomial rows.  Every array is stored
-  once, in integer form (``IntArray``): an int mantissa of ``work_bits``
-  bits with its own exponent, or, for the bounded y and P_n(y), one fixed
-  point int at scale 2^-(work_bits+64).  Every inner product downstream is
-  one call of the kernel ``_dot`` per level: the mantissa products are
-  exact, each is floor-shifted to the largest product exponent emax, and
-  the shifted products are summed as one Python int, so the loops run in
-  C through ``map`` over ``operator`` functions.  The truncation is less
-  than N * 2^emax for N nodes; that bound is added to each integral's
-  error floor, beside the doubling-based error estimate.
+  recurrence is frozen) the monic-polynomial rows.  y^2-k2 and v'(y) come
+  from the formulas of ``model``, fed with the exact endpoint distances of
+  the tanh-sinh map.  Every array is stored once, in integer form
+  (``IntArray``): an int mantissa of ``work_bits`` bits with its own
+  exponent, or, for the bounded y and P_n(y), one fixed point int at scale
+  2^-(work_bits+64).  Every inner product downstream is one call of the
+  kernel ``_dot`` per level: the mantissa products are exact, each is
+  floor-shifted to the largest product exponent emax, and the shifted
+  products are summed as one Python int, so the loops run in C through
+  ``map`` over ``operator`` functions.  The truncation is less than
+  N * 2^emax for N nodes; that bound is added to each integral's error
+  floor, beside the doubling-based error estimate.
 
 Node positions are generated from the closed forms 1 -+ x = 2/(e^{2v}+1),
 2/(1+e^{-2v}) of the tanh map, so distances to interval endpoints are known
@@ -40,8 +42,8 @@ from typing import NamedTuple
 from mpmath import mp
 
 from .errors import NoConvergence, ParameterError, PrecisionExhausted
-from .model import (GUARD_BITS, ModelParams, Support, gap_edge, pole_guard,
-                    support, v_second, weight)
+from .model import (GUARD_BITS, ModelParams, Support, _gap, _v_prime_from,
+                    _z2_minus_k2, pole_guard, support, v_second, weight)
 
 #: coarsest level at which an integral value is first formed
 MIN_LEVEL = 3
@@ -335,7 +337,8 @@ class WeightTable:
     ``cw``    half-width * tanh-sinh weight * w(y); trapezoid step applied
               at summation time
     ``om2``   (1-y)(1+y), built from exact endpoint distances
-    ``zk2``   y^2 - k2, built from the gap-edge distance when a gap is open
+    ``zk2``   y^2 - k2, built from the exact gap-edge distance when a gap
+              is open
     ``vp``    v'(y) evaluated from om2/zk2 (no pole guard; the folded weight
               suppresses the near-edge blow-up)
 
@@ -382,8 +385,8 @@ class WeightTable:
             alpha = params.alpha
             t = params.t
             k2 = params.k2
-            rk = gap_edge(params) if k2 > 0 else None
-            excess = (rk * rk - k2) if rk is not None else None
+            gap = _gap(params)
+            inner = gap[0] if params.has_gap else None  # the inner edge rk
             ys, cws, om2s, zk2s, vps = [], [], [], [], []
             for a, b in self.intervals:
                 mid = (a + b) / 2
@@ -398,17 +401,14 @@ class WeightTable:
                         one_m = d_hi if b == 1 else 1 - yv
                         one_p = d_lo if a == -1 else 1 + yv
                         om2 = one_m * one_p
-                        if rk is not None:
-                            d_in = d_lo if a == rk else d_hi  # |y| - rk
-                            zk2 = d_in * (abs(yv) + rk) + excess
-                        else:
-                            zk2 = yv * yv - k2
+                        d_in = None
+                        if inner is not None:
+                            d_in = d_lo if a == inner else d_hi  # |y| - rk
+                        zk2 = _z2_minus_k2(yv, k2, gap, d_in)
                         wv = om2 ** alpha if alpha != 0 else mp.mpf(1)
                         if t > 0:
                             wv = wv * mp.exp(-t / zk2)
-                        vpv = 2 * alpha * yv / om2
-                        if t > 0:
-                            vpv = vpv - 2 * t * yv / (zk2 * zk2)
+                        vpv = _v_prime_from(yv, om2, zk2, params)
                         ys.append(yv)
                         cws.append(half * wq * wv)
                         om2s.append(om2)

@@ -29,7 +29,7 @@ from mpmath import mp
 
 from . import ladder as ladder_mod
 from . import orthopoly
-from .equations import beta_expr, pv_rhs
+from .equations import beta_expr, factor_pair, ode_rn, phi_of, pv_rhs
 from .equations import ric_bigr_rhs as _ric_bigr_rhs
 from .equations import ric_r_rhs as _ric_r_rhs
 from .equations import s_of as _s_of
@@ -178,6 +178,12 @@ class Evaluator:
                 self._stencils[t] = {o: self._at(t + o * h2) for o in (-2, -1, 0, 1, 2)}
             return self._stencils[t]
 
+    def stencil_values(self, t, get):
+        """(get(ortho, lad) at each stencil point, the step h, the centre
+        (ortho, lad)); the values are keyed by the offsets of ``stencil``."""
+        st = self.stencil(t)
+        return {o: get(*st[o]) for o in st}, stencil_step(t), st[0]
+
     def a_int(self, t, n, z):
         key = (t, n, z)
         if key not in self._aint:
@@ -278,31 +284,23 @@ def _chk_tele_beta(ev, n, t, z):
 
 
 def _chk_dlnh(ev, n, t, z):
-    st = ev.stencil(t)
-    h = stencil_step(t)
-    lnh = {o: mp.log(st[o][0].h[n]) for o in st}
+    lnh, h, (_, lad) = ev.stencil_values(t, lambda ortho, _: mp.log(ortho.h[n]))
     d_h, d_h2 = ev.fd1(lnh, h)
-    rhs = -st[0][1].R[n]
+    rhs = -lad.R[n]
     return _dual_residual((2 * t * d_h, rhs), (2 * t * d_h2, rhs))
 
 
 def _chk_dbeta(ev, n, t, z):
-    st = ev.stencil(t)
-    h = stencil_step(t)
-    betas = {o: st[o][0].beta[n] for o in st}
+    betas, h, (_, lad) = ev.stencil_values(t, lambda ortho, _: ortho.beta[n])
     d_h, d_h2 = ev.fd1(betas, h)
-    lad = st[0][1]
     rhs = betas[0] * (lad.R[n - 1] - lad.R[n])
     return _dual_residual((2 * t * d_h, rhs), (2 * t * d_h2, rhs))
 
 
 def _chk_dp(ev, n, t, z):
-    st = ev.stencil(t)
-    h = stencil_step(t)
-    ps = {o: st[o][0].p_sub[n] for o in st}
+    ps, h, (ortho, lad) = ev.stencil_values(t, lambda ortho, _: ortho.p_sub[n])
     d_h, d_h2 = ev.fd1(ps, h)
-    lad = st[0][1]
-    rhs = lad.r[n] - st[0][0].beta[n] * lad.R[n]
+    rhs = lad.r[n] - ortho.beta[n] * lad.R[n]
     return _dual_residual((2 * t * d_h, rhs), (2 * t * d_h2, rhs))
 
 
@@ -474,22 +472,16 @@ def _chk_beta_expr(ev, n, t, z):
 
 
 def _chk_ric_r(ev, n, t, z):
-    st = ev.stencil(t)
-    h = stencil_step(t)
-    rvals = {o: st[o][1].r[n] for o in st}
+    rvals, h, (_, lad) = ev.stencil_values(t, lambda _, lad: lad.r[n])
     d_h, d_h2 = ev.fd1(rvals, h)
-    lad = st[0][1]
     rhs = _ric_r_rhs(ev.params, n, t, lad.r[n], lad.R[n])
     k2t2 = 2 * ev.params.k2 * t
     return _dual_residual((k2t2 * d_h, rhs), (k2t2 * d_h2, rhs))
 
 
 def _chk_ric_bigr(ev, n, t, z):
-    st = ev.stencil(t)
-    h = stencil_step(t)
-    Rvals = {o: st[o][1].R[n] for o in st}
+    Rvals, h, (_, lad) = ev.stencil_values(t, lambda _, lad: lad.R[n])
     d_h, d_h2 = ev.fd1(Rvals, h)
-    lad = st[0][1]
     rhs = _ric_bigr_rhs(ev.params, n, t, lad.r[n], lad.R[n])
     k2t2 = 2 * ev.params.k2 * t
     return _dual_residual((k2t2 * d_h, rhs), (k2t2 * d_h2, rhs))
@@ -497,22 +489,9 @@ def _chk_ric_bigr(ev, n, t, z):
 
 def _factor_values(ev, n, t):
     """Both bracketed factors of the product equation, at step h."""
-    st = ev.stencil(t)
-    h = stencil_step(t)
-    Rvals = {o: st[o][1].R[n] for o in st}
+    Rvals, h, (_, lad) = ev.stencil_values(t, lambda _, lad: lad.R[n])
     d_h, _ = ev.fd1(Rvals, h)
-    lad = st[0][1]
-    params = ev.params
-    k2 = params.k2
-    s = _s_of(n, params)
-    R = lad.R[n]
-    r = lad.r[n]
-    f1 = (2 * t * R + 2 * k2 * (n + params.alpha + 1) * R + k2 * R ** 2
-          - 2 * r * (s + R) + 2 * t * s - 2 * k2 * t * d_h)
-    f2 = (2 * s * (2 * t - r) * r
-          + (2 * t * r + 2 * k2 * n * r + 2 * k2 * params.alpha * r
-             - r ** 2 - 2 * k2 * n * t) * R)
-    return f1, f2
+    return factor_pair(ev.params, n, t, Rvals[0], lad.r[n], d_h)
 
 
 def _chk_factor_prod(ev, n, t, z):
@@ -520,38 +499,19 @@ def _chk_factor_prod(ev, n, t, z):
     return _nres(f1 * f2, mp.mpf(0))
 
 
-def _ode_rn_value(params, n, t, R, Rp, Rpp):
-    k2 = params.k2
-    k4 = k2 * k2
-    alpha = params.alpha
-    s = _s_of(n, params)
-    return (8 * k4 * t ** 2 * R * (s + R) * Rpp
-            - 4 * k4 * t ** 2 * (2 * s + 3 * R) * Rp ** 2
-            + 8 * k4 * t * R * (s + R) * Rp
-            - k4 * R ** 5 - 2 * k4 * s * R ** 4
-            - 4 * (k4 * (n + alpha) * (n + alpha + 1) - t ** 2 - 2 * k2 * alpha * t) * R ** 3
-            + 16 * t * s * (t + k2 * alpha) * R ** 2
-            + 4 * t * s ** 2 * (5 * t + 2 * k2 * alpha) * R
-            + 8 * t ** 2 * s ** 3)
-
-
 def _chk_ode_rn(ev, n, t, z):
-    st = ev.stencil(t)
-    h = stencil_step(t)
-    Rvals = {o: st[o][1].R[n] for o in st}
+    Rvals, h, _ = ev.stencil_values(t, lambda _, lad: lad.R[n])
     d1_h, d1_h2 = ev.fd1(Rvals, h)
     d2_h, d2_h2 = ev.fd2(Rvals, h)
     R = Rvals[0]
-    v_h = _ode_rn_value(ev.params, n, t, R, d1_h, d2_h)
-    v_h2 = _ode_rn_value(ev.params, n, t, R, d1_h2, d2_h2)
+    v_h = ode_rn(ev.params, n, t, R, d1_h, d2_h)
+    v_h2 = ode_rn(ev.params, n, t, R, d1_h2, d2_h2)
     return _dual_residual((v_h, mp.mpf(0)), (v_h2, mp.mpf(0)))
 
 
 def _chk_pv_phi(ev, n, t, z):
-    st = ev.stencil(t)
-    h = stencil_step(t)
     s = _s_of(n, ev.params)
-    phis = {o: (st[o][1].R[n] + s) / s for o in st}
+    phis, h, _ = ev.stencil_values(t, lambda _, lad: phi_of(lad.R[n], s))
     d1_h, d1_h2 = ev.fd1(phis, h)
     d2_h, d2_h2 = ev.fd2(phis, h)
     rhs_h = pv_rhs(ev.params, n, t, phis[0], d1_h)

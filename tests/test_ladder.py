@@ -4,7 +4,8 @@ import pytest
 from mpmath import mp
 
 import pv5lab
-from pv5lab.errors import LadderIneligible
+from pv5lab.errors import LadderIneligible, PoleError
+from pv5lab.model import gap_edge
 from pv5lab.verify import sample_points
 
 
@@ -112,3 +113,46 @@ def test_compute_is_cached(gap_state, ctx_fast):
     a = pv5lab.compute(gap_state, ctx_fast)
     b = pv5lab.compute(gap_state, ctx_fast)
     assert a is b
+
+
+@pytest.fixture(scope="module")
+def k2_zero_ladder():
+    params = pv5lab.validate(1, 0, 0.5, 128, 2)
+    ctx = pv5lab.PrecisionContext(bits=128, rel_tol=1e-25, max_level=12)
+    state = pv5lab.build(params, ctx)
+    return state, pv5lab.compute(state, ctx)
+
+
+@pytest.mark.parametrize("case", ["gap", "k2_zero", "t_zero"])
+def test_pole_guard_is_shared(case, request):
+    """v', v'', A_n and B_n raise PoleError at the same points: +-1 always,
+    +-sqrt(k2) when the gap is open, 0 when k2 = 0 and t > 0."""
+    if case == "gap":
+        state = request.getfixturevalue("gap_state")
+        lad = request.getfixturevalue("gap_ladder")
+    elif case == "k2_zero":
+        state, lad = request.getfixturevalue("k2_zero_ladder")
+    else:
+        state = request.getfixturevalue("jacobi_state")
+        lad = request.getfixturevalue("jacobi_ladder")
+    params = state.params
+    poles = [mp.mpf(1), mp.mpf(-1)]
+    if params.has_gap:
+        rk = gap_edge(params)
+        poles += [rk, -rk]
+    elif params.k2 == 0 and params.t > 0:
+        poles.append(mp.mpf(0))
+    points = poles + [mp.mpf(z) for z in ("0", "0.3", "-0.7", "0.6")]
+    funcs = {
+        "v_prime": lambda z: pv5lab.v_prime(z, params),
+        "v_second": lambda z: pv5lab.v_second(z, params),
+        "A_rational": lambda z: pv5lab.A_rational(1, z, state, lad),
+        "B_rational": lambda z: pv5lab.B_rational(1, z, state, lad),
+    }
+    for name, fn in funcs.items():
+        for z in points:
+            if z in poles:
+                with pytest.raises(PoleError):
+                    fn(z)
+            else:
+                assert mp.isfinite(fn(z)), f"{name} at z={z}"

@@ -236,3 +236,22 @@ def test_table_divided_differences_match_model(gap_params, ctx_fast):
                 assert abs(dd - ref) <= mp.mpf(2) ** (-(ctx_fast.work_bits - 40)) * (1 + abs(ref))
                 checked += 1
     assert checked > 20
+
+
+@pytest.mark.parametrize("t", ["0", "0.5"])
+def test_table_zk2_is_y2_minus_k2(t, ctx_fast):
+    """The stored y^2 - k2 at k2 > 0, on one interval [-1, 1] (t = 0) and
+    on the two intervals of an open gap (t > 0)."""
+    params = pv5lab.validate(1, 0.25, t, 192, 4)
+    table = WeightTable(params, ctx_fast)
+    table.ensure_levels(4)
+    checked = 0
+    with mp.workprec(2 * table.frac_bits):
+        for lv in range(table.nlevels):
+            for y, zk2 in zip(_mpf_values(table.y[lv]), _mpf_values(table.zk2[lv])):
+                ref = y * y - params.k2
+                assert abs(zk2 - ref) <= mp.mpf(2) ** (-(ctx_fast.work_bits - 8)), (
+                    f"zk2 = {mp.nstr(zk2, 12)} at y = {mp.nstr(y, 12)}, "
+                    f"y^2 - k2 = {mp.nstr(ref, 12)}")
+                checked += 1
+    assert checked > 50
