@@ -11,11 +11,17 @@ The step runs on fixed-point integers at scale 2^-(bits + 128): the
 table's fixed-point arrays.  The state, the stages and the embedded error
 estimate are ints, the tableau is integer rows over one common denominator,
 and the accept test is an exact integer comparison; only the step factor
-0.9 * err_norm^-0.2 is taken in mpf, once per step.  The right-hand side is
-called with the integrator's ``fixed_type(bits)`` numbers.  The equations
-(``equations.py``) are coded once and run on these numbers as they run on
-mpf; a generic ``f`` that mixes them with mpf or ``mp.*`` functions gets
-correct mpf results, only slower.  Each accepted step is stored once, as mpf.
+0.9 * err_norm^-0.2 is taken in mpf, once per step.
+
+The right-hand side is recorded once per integration (``fixedpoint.record``)
+into a straight-line function on ints, which the stages call.  The
+equations (``equations.py``) are coded once, type-neutrally, and record as
+they are.  A right-hand side that branches on values or calls ``mp.*``
+functions cannot be recorded; it is called with the integrator's
+``fixed_type(bits)`` numbers instead, which give the same bits on what a
+recording takes and correct mpf results on the rest, only slower.  The
+accepted steps are kept as ints; a ``Trajectory`` turns them into mpf when
+they are read.
 
 Initial data is always seeded from quadrature (there are no free constants
 anywhere in the pipeline); singular approaches halt with ``PoleHit`` rather
@@ -28,7 +34,6 @@ import bisect
 import dataclasses
 import functools
 import math
-from dataclasses import dataclass, field
 from operator import mul
 from typing import NamedTuple
 
@@ -39,8 +44,9 @@ from . import ladder as ladder_mod
 from . import orthopoly
 from .equations import phi_of, pv_rhs, ric_bigr_rhs, ric_r_rhs, s_of
 from .errors import ParameterError, PoleHit, SingularParams, StepUnderflow
-from .model import GUARD_BITS, ModelParams
-from .quadrature import FIXED_GUARD_BITS, PrecisionContext
+from .fixedpoint import fixed_type, record
+from .model import ModelParams
+from .quadrature import PrecisionContext
 from .verify import stencil_step
 
 # Cash-Karp 5(4) tableau (numerator, denominator pairs kept exact)
@@ -70,134 +76,6 @@ _B5 = _over_d(_CK_B5)
 _E = tuple(b5 - b4 for b5, b4 in zip(_B5, _over_d(_CK_B4)))  # b5 - b4
 
 
-@functools.lru_cache(maxsize=64)
-def fixed_type(bits):
-    """The integrator's number type for ``bits``: one int at scale 2^-FRAC.
-
-    ``FRAC = bits + 128``.  ``+ - * /`` and integer powers, against the
-    same type or ints, stay in fixed point; products and quotients are
-    floored, so each of them is off by less than 2^-FRAC.  Any other
-    operand (an mpf, a float, a fixed type of other scale) turns the value
-    into an exact mpf first, and ``_mpf_`` lets mpf arithmetic and the
-    ``mp.*`` functions accept it, so mixed code gets correct mpf results.
-    """
-    frac = bits + GUARD_BITS + FIXED_GUARD_BITS
-    one = 1 << frac
-
-    class Fixed:
-        __slots__ = ("v",)
-        FRAC = frac
-
-        def __init__(self, v):
-            self.v = v
-
-        @property
-        def _mpf_(self):
-            return from_man_exp(self.v, -frac)
-
-        def _as_mpf(self):
-            return mp.make_mpf(self._mpf_)
-
-        def __repr__(self):
-            return f"fixed_type({bits})({mp.nstr(self._as_mpf(), 20)})"
-
-        def __add__(a, b):
-            if type(b) is Fixed:
-                return Fixed(a.v + b.v)
-            if type(b) is int:
-                return Fixed(a.v + (b << frac))
-            return a._as_mpf() + b
-
-        __radd__ = __add__
-
-        def __sub__(a, b):
-            if type(b) is Fixed:
-                return Fixed(a.v - b.v)
-            if type(b) is int:
-                return Fixed(a.v - (b << frac))
-            return a._as_mpf() - b
-
-        def __rsub__(a, b):
-            if type(b) is int:
-                return Fixed((b << frac) - a.v)
-            return b - a._as_mpf()
-
-        def __mul__(a, b):
-            if type(b) is Fixed:
-                return Fixed(a.v * b.v >> frac)
-            if type(b) is int:
-                return Fixed(a.v * b)
-            return a._as_mpf() * b
-
-        __rmul__ = __mul__
-
-        def __truediv__(a, b):
-            if type(b) is Fixed:
-                return Fixed((a.v << frac) // b.v)
-            if type(b) is int:
-                return Fixed(a.v // b)
-            return a._as_mpf() / b
-
-        def __rtruediv__(a, b):
-            if type(b) is int:
-                return Fixed((b << 2 * frac) // a.v)
-            return b / a._as_mpf()
-
-        def __pow__(a, n):
-            if type(n) is not int:
-                return a._as_mpf() ** n
-            if n == 2:
-                return Fixed(a.v * a.v >> frac)
-            if n < 0:
-                return 1 / a ** -n
-            out, base = one, a.v
-            while n:
-                if n & 1:  # one * base >> frac is base
-                    out = base if out == one else out * base >> frac
-                n >>= 1
-                if n:
-                    base = base * base >> frac
-            return Fixed(out)
-
-        def __neg__(a):
-            return Fixed(-a.v)
-
-        def __abs__(a):
-            return Fixed(abs(a.v))
-
-        def __bool__(a):
-            return a.v != 0
-
-        def _sign_of_diff(a, b):
-            if type(b) is Fixed:
-                d = a.v - b.v
-            elif type(b) is int:
-                d = a.v - (b << frac)
-            else:
-                return mp.sign(a._as_mpf() - b)
-            return (d > 0) - (d < 0)
-
-        def __eq__(a, b):
-            return a._sign_of_diff(b) == 0
-
-        def __lt__(a, b):
-            return a._sign_of_diff(b) < 0
-
-        def __le__(a, b):
-            return a._sign_of_diff(b) <= 0
-
-        def __gt__(a, b):
-            return a._sign_of_diff(b) > 0
-
-        def __ge__(a, b):
-            return a._sign_of_diff(b) >= 0
-
-        __hash__ = None
-
-    Fixed.__qualname__ = Fixed.__name__ = f"Fixed{frac}"
-    return Fixed
-
-
 def _mantissa(x, cls):
     """x as an int at the scale of the fixed type ``cls``, floored."""
     if type(x) is cls:
@@ -214,50 +92,85 @@ def _mantissa(x, cls):
     return man << exp if exp >= 0 else man >> -exp
 
 
+def _to_mpf(v, frac, prec):
+    """The int v at scale 2^-frac as an mpf rounded to prec bits."""
+    return mp.make_mpf(from_man_exp(v, -frac, prec, round_nearest))
+
+
 def _scaled(v, x):
     """floor(v * x) for an int v and a positive mpf x."""
     _, man, exp, _ = x._mpf_
     return v * man << exp if exp >= 0 else v * man >> -exp
 
 
-@dataclass
 class Trajectory:
-    """Accepted-step skeleton with dense cubic-Hermite output.
+    """Accepted steps, kept as the integrator's ints, with dense cubic-Hermite output.
 
-    ``t_points`` ascends regardless of integration direction; ``values``
-    and ``derivs`` are the state vectors and right-hand sides at those
-    points.  ``meta`` records n, params and integrator statistics.
+    ``ts``, ``ys`` and ``fs`` are the accepted points, the state vectors
+    and the right-hand sides there, ints at scale 2^-``frac`` with ``ts``
+    strictly ascending regardless of integration direction.  They turn into
+    mpf, rounded to ``prec`` bits, only when read: ``t_points``, ``values``
+    and ``derivs`` convert every point on first read, ``sample`` only the
+    points its bisection visits and the step that encloses its t.
+    ``start = (index, t, y)`` is the initial point as given, in mpf; it
+    reads back as given, not as its ints.
+    ``meta`` records n, params and integrator statistics.
     """
 
-    t_points: tuple
-    values: tuple
-    derivs: tuple = field(repr=False)
-    meta: dict = field(default_factory=dict)
+    def __init__(self, ts, ys, fs, frac, prec, start, meta=None):
+        if any(b <= a for a, b in zip(ts, ts[1:])):
+            raise ParameterError("trajectory t_points must be strictly increasing")
+        self.ts, self.ys, self.fs = ts, ys, fs
+        self.frac, self.prec = frac, prec
+        self._start = start
+        self.meta = {} if meta is None else meta
 
-    def __post_init__(self):
-        for i in range(1, len(self.t_points)):
-            if not self.t_points[i] > self.t_points[i - 1]:
-                raise ParameterError("trajectory t_points must be strictly increasing")
+    def _mpf(self, v):
+        return _to_mpf(v, self.frac, self.prec)
+
+    def _t(self, i):
+        index, t, _ = self._start
+        return t if i == index else self._mpf(self.ts[i])
+
+    def _y(self, i):
+        index, _, y = self._start
+        return y if i == index else tuple(map(self._mpf, self.ys[i]))
+
+    def _f(self, i):
+        return tuple(map(self._mpf, self.fs[i]))
+
+    @functools.cached_property
+    def t_points(self):
+        return tuple(map(self._t, range(len(self.ts))))
+
+    @functools.cached_property
+    def values(self):
+        return tuple(map(self._y, range(len(self.ts))))
+
+    @functools.cached_property
+    def derivs(self):
+        return tuple(map(self._f, range(len(self.ts))))
 
     @property
     def t0(self):
-        return self.t_points[0]
+        return self._t(0)
 
     @property
     def t1(self):
-        return self.t_points[-1]
+        return self._t(len(self.ts) - 1)
 
     def sample(self, t):
         """Dense output at interior t via cubic Hermite on the enclosing step."""
         t = mp.mpf(t)
-        if not self.t_points[0] <= t <= self.t_points[-1]:
+        last = len(self.ts) - 1
+        if not self.t0 <= t <= self.t1:
             raise ParameterError(f"t={t} outside trajectory span")
-        idx = bisect.bisect_right(self.t_points, t) - 1
-        if idx == len(self.t_points) - 1:
-            return self.values[-1]
-        ta, tb = self.t_points[idx], self.t_points[idx + 1]
-        ya, yb = self.values[idx], self.values[idx + 1]
-        fa, fb = self.derivs[idx], self.derivs[idx + 1]
+        idx = bisect.bisect_right(range(last + 1), t, key=self._t) - 1
+        if idx == last:
+            return self._y(last)
+        ta, tb = self._t(idx), self._t(idx + 1)
+        ya, yb = self._y(idx), self._y(idx + 1)
+        fa, fb = self._f(idx), self._f(idx + 1)
         dt = tb - ta
         s = (t - ta) / dt
         h00 = (1 + 2 * s) * (1 - s) ** 2
@@ -273,11 +186,18 @@ class Trajectory:
 def integrate_ivp(f, t0, t1, y0, tol, bits=256, guard=None, max_steps=200000):
     """Adaptive Cash-Karp 5(4) integration of y' = f(t, y).
 
-    ``f`` is called with t and y as ``fixed_type(bits)`` numbers and may
-    return those, ints or anything mpf accepts.  ``guard(t, y)`` sees each
+    ``f`` is first called once on recording numbers (``fixedpoint.record``)
+    and, if that succeeds, the integration runs the recorded program on
+    ints.  Otherwise ``f`` is called at every stage with t and y as
+    ``fixed_type(bits)`` numbers and may return those, ints or anything
+    mpf accepts.  Both paths give the same bits.  ``guard(t, y)`` sees each
     accepted point as mpf and may raise ``PoleHit`` to stop near singular
-    values.  Returns a ``Trajectory``; backward runs (t1 < t0) are stored
-    ascending.  Statistics: steps, rejected, min_step.
+    values.  A step that floors to zero units of the scale, or a nonzero
+    t1 - t0 that does, raises ``StepUnderflow``.  Returns a
+    ``Trajectory``; backward runs (t1 < t0) are stored ascending.
+    Statistics: steps, rejected, min_step, rhs_evals (right-hand sides
+    evaluated, the recording call not counted) and rhs_path ("recorded" or
+    "generic").
     """
     with mp.workprec(bits + 64):
         t0 = mp.mpf(t0)
@@ -289,26 +209,31 @@ def integrate_ivp(f, t0, t1, y0, tol, bits=256, guard=None, max_steps=200000):
         Fixed = fixed_type(bits)
         frac = Fixed.FRAC
         prec = mp.prec
-
-        def rhs(t, y):
-            return [_mantissa(v, Fixed) for v in f(Fixed(t), tuple(map(Fixed, y)))]
-
-        def to_mpf(v):
-            return mp.make_mpf(from_man_exp(v, -frac, prec, round_nearest))
-
         t = _mantissa(t0, Fixed)
         end = _mantissa(t1, Fixed)
         y = [_mantissa(v, Fixed) for v in y0]
-        fcur = rhs(t, y)
-        ts = [t0]
-        ys = [y0]
-        fs = [tuple(map(to_mpf, fcur))]
         span = end - t
-        if span == 0:
-            return Trajectory((t0,), (y0,), (fs[0],),
-                              meta={"steps": 0, "rejected": 0, "min_step": mp.mpf(0),
-                                    "tol": tol})
-        direction = 1 if span > 0 else -1
+        if span == 0 and t1 != t0:
+            raise StepUnderflow(
+                f"t1 - t0 = {mp.nstr(t1 - t0, 6)} is below one unit of the "
+                f"scale 2^-{frac}")
+        program = record(f, Fixed, len(y0))
+        path = "generic" if program is None else "recorded"
+        if program is None:
+            def program(t, y):
+                return [_mantissa(v, Fixed) for v in f(Fixed(t), tuple(map(Fixed, y)))]
+
+        def rhs(t, y):
+            nonlocal evals
+            evals += 1
+            return program(t, y)
+
+        def to_mpf(v):
+            return _to_mpf(v, frac, prec)
+
+        evals = 0
+        fcur = rhs(t, y)
+        ts, ys, fs = [t], [y], [fcur]
         # |err_j| <= tol (1 + max(|y_j|, |y5_j|)), with err_j an int at scale
         # 2^-2frac / _D and tol = tol_man 2^tol_exp, cleared of denominators
         _, tol_man, tol_exp, _ = tol._mpf_
@@ -320,9 +245,10 @@ def integrate_ivp(f, t0, t1, y0, tol, bits=256, guard=None, max_steps=200000):
         nine_tenths, exponent = mp.mpf("0.9"), mp.mpf(-0.2)
         shrink, grow = mp.mpf("0.2"), mp.mpf(5)
         h = span // 64
-        h_floor = abs(span) >> (bits // 2)
+        h_floor = max(abs(span) >> (bits // 2), 1)
         steps = rejected = 0
         min_step = abs(span)
+        direction = 1 if span > 0 else -1
         while (end - t) * direction > 0:
             if abs(h) > abs(end - t):
                 h = end - t
@@ -344,14 +270,12 @@ def integrate_ivp(f, t0, t1, y0, tol, bits=256, guard=None, max_steps=200000):
             if all(map(int.__le__, errs, bounds)):
                 t += h
                 y = y5
-                t_mpf = to_mpf(t)
-                y_mpf = tuple(map(to_mpf, y))
                 if guard is not None:
-                    guard(t_mpf, y_mpf)
+                    guard(to_mpf(t), tuple(map(to_mpf, y)))
                 fcur = rhs(t, y)
-                ts.append(t_mpf)
-                ys.append(y_mpf)
-                fs.append(tuple(map(to_mpf, fcur)))
+                ts.append(t)
+                ys.append(y)
+                fs.append(fcur)
                 steps += 1
                 min_step = min(min_step, abs(h))
             else:
@@ -360,11 +284,13 @@ def integrate_ivp(f, t0, t1, y0, tol, bits=256, guard=None, max_steps=200000):
             h = _scaled(h, min(grow, max(shrink, factor)))
             if steps + rejected > max_steps:
                 raise StepUnderflow(f"step budget {max_steps} exhausted")
+        start = (0, t0, y0)
         if direction < 0:
             ts, ys, fs = ts[::-1], ys[::-1], fs[::-1]
+            start = (len(ts) - 1, t0, y0)
         meta = {"steps": steps, "rejected": rejected, "min_step": to_mpf(min_step),
-                "tol": tol}
-        return Trajectory(tuple(ts), tuple(ys), tuple(fs), meta=meta)
+                "tol": tol, "rhs_evals": evals, "rhs_path": path}
+        return Trajectory(ts, ys, fs, frac, prec, start, meta=meta)
 
 
 def _require_dynamic(params: ModelParams, n: int, t0):
@@ -384,21 +310,23 @@ class _Constants(NamedTuple):
 
 
 def _fixed_constants(params: ModelParams):
-    """The integrator's number type for params, and params' constants in it."""
+    """params' constants as the integrator's numbers for params."""
     Fixed = fixed_type(params.precision_bits)
-    return Fixed, _Constants(*(Fixed(_mantissa(v, Fixed)) for v in (params.alpha, params.k2)))
+    return _Constants(*(Fixed(_mantissa(v, Fixed)) for v in (params.alpha, params.k2)))
 
 
 def riccati_rhs(params: ModelParams, n: int):
     """Right-hand side of the coupled pair for state (R, r).
 
-    On the integrator's numbers it reads alpha and k2 converted to them
-    once, here; on any other numbers it reads the mpf ``params``.
+    On mpf it reads the mpf ``params``; on any other numbers (the
+    integrator's, or its recording numbers) it reads alpha and k2 converted
+    to the integrator's numbers once, here, so constant subexpressions fold
+    in fixed point either way.
     """
-    Fixed, fixed = _fixed_constants(params)
+    fixed = _fixed_constants(params)
 
     def f(t, y):
-        c = fixed if type(t) is Fixed else params
+        c = params if isinstance(t, mp.mpf) else fixed
         R, r = y
         den = 2 * c.k2 * t
         return (
@@ -434,11 +362,11 @@ def pv_ode_rhs(params: ModelParams, n: int):
 
     Constants as in ``riccati_rhs``.
     """
-    Fixed, fixed = _fixed_constants(params)
+    fixed = _fixed_constants(params)
 
     def f(t, y):
         phi, phip = y
-        return (phip, pv_rhs(fixed if type(t) is Fixed else params, n, t, phi, phip))
+        return (phip, pv_rhs(params if isinstance(t, mp.mpf) else fixed, n, t, phi, phip))
 
     return f
 

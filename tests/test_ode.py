@@ -7,6 +7,7 @@ from mpmath import mp
 
 import pv5lab
 from pv5lab.errors import ParameterError, PoleHit, SingularParams, StepUnderflow
+from pv5lab.fixedpoint import record
 from pv5lab.ode import fixed_type
 
 
@@ -236,3 +237,134 @@ def test_generic_closure_with_mp_functions_reaches_exact_solution():
         assert abs(traj.sample("0.5")[0] - mp.exp((1 - mp.exp("-0.5")) / 2)) < mp.mpf("1e-9")
     with pytest.raises(PoleHit):
         pv5lab.integrate_ivp(lambda t, y: (y[0] * mp.inf,), 0, 1, (1,), tol, bits=192)
+
+
+# ----------------------------------------------------------------------
+# recorded right-hand sides: the straight-line program against fixed_type
+
+def _outcome(fn, *args):
+    """fn's ints, or the type of the exception it raised."""
+    try:
+        return fn(*args)
+    except ArithmeticError as exc:
+        return type(exc)
+
+
+def _generic(f, Fixed):
+    """f on the integrator's numbers, read back as its ints."""
+    return lambda t, y: [pv5lab.ode._mantissa(v, Fixed) for v in f(Fixed(t), tuple(map(Fixed, y)))]
+
+
+def test_recorded_ops_match_fixed_type_bit_for_bit():
+    Fixed = fixed_type(192)
+    xs = _fixed_samples(Fixed, 23)
+    c = Fixed(-(5 << Fixed.FRAC) // 7)
+    ops = [lambda t, y: (y[0] + y[1], y[0] - y[1], y[0] * y[1], y[0] / y[1], t)]
+    for k in (c, 3, -7, 1 << 70):
+        ops.append(lambda t, y, k=k: (y[0] + k, k + y[0], y[0] - k, k - y[0]))
+        ops.append(lambda t, y, k=k: (y[0] * k, k * y[0], y[0] / k, k / y[0]))
+    ops.append(lambda t, y: tuple(y[0] ** n for n in (0, 1, 2, 3, -1, -2)))
+    ops.append(lambda t, y: (-y[0], abs(y[0]), abs(-y[1]), y[1] * t, c * 2))
+    for f in ops:
+        program = record(f, Fixed, 2)
+        assert program is not None
+        generic = _generic(f, Fixed)
+        for a in xs:
+            for b in xs:
+                want = _outcome(generic, b.v, [a.v, b.v])
+                assert _outcome(program, b.v, [a.v, b.v]) == want
+
+
+def test_recorded_equations_match_fixed_type_on_random_states(oparams):
+    Fixed = fixed_type(oparams.precision_bits)
+    one = 1 << Fixed.FRAC
+    rng = random.Random(7)
+    cases = ((pv5lab.ode.riccati_rhs(oparams, 2), ((1, 5), (-1, 1))),
+             (pv5lab.ode.pv_ode_rhs(oparams, 2), ((1, 3), (-50, 50))))
+    for f, ranges in cases:
+        program = record(f, Fixed, 2)
+        generic = _generic(f, Fixed)
+        for _ in range(50):
+            t = rng.randrange(one // 4, one)
+            y = [rng.randrange(lo * one, hi * one) for lo, hi in ranges]
+            assert program(t, y) == generic(t, y)
+
+
+def test_recorded_and_generic_riccati_trajectories_are_identical(oparams, ricc_init,
+                                                                 monkeypatch):
+    recorded = pv5lab.integrate_riccati(oparams, 2, "0.5", "0.505", ricc_init, 1e-12)
+    riccati_rhs = pv5lab.ode.riccati_rhs
+
+    def branching_rhs(params, n):
+        f = riccati_rhs(params, n)
+        # comparing t stops the recording, so the integrator calls f itself
+        return lambda t, y: f(t, y) if t > 0 else None
+
+    monkeypatch.setattr(pv5lab.ode, "riccati_rhs", branching_rhs)
+    generic = pv5lab.integrate_riccati(oparams, 2, "0.5", "0.505", ricc_init, 1e-12)
+    assert recorded.meta["rhs_path"] == "recorded"
+    assert generic.meta["rhs_path"] == "generic"
+    assert recorded.meta["steps"] > 10
+    assert recorded.t_points == generic.t_points
+    assert recorded.values == generic.values
+    assert recorded.derivs == generic.derivs
+    # the ints too: reading back as mpf rounds their low bits away
+    assert (recorded.ts, recorded.ys, recorded.fs) == (generic.ts, generic.ys, generic.fs)
+
+
+def test_unrecordable_right_hand_sides_run_generic():
+    Fixed = fixed_type(192)
+    half = mp.mpf("0.5")
+
+    def swallows(t, y):
+        try:
+            return (mp.exp(-t) * y[0],)
+        except Exception:
+            return (y[0],)
+
+    for f in (lambda t, y: (half * mp.exp(-t) * y[0],),  # an mp function
+              lambda t, y: (y[0] * half,),  # an mpf operand
+              lambda t, y: (y[0] if y[0] > 0 else -y[0],),  # a branch
+              lambda t, y: (y[0] ** half,),
+              swallows):  # the refusal is kept even when f catches it
+        assert record(f, Fixed, 1) is None
+    traj = pv5lab.integrate_ivp(lambda t, y: (half * mp.exp(-t) * y[0],), 0, 1, (1,),
+                                1e-20, bits=192)
+    assert traj.meta["rhs_path"] == "generic"
+    assert traj.meta["rhs_evals"] == 1 + 6 * traj.meta["steps"] + 5 * traj.meta["rejected"]
+
+
+def test_meta_counts_rhs_evaluations(oparams, ricc_init):
+    harm = pv5lab.integrate_ivp(harmonic, 0, 2, (1, 0), 1e-12, bits=192)
+    ric = pv5lab.integrate_riccati(oparams, 2, "0.52", "0.5", ricc_init, 1e-14)
+    for traj in (harm, ric):
+        meta = traj.meta
+        assert meta["rhs_path"] == "recorded"
+        assert meta["rhs_evals"] == 1 + 6 * meta["steps"] + 5 * meta["rejected"]
+    assert ric.meta["rejected"] > 0
+
+
+def test_trajectory_reads_back_start_and_accepted_points():
+    with mp.workprec(192 + 64):  # the integrator's working precision
+        tiny = mp.mpf("1e-30")  # its low bits lie below the scale 2^-320
+    for t0, t1 in ((0, 1), (1, 0)):
+        traj = pv5lab.integrate_ivp(harmonic, t0, t1, (tiny, 1), 1e-12, bits=192)
+        start = 0 if t0 < t1 else -1
+        assert traj.t_points[start] == t0 and traj.values[start] == (tiny, 1)
+        for k in (0, 1, len(traj.t_points) // 2, -1):
+            assert traj.sample(traj.t_points[k]) == traj.values[k]
+        assert traj.t0 == traj.t_points[0] and traj.t1 == traj.t_points[-1]
+        assert len(traj.derivs) == len(traj.values) == len(traj.t_points)
+
+
+def test_step_flooring_to_zero_raises_step_underflow():
+    # a span of 32 units of the scale 2^-320: the first step, span // 64, is 0
+    with pytest.raises(StepUnderflow, match="below floor"):
+        pv5lab.integrate_ivp(harmonic, 0, mp.mpf(2) ** -315, (1, 0), 1e-12, bits=192,
+                             max_steps=2000)
+
+
+def test_interval_below_one_unit_raises_step_underflow():
+    # t1 - t0 = 2^-330 floors to no unit of the scale 2^-320
+    with pytest.raises(StepUnderflow, match="below one unit"):
+        pv5lab.integrate_ivp(harmonic, 0, mp.mpf(2) ** -330, (1, 0), 1e-12, bits=192)
