@@ -13,7 +13,6 @@ validated, with the current engine always running at 1.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 
@@ -22,7 +21,7 @@ from mpmath import mp
 from . import ladder as ladder_mod
 from . import ode as ode_mod
 from . import orthopoly, report, verify
-from .equations import beta_expr, phi_of, pv_rhs, s_of
+from .equations import beta_expr, phi_of, s_of
 from .errors import NumericalError, ParameterError, SingularParams
 from .model import validate
 from .quadrature import PrecisionContext, moment
@@ -191,7 +190,7 @@ def _cmd_recurrence(args):
 def _cmd_ladder(args):
     t = _single_t(args)
     params, ctx = _params_ctx(args, t)
-    lad = ladder_mod.compute(orthopoly.build(params, ctx), ctx)
+    _, lad = ladder_mod.state_at(params, ctx, t)
     rows = [(n, lad.R[n], lad.r[n], lad.a[n], lad.b[n]) for n in range(params.n_max + 1)]
     _emit_csv(args, ["n", "R_n", "r_n", "a_n", "b_n"], rows, ctx.bits)
     _emit_params_report(args, params, ctx, {"t": report.numstr(t, ctx.bits)})
@@ -206,6 +205,11 @@ def _cmd_verify(args):
         raise SingularParams(
             f"suite '{args.suite}' includes checks that need k2 != 0: {names}")
     n_set = args.n_set if args.n_set else range(params.n_max + 1)
+    outside = sorted({n for n in n_set if not 0 <= n <= params.n_max})
+    if outside:
+        raise ParameterError(f"--n-set degrees {outside} lie outside 0..n_max={params.n_max}")
+    if args.z_count < 1:
+        raise ParameterError(f"--z-count must be >= 1, got {args.z_count}")
     z_samples = verify.sample_points(params, args.z_count, args.seed)
     reports = verify.check_suite(params, ctx, n_set, t_grid,
                                  z_samples=z_samples, suite=args.suite)
@@ -233,10 +237,13 @@ def _cmd_ode(args):
     with mp.workprec(params.work_bits):
         t0 = mp.mpf(args.t0)
         t1 = mp.mpf(args.t1)
-        init = ode_mod.riccati_initial(params, args.n, t0, ctx)
-        traj = ode_mod.integrate_riccati(params, args.n, t0, t1, init, args.ode_tol)
         lo, hi = min(t0, t1), max(t0, t1)
         h = verify.stencil_step(hi)
+        if hi - lo <= 4 * h:  # the samples keep two stencil steps h from each end
+            raise ParameterError(f"|t1 - t0| = {mp.nstr(hi - lo, 6)} must exceed 4h = "
+                                 f"{mp.nstr(4 * h, 6)}, h = 1e-6 * max(t, 1) the stencil step")
+        init = ode_mod.riccati_initial(params, args.n, t0, ctx)
+        traj = ode_mod.integrate_riccati(params, args.n, t0, t1, init, args.ode_tol)
         lo_s, hi_s = lo + 2 * h, hi - 2 * h
         count = max(args.samples, 2)
         step = (hi_s - lo_s) / (count - 1)
@@ -257,13 +264,10 @@ def _cmd_ode(args):
 
 
 def _pv_residual_from_dense(traj, params, n, t, s, phi):
-    """Painleve residual of the dense Phi(t) = phi by stencil differences."""
+    """``verify.pv_residual`` of the dense Phi(t) = phi, Phi(t -+ h) sampled densely."""
     h = verify.stencil_step(t)
     lo, hi = (phi_of(traj.sample(tv)[0], s) for tv in (t - h, t + h))
-    d2 = (hi - 2 * phi + lo) / (h * h)
-    d1 = (hi - lo) / (2 * h)
-    rhs = pv_rhs(params, n, t, phi, d1)
-    return abs(d2 - rhs) / (1 + max(abs(d2), abs(rhs)))
+    return verify.pv_residual(params, n, t, lo, phi, hi, h)
 
 
 def _cmd_pv_residual(args):
@@ -275,9 +279,7 @@ def _cmd_pv_residual(args):
     s = s_of(args.n, params)
     with mp.workprec(params.work_bits):
         for tv in t_grid:
-            p = dataclasses.replace(params, t=tv)
-            ortho = orthopoly.build(p, ctx)
-            lad = ladder_mod.compute(ortho, ctx)
+            ortho, lad = ladder_mod.state_at(params, ctx, tv)
             res = verify.check(verify.IdentityId.PV_PHI, params, ctx, args.n, tv).residual
             phi = phi_of(lad.R[args.n], s)
             rows.append((tv, lad.R[args.n], lad.r[args.n], ortho.beta[args.n], phi, res))

@@ -28,18 +28,23 @@ exactly where v'(z) does.  ``A_integral``/``B_integral`` evaluate the
 defining integrals directly, so rational and integral routes can be
 compared as an end-to-end validation.  r_0 = b_0 = 0 (their integrands
 contain P_{-1}).
+
+``state_at`` is the one way to the states at a time t; the caches of
+``orthopoly.build`` and ``compute`` share them between its callers.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 from dataclasses import dataclass
 
 from mpmath import mp
 
+from . import orthopoly
 from .equations import s_of
 from .errors import LadderIneligible, NoConvergence
-from .model import _pole_basis, v_prime
+from .model import ModelParams, _pole_basis, v_prime
 from .orthopoly import OrthoState, eval_monic, eval_monic_derivative
 from .quadrature import PrecisionContext
 
@@ -113,6 +118,13 @@ def _compute_cached(state: OrthoState, ctx: PrecisionContext) -> LadderState:
 def compute(state: OrthoState, ctx: PrecisionContext) -> LadderState:
     """All four ladder sequences by quadrature; cached per (state, ctx)."""
     return _compute_cached(state, ctx)
+
+
+def state_at(params: ModelParams, ctx: PrecisionContext, t):
+    """(OrthoState, LadderState) of ``params`` at t, read at the working precision."""
+    with mp.workprec(params.work_bits):
+        ortho = orthopoly.build(dataclasses.replace(params, t=mp.mpf(t)), ctx)
+    return ortho, compute(ortho, ctx)
 
 
 def A_rational(n: int, z, ortho: OrthoState, lad: LadderState):

@@ -31,7 +31,6 @@ than being regularized.
 from __future__ import annotations
 
 import bisect
-import dataclasses
 import functools
 import math
 from operator import mul
@@ -41,7 +40,6 @@ from mpmath import mp
 from mpmath.libmp import from_man_exp, round_nearest
 
 from . import ladder as ladder_mod
-from . import orthopoly
 from .equations import phi_of, pv_rhs, ric_bigr_rhs, ric_r_rhs, s_of
 from .errors import ParameterError, PoleHit, SingularParams, StepUnderflow
 from .fixedpoint import fixed_type, record
@@ -393,10 +391,8 @@ def integrate_pv(params: ModelParams, n: int, t0, t1, init, tol) -> Trajectory:
 
 def riccati_initial(params: ModelParams, n: int, t0, ctx: PrecisionContext):
     """(R_n, r_n) at t0 from quadrature."""
-    with mp.workprec(params.work_bits):
-        p = dataclasses.replace(params, t=mp.mpf(t0))
-        lad = ladder_mod.compute(orthopoly.build(p, ctx), ctx)
-        return lad.R[n], lad.r[n]
+    _, lad = ladder_mod.state_at(params, ctx, t0)
+    return lad.R[n], lad.r[n]
 
 
 def pv_initial(params: ModelParams, n: int, t0, ctx: PrecisionContext):
@@ -405,15 +401,9 @@ def pv_initial(params: ModelParams, n: int, t0, ctx: PrecisionContext):
         t0 = mp.mpf(t0)
         s = s_of(n, params)
         h = stencil_step(t0)
-
-        def phi_at(tv):
-            p = dataclasses.replace(params, t=tv)
-            lad = ladder_mod.compute(orthopoly.build(p, ctx), ctx)
-            return phi_of(lad.R[n], s)
-
-        phi0 = phi_at(t0)
-        phip = (phi_at(t0 + h) - phi_at(t0 - h)) / (2 * h)
-        return phi0, phip
+        lo, phi0, hi = (phi_of(ladder_mod.state_at(params, ctx, tv)[1].R[n], s)
+                        for tv in (t0 - h, t0, t0 + h))
+        return phi0, (hi - lo) / (2 * h)
 
 
 def crosscheck(trajectory: Trajectory, params: ModelParams, ctx: PrecisionContext,
@@ -431,8 +421,7 @@ def crosscheck(trajectory: Trajectory, params: ModelParams, ctx: PrecisionContex
         for ts in sample_ts:
             ts = mp.mpf(ts)
             dense = trajectory.sample(ts)
-            p = dataclasses.replace(params, t=ts)
-            lad = ladder_mod.compute(orthopoly.build(p, ctx), ctx)
+            _, lad = ladder_mod.state_at(params, ctx, ts)
             if kind == "riccati":
                 targets = (lad.R[n], lad.r[n])
                 got = dense

@@ -590,7 +590,7 @@ class WeightTable:
         terms = _level_terms(factors, self.nlevels - 1)
         return [self._value(terms[: lv + 1], lv) for lv in range(MIN_LEVEL, self.nlevels)]
 
-    def raw_integral(self, factors, scale=None, auto_extend=True) -> IntegralResult:
+    def raw_integral(self, factors, scale=None) -> IntegralResult:
         """Integrate an elementwise product of per-level factor arrays.
 
         ``factors`` is a sequence of callables level->array or of per-level
@@ -614,7 +614,7 @@ class WeightTable:
                         return IntegralResult(value, err, True, self.nlevels - 1)
                 else:
                     err = abs(value) + bound
-                if auto_extend and self.nlevels <= self.ctx.max_level:
+                if self.nlevels <= self.ctx.max_level:
                     self.ensure_levels(self.nlevels)
                     continue
                 return IntegralResult(value, err, False, self.nlevels - 1)

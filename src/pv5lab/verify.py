@@ -20,7 +20,6 @@ step-halving residual ratio (expected ~4 for clean O(h^2) behavior).
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import random
 from dataclasses import dataclass
@@ -28,7 +27,6 @@ from dataclasses import dataclass
 from mpmath import mp
 
 from . import ladder as ladder_mod
-from . import orthopoly
 from .equations import beta_expr, factor_pair, ode_rn, phi_of, pv_rhs
 from .equations import ric_bigr_rhs as _ric_bigr_rhs
 from .equations import ric_r_rhs as _ric_r_rhs
@@ -146,37 +144,29 @@ def sample_points(params: ModelParams, count: int = 20, seed: int = 0, margin=0.
 # shared state cache
 
 class Evaluator:
-    """Builds and caches (ortho, ladder) states and stencil states per t."""
+    """One cache of (ortho, ladder) states per t, from ``ladder.state_at``;
+    a stencil is five lookups into it."""
 
     def __init__(self, params: ModelParams, ctx: PrecisionContext):
         self.params = params
         self.ctx = ctx
         self._states = {}
-        self._stencils = {}
         self._aint = {}
         self._bint = {}
 
-    def _at(self, t):
-        key = t
-        if key not in self._states:
-            p = dataclasses.replace(self.params, t=t)
-            ortho = orthopoly.build(p, self.ctx)
-            lad = ladder_mod.compute(ortho, self.ctx)
-            self._states[key] = (ortho, lad)
-        return self._states[key]
-
     def states(self, t):
         with mp.workprec(self.params.work_bits):
-            return self._at(mp.mpf(t))
+            t = mp.mpf(t)
+        if t not in self._states:
+            self._states[t] = ladder_mod.state_at(self.params, self.ctx, t)
+        return self._states[t]
 
     def stencil(self, t):
         """States at t + o*h/2 for o in (-2, -1, 0, 1, 2)."""
         with mp.workprec(self.params.work_bits):
             t = mp.mpf(t)
-            if t not in self._stencils:
-                h2 = stencil_step(t) / 2
-                self._stencils[t] = {o: self._at(t + o * h2) for o in (-2, -1, 0, 1, 2)}
-            return self._stencils[t]
+            h2 = stencil_step(t) / 2
+            return {o: self.states(t + o * h2) for o in (-2, -1, 0, 1, 2)}
 
     def stencil_values(self, t, get):
         """(get(ortho, lad) at each stencil point, the step h, the centre
@@ -509,14 +499,24 @@ def _chk_ode_rn(ev, n, t, z):
     return _dual_residual((v_h, mp.mpf(0)), (v_h2, mp.mpf(0)))
 
 
+def _pv_sides(params, n, t, lo, mid, hi, h):
+    """(Phi'', PV right-hand side) from Phi at t - h, t, t + h; step h differences."""
+    d1 = (hi - lo) / (2 * h)
+    d2 = (hi - 2 * mid + lo) / (h * h)
+    return d2, pv_rhs(params, n, t, mid, d1)
+
+
+def pv_residual(params, n, t, lo, mid, hi, h):
+    """Painleve V residual of Phi at t from Phi at t - h, t, t + h, as PV_PHI forms it."""
+    return _nres(*_pv_sides(params, n, t, lo, mid, hi, h))[0]
+
+
 def _chk_pv_phi(ev, n, t, z):
     s = _s_of(n, ev.params)
     phis, h, _ = ev.stencil_values(t, lambda _, lad: phi_of(lad.R[n], s))
-    d1_h, d1_h2 = ev.fd1(phis, h)
-    d2_h, d2_h2 = ev.fd2(phis, h)
-    rhs_h = pv_rhs(ev.params, n, t, phis[0], d1_h)
-    rhs_h2 = pv_rhs(ev.params, n, t, phis[0], d1_h2)
-    return _dual_residual((d2_h, rhs_h), (d2_h2, rhs_h2))
+    # the h/2 stencil repeats the h formulas exactly: 2*(h/2) = h, (h/2)^2 = h^2/4
+    return _dual_residual(_pv_sides(ev.params, n, t, phis[-2], phis[0], phis[2], h),
+                          _pv_sides(ev.params, n, t, phis[-1], phis[0], phis[1], h / 2))
 
 
 # ----------------------------------------------------------------------

@@ -180,3 +180,32 @@ def test_pv5_threads_validation(capsys, monkeypatch):
                       "--t", "0", "--n-max", "0", "--bits", "128",
                       "--rel-tol", "1e-18")
     assert code == 0
+
+
+def test_verify_rejects_degrees_outside_n_max(capsys):
+    # a degree above n_max used to drop every row and report "0 checks" with exit 0
+    code, _, err = _run(capsys, "verify", "--alpha", "1", "--k2", "0.25",
+                        "--t", "0.5", "--n-max", "4", "--bits", "128",
+                        "--rel-tol", "1e-18", "--n-set", "2", "20", "-1")
+    assert code == 2
+    assert "[-1, 20]" in err
+
+
+def test_verify_rejects_zero_z_count(capsys):
+    # no z samples used to drop the seven z-sampled REQUIRED identities silently
+    code, _, err = _run(capsys, "verify", "--alpha", "1", "--k2", "0.25",
+                        "--t", "0.5", "--n-max", "2", "--bits", "128",
+                        "--rel-tol", "1e-18", "--z-count", "0")
+    assert code == 2
+    assert "--z-count" in err
+
+
+def test_ode_rejects_span_inside_stencil_margins(capsys, tmp_path):
+    # samples keep 2h from each end; below 4h they used to run backwards
+    argv = ["ode", "--alpha", "1", "--k2", "0.04", "--n", "2", "--n-max", "2",
+            "--bits", "128", "--rel-tol", "1e-25", "--out-csv", str(tmp_path / "t.csv")]
+    for t0, t1 in (("0.5", "0.500003"), ("0.500002", "0.5"), ("0.5", "0.5")):
+        code, _, err = _run(capsys, *argv, "--t0", t0, "--t1", t1)
+        assert code == 2, (t0, t1)
+        assert "4h = 4.0e-6" in err
+    assert not (tmp_path / "t.csv").exists()

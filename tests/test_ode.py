@@ -368,3 +368,18 @@ def test_interval_below_one_unit_raises_step_underflow():
     # t1 - t0 = 2^-330 floors to no unit of the scale 2^-320
     with pytest.raises(StepUnderflow, match="below one unit"):
         pv5lab.integrate_ivp(harmonic, 0, mp.mpf(2) ** -330, (1, 0), 1e-12, bits=192)
+
+
+def test_state_at_shares_one_state(oparams, octx):
+    from pv5lab.ladder import state_at
+    from pv5lab.verify import Evaluator
+
+    ortho, lad = state_at(oparams, octx, "0.5")
+    with mp.workprec(oparams.work_bits):
+        again = state_at(oparams, octx, mp.mpf("0.5"))
+    assert again[0] is ortho and again[1] is lad
+    assert Evaluator(oparams, octx).states("0.5")[1] is lad
+    R, r = pv5lab.riccati_initial(oparams, 2, "0.5", octx)
+    assert R is lad.R[2] and r is lad.r[2]
+    traj = pv5lab.integrate_riccati(oparams, 2, "0.5", "0.51", (R, r), 1e-12)
+    assert pv5lab.crosscheck(traj, oparams, octx, ["0.5"]) == 0
