@@ -226,13 +226,18 @@ def _cmd_verify(args):
         with open(args.out_csv, "w", encoding="utf-8") as fh:
             report.checks_csv(reports, ctx.bits, fh)
     ok = summary["required_pass"]
+    written = {r.id for r in reports}
+    rowless = [i.value for i in verify.suite_ids(args.suite) if i not in written]
     sys.stderr.write(
         f"verify: {len(reports)} checks, required_pass={ok}, "
-        f"max_required_residual={report.numstr(summary['max_required_residual'], 53)}\n")
+        f"max_required_residual={report.numstr(summary['max_required_residual'], 53)}"
+        + (f", no row for {' '.join(rowless)}" if rowless else "") + "\n")
     return 0 if ok else 1
 
 
 def _cmd_ode(args):
+    if args.samples < 2:
+        raise ParameterError(f"--samples must be >= 2, got {args.samples}")
     params, ctx = _params_ctx(args, mp.mpf(args.t0))
     with mp.workprec(params.work_bits):
         t0 = mp.mpf(args.t0)
@@ -245,7 +250,7 @@ def _cmd_ode(args):
         init = ode_mod.riccati_initial(params, args.n, t0, ctx)
         traj = ode_mod.integrate_riccati(params, args.n, t0, t1, init, args.ode_tol)
         lo_s, hi_s = lo + 2 * h, hi - 2 * h
-        count = max(args.samples, 2)
+        count = args.samples
         step = (hi_s - lo_s) / (count - 1)
         rows = []
         s = s_of(args.n, params)
@@ -273,14 +278,13 @@ def _pv_residual_from_dense(traj, params, n, t, s, phi):
 def _cmd_pv_residual(args):
     t_grid = _t_grid(args)
     params, ctx = _params_ctx(args, t_grid[0])
-    if params.k2 == 0:
-        raise SingularParams("the Painleve V residual carries 1/k2; k2 must be nonzero")
     rows = []
     s = s_of(args.n, params)
     with mp.workprec(params.work_bits):
         for tv in t_grid:
-            ortho, lad = ladder_mod.state_at(params, ctx, tv)
+            # check refuses (k2 = 0, t too small for the stencil) before any build
             res = verify.check(verify.IdentityId.PV_PHI, params, ctx, args.n, tv).residual
+            ortho, lad = ladder_mod.state_at(params, ctx, tv)
             phi = phi_of(lad.R[args.n], s)
             rows.append((tv, lad.R[args.n], lad.r[args.n], ortho.beta[args.n], phi, res))
     _emit_csv(args, report.TRAJECTORY_HEADER, rows, ctx.bits)

@@ -93,11 +93,10 @@ def _compute_cached(state: OrthoState, ctx: PrecisionContext) -> LadderState:
             if params.t == 0:
                 R.append(mp.mpf(0))
             else:
-                val = _quad(table, [lambda: table.sq(n), lambda: table.inv("zk2")], scale)
+                val = _quad(table, [table.sq(n), table.inv("zk2")], scale)
                 R.append(two_t * val / state.h[n])
-            a.append(two_alpha * _quad(
-                table, [lambda: table.sq(n), lambda: table.inv("om2")], scale)
-                / state.h[n])
+            a.append(two_alpha * _quad(table, [table.sq(n), table.inv("om2")], scale)
+                     / state.h[n])
             if n == 0:
                 r.append(mp.mpf(0))
                 b.append(mp.mpf(0))
@@ -106,11 +105,9 @@ def _compute_cached(state: OrthoState, ctx: PrecisionContext) -> LadderState:
             if params.t == 0:
                 r.append(mp.mpf(0))
             else:
-                val = _quad(table, [lambda: table.adj(n), lambda: table.y,
-                                    lambda: table.inv("zk2")], scale)
+                val = _quad(table, [table.adj(n), table.y, table.inv("zk2")], scale)
                 r.append(two_t * val / state.h[n - 1])
-            val = _quad(table, [lambda: table.adj(n), lambda: table.y,
-                                lambda: table.inv("om2")], scale)
+            val = _quad(table, [table.adj(n), table.y, table.inv("om2")], scale)
             b.append(two_alpha * val / state.h[n - 1])
         return LadderState(ortho=state, R=tuple(R), r=tuple(r), a=tuple(a), b=tuple(b))
 
@@ -157,8 +154,7 @@ def A_integral(n: int, z, ortho: OrthoState, ctx: PrecisionContext):
     with mp.workprec(ctx.work_bits):
         z = mp.mpf(z)
         vpz = v_prime(z, params)
-        val = _quad(table, [lambda: table.sq(n), lambda: table.dd(z, vpz)],
-                    scale=ortho.h[n])
+        val = _quad(table, [table.sq(n), table.dd(z, vpz)], scale=ortho.h[n])
         return val / ortho.h[n]
 
 
@@ -171,8 +167,7 @@ def B_integral(n: int, z, ortho: OrthoState, ctx: PrecisionContext):
             return mp.mpf(0)
         z = mp.mpf(z)
         vpz = v_prime(z, params)
-        val = _quad(table, [lambda: table.adj(n), lambda: table.dd(z, vpz)],
-                    scale=ortho.h[n - 1])
+        val = _quad(table, [table.adj(n), table.dd(z, vpz)], scale=ortho.h[n - 1])
         return val / ortho.h[n - 1]
 
 

@@ -343,10 +343,15 @@ class WeightTable:
               suppresses the near-edge blow-up)
 
     The node values are computed in mpf at the working precision and stored
-    only in integer form.  After ``freeze(beta)`` the monic rows P_n(y)
-    (fixed point) and the folded products cw*P_n^2 and cw*P_n*P_{n-1}
-    become available per degree.  Every integral is a sum of ``_dot``
-    products over these arrays.
+    only in integer form.  Every array derived from them lives in one cache
+    keyed by its maker and the maker's arguments: the monic rows P_n(y)
+    (fixed point, registered by ``freeze(beta)``), the folded products
+    cw*P_n^2 (``sq``) and cw*P_n*P_{n-1} (``adj``), the reciprocals
+    (``inv``) and the divided differences of v' (``dd``).  An entry is made
+    on first use over the levels built so far, and ``_add_level`` extends
+    every entry in creation order, so the rows grow before the products
+    read them.  Every integral is a sum of ``_dot`` products over these
+    arrays.
     """
 
     def __init__(self, params: ModelParams, ctx: PrecisionContext):
@@ -364,13 +369,9 @@ class WeightTable:
         self._mass = []  # per level: _dot of cw, for absolute error floors
         self.nlevels = 0
         self.beta = None
-        self._beta_fixed = ()
-        self._rows = []  # [level][n] -> fixed-point P_n values
-        self._sq = {}
-        self._adj = {}
-        self._inv = {}  # "om2"/"zk2" -> per-level arrays of reciprocals
-        self._dd = {}  # mpf z -> per-level arrays of divided differences
-        self._vp_at = {}
+        # (maker, args) -> per-level list of maker(self, *args, level), in
+        # creation order; _add_level extends every entry
+        self._derived = {}
 
     # ------------------------------------------------------------------
     # node generation
@@ -422,17 +423,17 @@ class WeightTable:
         self.vp.append(_pack(vps, bits))
         self._mass.append(_dot([self.cw[level]]))
         self.nlevels = level + 1
-        # keep every frozen cache aligned with the new block
-        if self.beta is not None:
-            self._extend_rows(level)
-            for n, arrs in self._sq.items():
-                arrs.append(self._folded(n, n, level))
-            for n, arrs in self._adj.items():
-                arrs.append(self._folded(n, n - 1, level))
-        for key, arrs in self._inv.items():
-            arrs.append(self._reciprocal(key, level))
-        for z, arrs in self._dd.items():
-            arrs.append(self._dd_block(z, level))
+        for (make, args), arrs in self._derived.items():
+            arrs.append(make(self, *args, level))
+
+    def _cached(self, make, *args):
+        """Per-level arrays make(self, *args, level) over the levels built so
+        far, made once and extended with every later level."""
+        arrs = self._derived.get((make, args))
+        if arrs is None:
+            arrs = self._derived[(make, args)] = [make(self, *args, lv)
+                                                  for lv in range(self.nlevels)]
+        return arrs
 
     # ------------------------------------------------------------------
     # monic rows: the three-term recurrence in fixed point
@@ -462,47 +463,35 @@ class WeightTable:
     def freeze(self, beta):
         """Attach recurrence coefficients; monic rows become available."""
         self.beta = tuple(beta)
-        self._beta_fixed = tuple(_fixed(b, self.frac_bits) for b in self.beta)
-        self._rows = []
-        self._sq = {}
-        self._adj = {}
-        for level in range(self.nlevels):
-            self._extend_rows(level)
+        self._cached(WeightTable._level_rows)
 
-    def _extend_rows(self, level: int):
-        cur = self._unit_row(level)
-        prev = None
+    def _level_rows(self, level: int):
+        """Fixed-point rows P_0..P_N on one level, by the frozen recurrence."""
+        cur, prev = self._unit_row(level), None
         rows = [cur]
-        for n in range(len(self.beta) - 1):
-            prev, cur = cur, self._next_row(level, cur, prev, self._beta_fixed[n])
+        for b in self.beta[:-1]:
+            prev, cur = cur, self._next_row(level, cur, prev, _fixed(b, self.frac_bits))
             rows.append(cur)
-        if len(self._rows) <= level:
-            self._rows.extend([None] * (level + 1 - len(self._rows)))
-        self._rows[level] = rows
+        return rows
 
     def row(self, n: int, level: int):
-        return self._rows[level][n]
+        return self._cached(WeightTable._level_rows)[level][n]
 
     def _folded(self, n, m, level):
         """cw * P_n * P_m on one level, floored to the working precision."""
         cw = self.cw[level]
-        pn = self._rows[level][n].man
-        pm = self._rows[level][m].man
-        prods = list(map(mul, map(mul, cw.man, pn), pm))
+        rows = self._cached(WeightTable._level_rows)[level]
+        prods = list(map(mul, map(mul, cw.man, rows[n].man), rows[m].man))
         return _normalize(prods, map(add, cw.exp, repeat(-2 * self.frac_bits)),
                           self.work_bits)
 
     def sq(self, n: int):
         """Per-level arrays cw * P_n(y)^2."""
-        if n not in self._sq:
-            self._sq[n] = [self._folded(n, n, lv) for lv in range(self.nlevels)]
-        return self._sq[n]
+        return self._cached(WeightTable._folded, n, n)
 
     def adj(self, n: int):
         """Per-level arrays cw * P_n(y) * P_{n-1}(y)."""
-        if n not in self._adj:
-            self._adj[n] = [self._folded(n, n - 1, lv) for lv in range(self.nlevels)]
-        return self._adj[n]
+        return self._cached(WeightTable._folded, n, n - 1)
 
     def _reciprocal(self, key, level):
         src = (self.om2 if key == "om2" else self.zk2)[level]
@@ -515,11 +504,9 @@ class WeightTable:
         """Per-level reciprocal arrays for 'om2' or 'zk2'."""
         if key not in ("om2", "zk2"):
             raise ParameterError(f"unknown reciprocal key {key!r}")
-        if key not in self._inv:
-            self._inv[key] = [self._reciprocal(key, lv) for lv in range(self.nlevels)]
-        return self._inv[key]
+        return self._cached(WeightTable._reciprocal, key)
 
-    def _dd_block(self, z, level: int):
+    def _dd_block(self, z, vpz, level: int):
         """(v'(z) - v'(y)) / (z - y) on one level, from the integer arrays.
 
         The difference z - y is exact in fixed point.  v'(z) - v'(y) is
@@ -532,7 +519,7 @@ class WeightTable:
         wb, fb = self.work_bits, self.frac_bits
         with mp.workprec(wb):
             guard = pole_guard(self.params) * (1 + abs(z))
-            (vm,), (ve,) = _pack([self._vp_at[z]], wb)
+            (vm,), (ve,) = _pack([vpz], wb)
         den = list(map(sub, repeat(_fixed(z, fb)), self.y[level].man))
         reach = _fixed(guard, fb)
         close = [i for i, d in enumerate(den) if -reach <= d <= reach]
@@ -566,10 +553,7 @@ class WeightTable:
         """Per-level arrays of (v'(z) - v'(y)) / (z - y) for fixed z."""
         with mp.workprec(self.work_bits):
             z = mp.mpf(z)
-        if z not in self._dd:
-            self._vp_at[z] = vpz
-            self._dd[z] = [self._dd_block(z, lv) for lv in range(self.nlevels)]
-        return self._dd[z]
+        return self._cached(WeightTable._dd_block, z, vpz)
 
     # ------------------------------------------------------------------
     # integration
@@ -593,8 +577,9 @@ class WeightTable:
     def raw_integral(self, factors, scale=None) -> IntegralResult:
         """Integrate an elementwise product of per-level factor arrays.
 
-        ``factors`` is a sequence of callables level->array or of per-level
-        list structures owned by this table (``sq(n)``, ``inv('zk2')``, ...).
+        ``factors`` is a sequence of per-level lists owned by this table
+        (``y``, ``sq(n)``, ``inv('zk2')``, ...), which grow with the table,
+        or of callables that return such lists, called again at each level.
         Exactly one factor family must carry the folded cw weight.  The
         reported error is at least the kernel's truncation bound plus the
         absolute floor 2^-(work_bits-8) * sum |cw|.

@@ -31,7 +31,7 @@ from .equations import beta_expr, factor_pair, ode_rn, phi_of, pv_rhs
 from .equations import ric_bigr_rhs as _ric_bigr_rhs
 from .equations import ric_r_rhs as _ric_r_rhs
 from .equations import s_of as _s_of
-from .errors import ParameterError, SingularParams
+from .errors import NegativeT, ParameterError, SingularParams
 from .model import ModelParams, gap_edge, v_prime
 from .quadrature import PrecisionContext
 
@@ -634,83 +634,109 @@ def _run_one(ev: Evaluator, identity: IdentityId, n: int, t, z):
         halving_ratio=ratio)
 
 
+def suite_ids(suite: str):
+    """The identities of ``suite`` ('required', 'diagnostic' or 'all'), in
+    registry order."""
+    if suite not in ("required", "diagnostic", "all"):
+        raise ParameterError(f"suite must be required|diagnostic|all, got {suite!r}")
+    return tuple(i for i, d in REGISTRY.items() if suite in ("all", d.tier.value))
+
+
+def _times(t_grid):
+    """The t values at the current precision; one negative t refuses the
+    whole call."""
+    t_grid = tuple(mp.mpf(t) for t in t_grid)
+    if any(t < 0 for t in t_grid):
+        raise NegativeT("t must be >= 0")
+    return t_grid
+
+
+def _refusal(identity: IdentityId, params: ModelParams, n: int, t, z=None,
+             single_t: bool = False):
+    """The error that keeps ``identity`` from running at (n, t, z), or None.
+
+    IndexError: n outside the identity's degrees; SingularParams: a 1/k2
+    identity at k2 = 0; ParameterError: a missing z sample, or a t-stencil
+    identity on a one-point suite grid (``single_t``) or at t <= 2h, where
+    its stencil {t - h, ..., t + h} would come within h of t = 0.
+    """
+    d = REGISTRY[identity]
+    name = identity.value
+    if not d.min_n <= n <= params.n_max - d.shift:
+        return IndexError(f"{name} needs {d.min_n} <= n <= n_max-{d.shift}, got n={n}")
+    if d.needs_k2 and params.k2 == 0:
+        return SingularParams(f"{name} carries 1/k2 factors; k2 must be nonzero")
+    if d.needs_z and z is None:
+        return ParameterError(f"{name} needs a z sample")
+    if d.stencil and single_t:
+        return ParameterError("t-stencil infeasible on a single-point t grid")
+    if d.stencil and t <= 2 * stencil_step(t):
+        return ParameterError(f"{name} needs t large enough for the t-stencil")
+    return None
+
+
+def _admitted(identity: IdentityId, params: ModelParams, n: int, t, z=None):
+    """t at the current precision once ``identity`` may run at (n, t, z);
+    raises NegativeT or the ``_refusal`` error otherwise."""
+    (t,) = _times((t,))
+    refusal = _refusal(identity, params, n, t, z)
+    if refusal is not None:
+        raise refusal
+    return t
+
+
 def check(identity: IdentityId, params: ModelParams, ctx: PrecisionContext,
           n: int, t, z=None) -> IdentityReport:
-    """Evaluate one identity at (n, t[, z]).
+    """Evaluate one identity at (n, t[, z]) with a fresh ``Evaluator``.
 
-    Raises IndexError when n is outside the identity's index range,
+    Raises NegativeT for t < 0 and otherwise the error of ``_refusal``:
+    IndexError when n is outside the identity's index range,
     SingularParams for the 1/k2 family at k2 = 0, ParameterError for a
-    missing/meaningless z or an unusable t.
+    missing z or a t-stencil identity at t <= 2h.
     """
     d = REGISTRY[identity]
     with mp.workprec(params.work_bits):
-        t = mp.mpf(t)
-        if d.needs_k2 and params.k2 == 0:
-            raise SingularParams(f"{identity.value} carries 1/k2 factors; k2 must be nonzero")
-        if not d.min_n <= n <= params.n_max - d.shift:
-            raise IndexError(
-                f"{identity.value} needs {d.min_n} <= n <= n_max-{d.shift}, got n={n}")
-        if d.needs_z and z is None:
-            raise ParameterError(f"{identity.value} needs a z sample")
-        if not d.needs_z:
-            z = None
-        if z is not None:
-            z = mp.mpf(z)
-        if d.stencil and t <= 2 * stencil_step(t):
-            raise ParameterError(f"{identity.value} needs t large enough for the t-stencil")
-        if t < 0:
-            raise ParameterError("t must be >= 0")
-        ev = Evaluator(params, ctx)
-        return _run_one(ev, identity, n, t, z)
+        z = mp.mpf(z) if d.needs_z and z is not None else None
+        t = _admitted(identity, params, n, t, z)
+        return _run_one(Evaluator(params, ctx), identity, n, t, z)
 
 
 def check_suite(params: ModelParams, ctx: PrecisionContext, n_set, t_grid,
-                z_samples=None, suite: str = "all", seed: int = 0,
-                z_count: int = 20):
-    """Cartesian product of applicable checks; deterministic (id, n, t, z) order.
+                z_samples=None, suite: str = "all"):
+    """Cartesian product of the suite's checks; deterministic (id, n, t, z) order.
 
-    Per-check numerical errors are collected as rows with status='error',
-    never fatal.  With a single-point t_grid the t-derivative checks are
-    reported as SKIPPED (stencil policy); everything else runs.
+    A t grid that reaches t < 0 raises NegativeT before any check runs.
+    Each (identity, n, t, z) is admitted by the rule ``check`` applies
+    (``_refusal``): a degree outside the identity's range writes no row,
+    and any other refusal writes a SKIPPED row carrying its message.  On a
+    single-point t_grid that covers every t-derivative check.  z-sampled
+    identities run at each of ``z_samples`` (default ``sample_points``),
+    so an empty list leaves them out.  Per-check numerical errors are
+    collected as rows with status='error', never fatal.
     """
-    if suite not in ("required", "diagnostic", "all"):
-        raise ParameterError(f"suite must be required|diagnostic|all, got {suite!r}")
+    ids = suite_ids(suite)
     with mp.workprec(params.work_bits):
-        t_grid = tuple(mp.mpf(t) for t in t_grid)
+        t_grid = _times(t_grid)
         if z_samples is None:
-            z_samples = sample_points(params, z_count, seed)
+            z_samples = sample_points(params)
         else:
             z_samples = tuple(mp.mpf(z) for z in z_samples)
         n_set = tuple(sorted(set(int(n) for n in n_set)))
-        allow_stencil = len(t_grid) >= 2
+        single_t = len(t_grid) < 2
         ev = Evaluator(params, ctx)
         reports = []
-        for identity, d in REGISTRY.items():
-            if suite == "required" and d.tier is not Tier.REQUIRED:
-                continue
-            if suite == "diagnostic" and d.tier is not Tier.DIAGNOSTIC:
-                continue
-            ns = [n for n in n_set if d.min_n <= n <= params.n_max - d.shift]
-            zs = z_samples if d.needs_z else (None,)
-            for n in ns:
+        for identity in ids:
+            d = REGISTRY[identity]
+            for n in n_set:
                 for t in t_grid:
-                    for z in zs:
-                        if d.needs_k2 and params.k2 == 0:
-                            reports.append(IdentityReport(
-                                id=identity, tier=d.tier, n=n, t=t, z=z,
-                                status="skipped",
-                                message="requires k2 != 0"))
+                    for z in z_samples if d.needs_z else (None,):
+                        refusal = _refusal(identity, params, n, t, z, single_t)
+                        if isinstance(refusal, IndexError):
                             continue
-                        if d.stencil and not allow_stencil:
+                        if refusal is not None:
                             reports.append(IdentityReport(
                                 id=identity, tier=d.tier, n=n, t=t, z=z,
-                                status="skipped",
-                                message="t-stencil infeasible on a single-point t grid"))
-                            continue
-                        if d.stencil and t <= 2 * stencil_step(t):
-                            reports.append(IdentityReport(
-                                id=identity, tier=d.tier, n=n, t=t, z=z,
-                                status="skipped", message="t too small for the t-stencil"))
+                                status="skipped", message=str(refusal)))
                             continue
                         try:
                             reports.append(_run_one(ev, identity, n, t, z))
@@ -726,18 +752,12 @@ def factor_split(params: ModelParams, ctx: PrecisionContext, n: int, t):
 
     The derivation keeps the first (Riccati) factor as the vanishing one;
     the measured magnitudes are returned so callers can record which factor
-    is actually small.
+    is actually small.  Admitted, and refused, exactly as
+    ``check(FACTOR_PROD, ...)`` is.
     """
-    if params.k2 == 0:
-        raise SingularParams("factor_split carries 1/k2 factors; k2 must be nonzero")
-    if n < 1:
-        raise IndexError("factor_split needs n >= 1")
     with mp.workprec(params.work_bits):
-        t = mp.mpf(t)
-        if t <= 0:
-            raise ParameterError("factor_split needs t > 0")
-        ev = Evaluator(params, ctx)
-        return _factor_values(ev, n, t)
+        t = _admitted(IdentityId.FACTOR_PROD, params, n, t)
+        return _factor_values(Evaluator(params, ctx), n, t)
 
 
 def summarize(reports, ctx: PrecisionContext):

@@ -209,3 +209,46 @@ def test_ode_rejects_span_inside_stencil_margins(capsys, tmp_path):
         assert code == 2, (t0, t1)
         assert "4h = 4.0e-6" in err
     assert not (tmp_path / "t.csv").exists()
+
+
+def test_verify_refuses_t_grid_reaching_below_zero(capsys, tmp_path):
+    # only the first grid point used to be validated: the run went on to
+    # t = -0.5 and reported REQUIRED failures there with exit 1
+    out_json = tmp_path / "report.json"
+    code, _, err = _run(capsys, "verify", "--suite", "required", "--alpha", "1",
+                        "--k2", "-0.5", "--t-start", "0.5", "--t-stop", "-0.5",
+                        "--t-count", "3", "--t-spacing", "linear", "--n-max", "2",
+                        "--bits", "128", "--rel-tol", "1e-18", "--z-count", "2",
+                        "--out-json", str(out_json))
+    assert code == 2
+    assert "t must be >= 0" in err
+    assert not out_json.exists()
+
+
+def test_ode_rejects_fewer_than_two_samples(capsys, tmp_path):
+    # a count below 2 used to be raised to 2 silently, with exit 0
+    out_csv = tmp_path / "t.csv"
+    for samples in ("1", "0", "-3"):
+        code, _, err = _run(capsys, "ode", "--alpha", "1", "--k2", "0.04", "--n", "2",
+                            "--n-max", "2", "--t0", "0.5", "--t1", "0.52",
+                            "--bits", "128", "--rel-tol", "1e-25",
+                            "--samples", samples, "--out-csv", str(out_csv))
+        assert code == 2, samples
+        assert "--samples" in err
+    assert not out_csv.exists()
+
+
+def test_verify_names_suite_identities_without_rows(capsys):
+    argv = ["verify", "--suite", "required", "--alpha", "1", "--k2", "0.25",
+            "--t", "0.5", "--n-max", "2", "--bits", "128", "--rel-tol", "1e-18",
+            "--z-count", "2"]
+    # degree 0 lies below the range of nine REQUIRED identities
+    code, _, err = _run(capsys, *argv, "--n-set", "0")
+    assert code == 0, err
+    named = err.split("no row for ", 1)[1].split()
+    assert named == ["S2_FUNC", "S2P_FUNC", "LOWER_FUNC", "RAISE_FUNC", "B_FORM",
+                     "BETA_ROUTES", "TELE_BETA", "DBETA", "DP"]
+    # every identity writes a row: the summary line carries no such clause
+    code, _, err = _run(capsys, *argv)
+    assert code == 0, err
+    assert "no row for" not in err

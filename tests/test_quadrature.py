@@ -259,3 +259,35 @@ def test_table_zk2_is_y2_minus_k2(t, ctx_fast):
                     f"y^2 - k2 = {mp.nstr(ref, 12)}")
                 checked += 1
     assert checked > 50
+
+
+def test_frozen_table_grows_every_derived_array_in_step(gap_params, gap_state, ctx_fast):
+    """A table frozen at level L and extended to L+1 holds, level by level,
+    the same derived arrays as a table filled to L+1 before it was frozen."""
+    z = mp.mpf("0.7")
+    with mp.workprec(gap_params.work_bits):
+        vpz = pv5lab.v_prime(z, gap_params)
+
+    def derived(table):
+        return {"sq": table.sq(3), "adj": table.adj(3), "inv_zk2": table.inv("zk2"),
+                "inv_om2": table.inv("om2"), "dd": table.dd(z, vpz),
+                "rows": [[table.row(n, lv) for n in range(gap_params.n_max + 1)]
+                         for lv in range(table.nlevels)]}
+
+    grown = WeightTable(gap_params, ctx_fast)
+    grown.ensure_levels(4)
+    grown.freeze(gap_state.beta)
+    before = derived(grown)
+    grown.ensure_levels(5)
+    fresh = WeightTable(gap_params, ctx_fast)
+    fresh.ensure_levels(5)
+    fresh.freeze(gap_state.beta)
+    after, ref = derived(grown), derived(fresh)
+    assert grown.nlevels == fresh.nlevels == 6
+    for key, arrs in ref.items():
+        assert len(after[key]) == 6, key
+        # the lists handed out before the growth are the live, grown ones
+        if key != "rows":
+            assert before[key] is after[key], key
+        for lv in range(6):
+            assert after[key][lv] == arrs[lv], (key, lv)

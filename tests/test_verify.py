@@ -223,3 +223,21 @@ def test_summarize_required_pass(vp, vctx):
     summary = pv5lab.summarize(reports, vctx)
     assert summary["required_pass"] is True
     assert mp.mpf(summary["max_required_residual"]) < mp.mpf("1e-10")
+
+
+def test_factor_split_refuses_a_stencil_below_t_zero():
+    """factor_split is admitted as check(FACTOR_PROD) is: at t <= 2h the
+    stencil t - h would reach below 0, so both refuse."""
+    params = pv5lab.validate(1, -0.5, 0.5, 128, 2)
+    ctx = pv5lab.PrecisionContext(bits=128, rel_tol=1e-18, max_level=12)
+    for refuse in (lambda: pv5lab.factor_split(params, ctx, 2, "5e-7"),
+                   lambda: pv5lab.check(I.FACTOR_PROD, params, ctx, 2, "5e-7")):
+        with pytest.raises(ParameterError, match="t-stencil"):
+            refuse()
+
+
+def test_suite_refuses_a_t_grid_below_zero(vp, vctx):
+    # one negative point refuses the whole grid before any check runs
+    with pytest.raises(ParameterError, match="t must be >= 0"):
+        pv5lab.check_suite(vp, vctx, [1], ["0.5", "-0.5"], z_samples=["0.8"],
+                           suite="required")
