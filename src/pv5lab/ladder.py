@@ -26,8 +26,10 @@ with s = 2n + 2alpha + 1 (``equations.s_of``).  The rational forms take
 1-z^2, z^2-k2 and the pole guard from ``model``, so they raise PoleError
 exactly where v'(z) does.  ``A_integral``/``B_integral`` evaluate the
 defining integrals directly, so rational and integral routes can be
-compared as an end-to-end validation.  r_0 = b_0 = 0 (their integrands
-contain P_{-1}).
+compared as an end-to-end validation.  The weight table stores the nodes
+y >= 0 only, so they integrate P_n^2 against the even part in y of dd(z, y)
+and P_n P_{n-1} against its odd part (``WeightTable.dd``).  r_0 = b_0 = 0
+(their integrands contain P_{-1}).
 
 ``state_at`` is the one way to the states at a time t; the caches of
 ``orthopoly.build`` and ``compute`` share them between its callers.
@@ -154,7 +156,8 @@ def A_integral(n: int, z, ortho: OrthoState, ctx: PrecisionContext):
     with mp.workprec(ctx.work_bits):
         z = mp.mpf(z)
         vpz = v_prime(z, params)
-        val = _quad(table, [table.sq(n), table.dd(z, vpz)], scale=ortho.h[n])
+        even, _ = table.dd(z, vpz)
+        val = _quad(table, [table.sq(n), even], scale=ortho.h[n])
         return val / ortho.h[n]
 
 
@@ -167,7 +170,8 @@ def B_integral(n: int, z, ortho: OrthoState, ctx: PrecisionContext):
             return mp.mpf(0)
         z = mp.mpf(z)
         vpz = v_prime(z, params)
-        val = _quad(table, [table.adj(n), table.dd(z, vpz)], scale=ortho.h[n - 1])
+        _, odd = table.dd(z, vpz)
+        val = _quad(table, [table.adj(n), odd], scale=ortho.h[n - 1])
         return val / ortho.h[n - 1]
 
 

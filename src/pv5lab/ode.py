@@ -37,7 +37,8 @@ from operator import mul
 from typing import NamedTuple
 
 from mpmath import mp
-from mpmath.libmp import from_man_exp, round_nearest
+from mpmath.libmp import (from_int, from_man_exp, mpf_div, mpf_lt, mpf_shift,
+                           round_nearest)
 
 from . import ladder as ladder_mod
 from .equations import phi_of, pv_rhs, ric_bigr_rhs, ric_r_rhs, s_of
@@ -93,6 +94,25 @@ def _mantissa(x, cls):
 def _to_mpf(v, frac, prec):
     """The int v at scale 2^-frac as an mpf rounded to prec bits."""
     return mp.make_mpf(from_man_exp(v, -frac, prec, round_nearest))
+
+
+def _err_norm(errs, bounds, prec):
+    """max_j errs[j] / bounds[j] for ints, as an mpf: each quotient is rounded
+    as ``mp.mpf(e) / b`` rounds it at precision ``prec``, taken on raw tuples.
+
+    A bound carries the tolerance's binary scale as trailing zero bits,
+    which ``from_int`` strips eight at a time; dividing by the odd part and
+    shifting the quotient gives the same bits, since rounding commutes with
+    scaling by powers of two.
+    """
+    worst = None
+    for e, b in zip(errs, bounds):
+        zeros = (b & -b).bit_length() - 1
+        q = mpf_div(from_int(e, prec, round_nearest), from_int(b >> zeros), prec, round_nearest)
+        q = mpf_shift(q, -zeros)
+        if worst is None or mpf_lt(worst, q):
+            worst = q
+    return mp.make_mpf(worst)
 
 
 def _scaled(v, x):
@@ -264,7 +284,7 @@ def integrate_ivp(f, t0, t1, y0, tol, bits=256, guard=None, max_steps=200000):
             errs = [abs(h * sum(map(mul, _E, col))) << err_up for col in cols]
             bounds = [bound_mul * (one + max(abs(a), abs(b))) << bound_up
                       for a, b in zip(y, y5)]
-            err_norm = max(mp.mpf(e) / b for e, b in zip(errs, bounds))
+            err_norm = _err_norm(errs, bounds, prec)
             if all(map(int.__le__, errs, bounds)):
                 t += h
                 y = y5
@@ -389,14 +409,21 @@ def integrate_pv(params: ModelParams, n: int, t0, t1, init, tol) -> Trajectory:
         return traj
 
 
+def _require_degree(params: ModelParams, n: int):
+    if not 1 <= n <= params.n_max:
+        raise ParameterError(f"degree n = {n} outside 1..n_max = 1..{params.n_max}")
+
+
 def riccati_initial(params: ModelParams, n: int, t0, ctx: PrecisionContext):
-    """(R_n, r_n) at t0 from quadrature."""
+    """(R_n, r_n) at t0 from quadrature, for n in 1..n_max."""
+    _require_degree(params, n)
     _, lad = ladder_mod.state_at(params, ctx, t0)
     return lad.R[n], lad.r[n]
 
 
 def pv_initial(params: ModelParams, n: int, t0, ctx: PrecisionContext):
-    """(Phi_n, Phi_n') at t0: quadrature value plus a stencil derivative."""
+    """(Phi_n, Phi_n') at t0, n in 1..n_max: quadrature value plus a stencil derivative."""
+    _require_degree(params, n)
     with mp.workprec(params.work_bits):
         t0 = mp.mpf(t0)
         s = s_of(n, params)

@@ -29,8 +29,10 @@ class OrthoState:
     """Frozen output of ``build``; shared, never mutated.
 
     h[n] and beta[n] cover 0..n_max (beta[0] = 0 by convention); p_sub[n]
-    covers 0..n_max+1.  ``symmetry_diag`` is max_n |<z P_n, P_n>| / h_n, a
-    measure of how well the quadrature preserves the even symmetry.
+    covers 0..n_max+1.  ``symmetry_diag`` is max_n |<z P_n, P_n>| / h_n,
+    exactly 0: the weight table stores one mirror half of a symmetric node
+    set with the mirror weight folded in, so every odd integrand, <z P_n, P_n>
+    among them, vanishes by construction.
     """
 
     params: ModelParams
@@ -51,7 +53,8 @@ def _stieltjes_pass(table: WeightTable, level: int, n_max: int):
     """One full recurrence sweep using nodes up to ``level``.
 
     The rows P_n(y) stay in the table's integer form; every norm is one
-    ``table.trapezoid`` kernel sum.  Returns (h, beta).
+    ``table.trapezoid`` kernel sum over the stored nodes y >= 0, the
+    integrand P_n^2 w being even.  Returns (h, beta).
     """
     prev, cur = None, table.unit_rows(level)
     h = []
@@ -67,17 +70,6 @@ def _stieltjes_pass(table: WeightTable, level: int, n_max: int):
         if n < n_max:
             prev, cur = cur, table.recur_rows(cur, prev, beta[n])
     return h, beta
-
-
-def _symmetry_leak(table: WeightTable, h):
-    """max_n |<z P_n, P_n>| / h_n over the frozen rows at the top level."""
-    top = table.nlevels - 1
-    worst = mp.mpf(0)
-    for n, hn in enumerate(h):
-        rows = [table.row(n, lv) for lv in range(top + 1)]
-        cross = table.trapezoid([table.cw, rows, rows, table.y], top)
-        worst = max(worst, abs(cross) / hn)
-    return worst
 
 
 def _build_impl(params: ModelParams, ctx: PrecisionContext) -> OrthoState:
@@ -110,7 +102,7 @@ def _build_impl(params: ModelParams, ctx: PrecisionContext) -> OrthoState:
             h=tuple(h),
             beta=tuple(beta),
             p_sub=tuple(p_sub),
-            symmetry_diag=_symmetry_leak(table, h),
+            symmetry_diag=mp.mpf(0),
             level=table.nlevels - 1,
             h_error=h_err,
             table=table,

@@ -14,10 +14,14 @@ Two layers:
   stable products 1-y^2 and y^2-k2, the values v'(y), and (once the
   recurrence is frozen) the monic-polynomial rows.  y^2-k2 and v'(y) come
   from the formulas of ``model``, fed with the exact endpoint distances of
-  the tanh-sinh map.  Every array is stored once, in integer form
-  (``IntArray``): an int mantissa of ``work_bits`` bits with its own
-  exponent, or, for the bounded y and P_n(y), one fixed point int at scale
-  2^-(work_bits+64).  Every inner product downstream is one call of the
+  the tanh-sinh map.  The weight is even and the node set is symmetric
+  about 0, so a table stores one mirror half, the nodes y >= 0, with the
+  mirror weight 2 folded into each coefficient (the centre node y = 0 of
+  [-1, 1] keeps weight 1); an even integrand sums to the full-support
+  integral over these nodes alone.  Every array is stored once, in
+  integer form (``IntArray``): an int mantissa of ``work_bits`` bits with
+  its own exponent, or, for the bounded y and P_n(y), one fixed point int
+  at scale 2^-(work_bits+64).  Every inner product downstream is one call of the
   kernel ``_dot`` per level: the mantissa products are exact, each is
   floor-shifted to the largest product exponent emax, and the shifted
   products are summed as one Python int, so the loops run in C through
@@ -36,7 +40,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from itertools import compress, repeat
-from operator import add, floordiv, lshift, mul, rshift, sub
+from operator import add, floordiv, lshift, mul, neg, rshift, sub
 from typing import NamedTuple
 
 from mpmath import mp
@@ -102,8 +106,8 @@ def _ts_block(work_bits: int, level: int):
 
     Returns a tuple of (x, 1-x, 1+x, W) with x = tanh((pi/2) sinh u) and
     W = (pi/2) cosh(u) / cosh((pi/2) sinh u)^2; level 0 also contains the
-    center node x = 0.  Negative-u nodes are mirror images and are expanded
-    by the callers.
+    center node x = 0.  Negative-u nodes are mirror images, which the
+    callers expand where they need them.
     """
     nodes = []
     with mp.workprec(work_bits + 16):
@@ -230,10 +234,11 @@ class IntArray(NamedTuple):
     """One level's node values in integer form: value_i = man[i] * 2^exp_i.
 
     ``exp`` is either a list (floating form: every nonzero mantissa has
-    ``work_bits`` bits, give or take one, and its own exponent) or one int
-    shared by all elements (fixed-point form, for values bounded by a small
-    power of two: the nodes y and the monic rows P_n(y)).  The exponent of a
-    zero element carries no meaning.
+    ``work_bits`` bits, give or take one, and its own exponent; the exact
+    mirror sums of ``WeightTable.dd`` may have more) or one int shared by
+    all elements (fixed-point form, for values bounded by a small power of
+    two: the nodes y and the monic rows P_n(y)).  The exponent of a zero
+    element carries no meaning.
     """
 
     man: list
@@ -326,16 +331,51 @@ def _accumulate(terms):
     return total, emax, count
 
 
+def _mirror_halves(p, q):
+    """Exact (p + q)/2 and (p - q)/2 of two floating integer arrays.
+
+    Each pair of addends is aligned to the smaller exponent of its nonzero
+    members, so nothing is floored and no truncation enters the kernel's
+    bound; the mantissas grow by the exponent difference.
+    """
+    plus, minus, exps = [], [], []
+    for m, e, n, f in zip(p.man, p.exp, q.man, q.exp):
+        if not n:  # a zero element's exponent means nothing
+            f = e
+        elif not m:
+            e = f
+        if e > f:
+            m <<= e - f
+            e = f
+        else:
+            n <<= f - e
+        plus.append(m + n)
+        minus.append(m - n)
+        exps.append(e - 1)
+    return IntArray(plus, exps), IntArray(minus, exps)
+
+
 class WeightTable:
     """Cached per-level node data for one (params, ctx) pair.
+
+    The table stores one mirror half of the symmetric node set: the nodes
+    y >= 0.  On the gap (-1, -rk) u (rk, 1), and on (-1, 0) u (0, 1) for
+    k2 = 0, t > 0, that is the right interval; on the single interval
+    [-1, 1] it is the x >= 0 half of the tanh-sinh rule.  Every stored node
+    carries the mirror weight 2, an exact factor of its coefficient, except
+    the centre node y = 0 of [-1, 1] (level 0), which is its own mirror and
+    keeps weight 1.  So a sum over the stored nodes is the full-support sum
+    of any even integrand: every integral taken here must be even in y.
+    The odd integrands vanish by symmetry; the A_n(z)/B_n(z) integrands are
+    made even with the mirror parts of ``dd``.
 
     Arrays per level block, each an ``IntArray`` (floating integer form
     unless noted):
 
-    ``y``     node positions over all integration intervals (fixed point,
-              ``frac_bits`` fraction bits)
-    ``cw``    half-width * tanh-sinh weight * w(y); trapezoid step applied
-              at summation time
+    ``y``     node positions y >= 0 (fixed point, ``frac_bits`` fraction
+              bits)
+    ``cw``    mirror weight * half-width * tanh-sinh weight * w(y);
+              trapezoid step applied at summation time
     ``om2``   (1-y)(1+y), built from exact endpoint distances
     ``zk2``   y^2 - k2, built from the exact gap-edge distance when a gap
               is open
@@ -347,10 +387,10 @@ class WeightTable:
     keyed by its maker and the maker's arguments: the monic rows P_n(y)
     (fixed point, registered by ``freeze(beta)``), the folded products
     cw*P_n^2 (``sq``) and cw*P_n*P_{n-1} (``adj``), the reciprocals
-    (``inv``) and the divided differences of v' (``dd``).  An entry is made
-    on first use over the levels built so far, and ``_add_level`` extends
-    every entry in creation order, so the rows grow before the products
-    read them.  Every integral is a sum of ``_dot`` products over these
+    (``inv``) and the mirror parts of the divided differences of v'
+    (``dd``).  An entry is made on first use over the levels built so far,
+    and ``_add_level`` extends every entry in creation order, so the rows
+    grow before the products read them.  Every integral is a sum of ``_dot`` products over these
     arrays.
     """
 
@@ -377,6 +417,8 @@ class WeightTable:
     # node generation
 
     def ensure_levels(self, upto: int):
+        """Fill the levels up to ``upto``: the nodes y >= 0 only, each with
+        its mirror weight folded into ``cw``."""
         while self.nlevels <= upto:
             self._add_level(self.nlevels)
 
@@ -390,10 +432,15 @@ class WeightTable:
             inner = gap[0] if params.has_gap else None  # the inner edge rk
             ys, cws, om2s, zk2s, vps = [], [], [], [], []
             for a, b in self.intervals:
+                if b <= 0:
+                    continue  # the mirror image of the interval kept beside it
+                whole = a < 0  # [-1, 1]: keep the x >= 0 half of its rule
                 mid = (a + b) / 2
                 half = (b - a) / 2
+                mirrored = 2 * half  # exact: the mirror weight 2
                 for x, omx, opx, wq in _ts_block(self.work_bits, level):
-                    mirror = (1,) if x == 0 else (1, -1)
+                    mirror = (1,) if whole or x == 0 else (1, -1)
+                    scale = half if whole and x == 0 else mirrored
                     for sgn in mirror:
                         yv = mid + half * x if sgn > 0 else mid - half * x
                         d_lo = half * (opx if sgn > 0 else omx)  # y - a
@@ -411,7 +458,7 @@ class WeightTable:
                             wv = wv * mp.exp(-t / zk2)
                         vpv = _v_prime_from(yv, om2, zk2, params)
                         ys.append(yv)
-                        cws.append(half * wq * wv)
+                        cws.append(scale * wq * wv)
                         om2s.append(om2)
                         zk2s.append(zk2)
                         vps.append(vpv)
@@ -461,7 +508,9 @@ class WeightTable:
         return IntArray(list(map(rshift, acc, repeat(fb))), -fb)
 
     def freeze(self, beta):
-        """Attach recurrence coefficients; monic rows become available."""
+        """Attach recurrence coefficients; monic rows become available.
+
+        The rows hold P_n at the stored nodes y >= 0; P_n(-y) = (-1)^n P_n(y)."""
         self.beta = tuple(beta)
         self._cached(WeightTable._level_rows)
 
@@ -486,11 +535,12 @@ class WeightTable:
                           self.work_bits)
 
     def sq(self, n: int):
-        """Per-level arrays cw * P_n(y)^2."""
+        """Per-level arrays cw * P_n(y)^2, even in y."""
         return self._cached(WeightTable._folded, n, n)
 
     def adj(self, n: int):
-        """Per-level arrays cw * P_n(y) * P_{n-1}(y)."""
+        """Per-level arrays cw * P_n(y) * P_{n-1}(y), odd in y: integrate them
+        against an odd factor (``y``, the odd part of ``dd``)."""
         return self._cached(WeightTable._folded, n, n - 1)
 
     def _reciprocal(self, key, level):
@@ -501,13 +551,14 @@ class WeightTable:
                         list(map(sub, repeat(-top), src.exp)))
 
     def inv(self, key: str):
-        """Per-level reciprocal arrays for 'om2' or 'zk2'."""
+        """Per-level reciprocal arrays for 'om2' or 'zk2', even in y."""
         if key not in ("om2", "zk2"):
             raise ParameterError(f"unknown reciprocal key {key!r}")
         return self._cached(WeightTable._reciprocal, key)
 
-    def _dd_block(self, z, vpz, level: int):
-        """(v'(z) - v'(y)) / (z - y) on one level, from the integer arrays.
+    def _dd_side(self, z, vz, reach, ys, vp):
+        """(v'(z) - v'(y)) / (z - y) at the nodes ``ys`` with values ``vp`` = v'(y),
+        from v'(z) packed as ``vz`` and the pole-guard radius ``reach`` (fixed point).
 
         The difference z - y is exact in fixed point.  v'(z) - v'(y) is
         exact when the two exponents differ by at most ``work_bits``, and
@@ -517,17 +568,14 @@ class WeightTable:
         within the pole-guard radius of z take the removable limit v''(z).
         """
         wb, fb = self.work_bits, self.frac_bits
-        with mp.workprec(wb):
-            guard = pole_guard(self.params) * (1 + abs(z))
-            (vm,), (ve,) = _pack([vpz], wb)
-        den = list(map(sub, repeat(_fixed(z, fb)), self.y[level].man))
-        reach = _fixed(guard, fb)
+        (vm,), (ve,) = vz
+        den = list(map(sub, repeat(_fixed(z, fb)), ys))
         close = [i for i, d in enumerate(den) if -reach <= d <= reach]
         for i in close:
             den[i] = 1
         top = vm << wb
         num, exps = [], []
-        for m, e in zip(*self.vp[level]):
+        for m, e in zip(*vp):
             if m and e > ve:
                 num.append((top >> (e - ve)) - (m << wb))
                 exps.append(e - wb)
@@ -549,11 +597,38 @@ class WeightTable:
                 out.exp[i] = le
         return out
 
+    def _dd_mirror(self, z, vpz, level: int):
+        """(D+, D-) on one level, D+- = (dd(z, y) +- dd(z, -y)) / 2.
+
+        dd(z, -y) is ``_dd_side`` at the mirror nodes -y, where v'(-y) =
+        -v'(y) since v' is odd; the two halves are formed exactly.
+        """
+        with mp.workprec(self.work_bits):
+            reach = _fixed(pole_guard(self.params) * (1 + abs(z)), self.frac_bits)
+            vz = _pack([vpz], self.work_bits)
+        y, vp = self.y[level], self.vp[level]
+        right = self._dd_side(z, vz, reach, y.man, vp)
+        left = self._dd_side(z, vz, reach, list(map(neg, y.man)),
+                             IntArray(list(map(neg, vp.man)), vp.exp))
+        return _mirror_halves(right, left)
+
+    def _dd_part(self, z, vpz, part, level: int):
+        return self._cached(WeightTable._dd_mirror, z, vpz)[level][part]
+
     def dd(self, z, vpz):
-        """Per-level arrays of (v'(z) - v'(y)) / (z - y) for fixed z."""
+        """(D+, D-): per-level arrays of the even and odd parts in y of the
+        divided difference dd(z, y) = (v'(z) - v'(y)) / (z - y), for fixed z.
+
+        Over the full support, the integral of dd(z, y) f(y) w(y) is the
+        table sum of D+ f for an even f and of D- f for an odd f: so
+        A_n(z) takes ``sq(n)`` with D+ and B_n(z) takes ``adj(n)`` with D-.
+        Only the pair is cached.
+        """
         with mp.workprec(self.work_bits):
             z = mp.mpf(z)
-        return self._cached(WeightTable._dd_block, z, vpz)
+        self._cached(WeightTable._dd_mirror, z, vpz)  # made before its parts
+        return (self._cached(WeightTable._dd_part, z, vpz, 0),
+                self._cached(WeightTable._dd_part, z, vpz, 1))
 
     # ------------------------------------------------------------------
     # integration
@@ -565,7 +640,9 @@ class WeightTable:
 
     def trapezoid(self, factors, level: int):
         """Trapezoid value at step 2^-level of a product of per-level arrays
-        over the nodes of levels 0..level, rounded to the working precision."""
+        over the nodes of levels 0..level, rounded to the working precision.
+
+        The product must be even in y: it is the full-support value."""
         with mp.workprec(self.work_bits):
             return self._value(_level_terms(factors, level), level)[0]
 
@@ -580,9 +657,11 @@ class WeightTable:
         ``factors`` is a sequence of per-level lists owned by this table
         (``y``, ``sq(n)``, ``inv('zk2')``, ...), which grow with the table,
         or of callables that return such lists, called again at each level.
-        Exactly one factor family must carry the folded cw weight.  The
-        reported error is at least the kernel's truncation bound plus the
-        absolute floor 2^-(work_bits-8) * sum |cw|.
+        Exactly one factor family must carry the folded cw weight, and the
+        product must be even in y: the sum over the stored half y >= 0 is
+        then the full-support integral.  The reported error is at least the
+        kernel's truncation bound plus the absolute floor
+        2^-(work_bits-8) * sum |cw|.
         """
         with mp.workprec(self.work_bits):
             floor_eps = mp.mpf(2) ** (-(self.work_bits - 8))

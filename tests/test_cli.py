@@ -211,6 +211,20 @@ def test_ode_rejects_span_inside_stencil_margins(capsys, tmp_path):
     assert not (tmp_path / "t.csv").exists()
 
 
+def test_ode_rejects_degree_outside_n_max(capsys, tmp_path):
+    # n above n_max used to fill a table first and then exit 2 with
+    # "tuple index out of range"
+    out_csv = tmp_path / "t.csv"
+    for n in ("3", "0", "-1"):
+        code, _, err = _run(capsys, "ode", "--alpha", "1", "--k2", "0.04", "--n", n,
+                            "--n-max", "2", "--t0", "0.5", "--t1", "0.54",
+                            "--bits", "128", "--rel-tol", "1e-25",
+                            "--out-csv", str(out_csv))
+        assert code == 2, n
+        assert "outside 1..n_max = 1..2" in err, err
+    assert not out_csv.exists()
+
+
 def test_verify_refuses_t_grid_reaching_below_zero(capsys, tmp_path):
     # only the first grid point used to be validated: the run went on to
     # t = -0.5 and reported REQUIRED failures there with exit 1

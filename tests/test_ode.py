@@ -383,3 +383,37 @@ def test_state_at_shares_one_state(oparams, octx):
     assert R is lad.R[2] and r is lad.r[2]
     traj = pv5lab.integrate_riccati(oparams, 2, "0.5", "0.51", (R, r), 1e-12)
     assert pv5lab.crosscheck(traj, oparams, octx, ["0.5"]) == 0
+
+
+def test_err_norm_matches_mpf_quotient_bit_for_bit(oparams, ricc_init, monkeypatch):
+    """The step-control norm, taken on raw tuples, equals max(mp.mpf(e) / b)
+    bit for bit on the error and bound ints of a coupled-pair run."""
+    from pv5lab import ode
+
+    seen = []
+    norm = ode._err_norm
+
+    def spy(errs, bounds, prec):
+        seen.append((errs, bounds, prec))
+        return norm(errs, bounds, prec)
+
+    monkeypatch.setattr(ode, "_err_norm", spy)
+    traj = pv5lab.integrate_riccati(oparams, 2, "0.5", "0.502", ricc_init, 1e-18)
+    assert len(seen) == traj.meta["steps"] + traj.meta["rejected"] > 10
+    for errs, bounds, prec in seen:
+        with mp.workprec(prec):
+            ref = max(mp.mpf(e) / b for e, b in zip(errs, bounds))
+        assert norm(errs, bounds, prec)._mpf_ == ref._mpf_
+
+
+def test_initial_data_refuses_degrees_outside_n_max(oparams, octx, monkeypatch):
+    # a degree above n_max used to fill a table and fail on a tuple index;
+    # n = -1 silently returned the degree-n_max pair
+    def no_quadrature(*args):
+        raise AssertionError("quadrature ran before the degree check")
+
+    monkeypatch.setattr(pv5lab.ladder, "state_at", no_quadrature)
+    for initial in (pv5lab.riccati_initial, pv5lab.pv_initial):
+        for n in (-1, 0, oparams.n_max + 1):
+            with pytest.raises(ParameterError, match=r"1\.\.n_max = 1\.\.4"):
+                initial(oparams, n, "0.5", octx)

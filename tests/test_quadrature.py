@@ -1,6 +1,7 @@
 """Tanh-sinh integration: values, error estimates, convergence flags, and
 the integer dot-product kernel behind the weight tables."""
 
+import functools
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from mpmath import mp
 
 import pv5lab
 from pv5lab.errors import ParameterError
+from pv5lab.model import _gap, _v_prime_from, _z2_minus_k2
 from pv5lab.quadrature import (IntArray, WeightTable, _dot, _fixed, _pack,
                                integration_intervals)
 
@@ -222,23 +224,26 @@ def test_raw_integral_error_covers_kernel_bound(gap_params, ctx_fast):
 
 
 def test_table_divided_differences_match_model(gap_params, ctx_fast):
-    """The integer divided differences against model.dd_quotient in mpf."""
+    """The integer mirror parts (dd(z, y) +- dd(z, -y)) / 2 of the divided
+    differences against model.dd_quotient in mpf."""
     table = WeightTable(gap_params, ctx_fast)
     table.ensure_levels(3)
     z = mp.mpf("0.7")
     with mp.workprec(gap_params.work_bits):
-        arrs = table.dd(z, pv5lab.v_prime(z, gap_params))
+        pair = table.dd(z, pv5lab.v_prime(z, gap_params))
     rk = mp.sqrt(gap_params.k2)
     checked = 0
     with mp.workprec(2 * table.frac_bits):
-        for lv in range(table.nlevels):
-            for y, dd in zip(_mpf_values(table.y[lv]),
-                             _mpf_values(arrs[lv])):
-                if abs(abs(y) - rk) < mp.mpf("1e-6") or 1 - abs(y) < mp.mpf("1e-6"):
-                    continue
-                ref = pv5lab.dd_quotient(z, y, gap_params)
-                assert abs(dd - ref) <= mp.mpf(2) ** (-(ctx_fast.work_bits - 40)) * (1 + abs(ref))
-                checked += 1
+        for sign, arrs in zip((1, -1), pair):
+            for lv in range(table.nlevels):
+                for y, dd in zip(_mpf_values(table.y[lv]),
+                                 _mpf_values(arrs[lv])):
+                    if abs(abs(y) - rk) < mp.mpf("1e-6") or 1 - abs(y) < mp.mpf("1e-6"):
+                        continue
+                    ref = (pv5lab.dd_quotient(z, y, gap_params)
+                           + sign * pv5lab.dd_quotient(z, -y, gap_params)) / 2
+                    assert abs(dd - ref) <= mp.mpf(2) ** (-(ctx_fast.work_bits - 40)) * (1 + abs(ref))
+                    checked += 1
     assert checked > 20
 
 
@@ -270,7 +275,8 @@ def test_frozen_table_grows_every_derived_array_in_step(gap_params, gap_state, c
 
     def derived(table):
         return {"sq": table.sq(3), "adj": table.adj(3), "inv_zk2": table.inv("zk2"),
-                "inv_om2": table.inv("om2"), "dd": table.dd(z, vpz),
+                "inv_om2": table.inv("om2"), "dd_even": table.dd(z, vpz)[0],
+                "dd_odd": table.dd(z, vpz)[1],
                 "rows": [[table.row(n, lv) for n in range(gap_params.n_max + 1)]
                          for lv in range(table.nlevels)]}
 
@@ -291,3 +297,81 @@ def test_frozen_table_grows_every_derived_array_in_step(gap_params, gap_state, c
             assert before[key] is after[key], key
         for lv in range(6):
             assert after[key][lv] == arrs[lv], (key, lv)
+
+
+@pytest.mark.parametrize("alpha,k2,t", [
+    (1, "0.25", "0.5"),   # the gap (-1, -rk) u (rk, 1)
+    (1, "0", "0.5"),      # split at the pole of v' at 0
+    (1, "-0.5", "0.5"),   # [-1, 1] with its centre node
+    (1, "-0.5", "0"),     # t = 0
+    (0, "0.25", "0"),     # t = 0, alpha = 0: the recurrence alone
+])
+def test_half_table_matches_full_support_route(alpha, k2, t):
+    """Every table integral over the stored half y >= 0 against the generic
+    engine over the full support, within the sum of both reported errors:
+    the mass, h_n, the ladder integrals of R_n, a_n, r_n, b_n, and those of
+    A_n(z), B_n(z) at two z."""
+    params = pv5lab.validate(alpha, k2, t, 128, 3)
+    ctx = pv5lab.PrecisionContext(bits=128, rel_tol=1e-20, max_level=12)
+    state = pv5lab.build(params, ctx)
+    table = state.table
+    sup = integration_intervals(params)
+    ladder = params.ladder_eligible
+    with mp.workprec(params.work_bits):
+        gap = _gap(params)
+
+        # the integrands share their nodes: evaluate each factor once per node
+        @functools.cache
+        def basis(y):
+            return (1 - y) * (1 + y), _z2_minus_k2(y, params.k2, gap)
+
+        @functools.cache
+        def P(n, y):
+            return pv5lab.eval_monic(state, n, y)
+
+        @functools.cache
+        def w(y):
+            return pv5lab.weight(y, params)
+
+        checks = {"mass": ([table.cw], lambda y: 1)}
+        for n in range(params.n_max + 1):
+            checks[f"h{n}"] = ([table.sq(n)], lambda y, n=n: P(n, y) ** 2)
+            if not ladder:
+                continue
+            checks[f"a{n}"] = ([table.sq(n), table.inv("om2")],
+                               lambda y, n=n: P(n, y) ** 2 / basis(y)[0])
+            if params.t > 0:
+                checks[f"R{n}"] = ([table.sq(n), table.inv("zk2")],
+                                   lambda y, n=n: P(n, y) ** 2 / basis(y)[1])
+            if n == 0:
+                continue
+            checks[f"b{n}"] = ([table.adj(n), table.y, table.inv("om2")],
+                               lambda y, n=n: y * P(n, y) * P(n - 1, y) / basis(y)[0])
+            if params.t > 0:
+                checks[f"r{n}"] = ([table.adj(n), table.y, table.inv("zk2")],
+                                   lambda y, n=n: y * P(n, y) * P(n - 1, y) / basis(y)[1])
+        for z in (mp.mpf("0.3"), mp.mpf("-0.7")) if ladder else ():
+            vpz = pv5lab.v_prime(z, params)
+            even, odd = table.dd(z, vpz)
+
+            def dd(y, z=z, vpz=vpz):
+                return (vpz - _v_prime_from(y, *basis(y), params)) / (z - y)
+
+            for n in range(params.n_max + 1):
+                checks[f"A{n}({z})"] = ([table.sq(n), even],
+                                        lambda y, n=n, dd=dd: dd(y) * P(n, y) ** 2)
+                if n:
+                    checks[f"B{n}({z})"] = ([table.adj(n), odd],
+                                            lambda y, n=n, dd=dd: dd(y) * P(n, y) * P(n - 1, y))
+        for name, (factors, f) in checks.items():
+            half = table.raw_integral(factors, scale=state.h[0])
+            full = pv5lab.integrate(lambda y: f(y) * w(y), sup, ctx,
+                                    scale=state.h[0])
+            assert half.converged and full.converged, name
+            assert abs(half.value - full.value) <= half.error + full.error, (
+                name, mp.nstr(half.value, 20), mp.nstr(full.value, 20),
+                mp.nstr(half.error, 3), mp.nstr(full.error, 3))
+    # the stored half: y >= 0, and on [-1, 1] the centre node once, at level 0
+    assert all(m >= 0 for block in table.y for m in block.man)
+    zeros = [lv for lv, block in enumerate(table.y) for m in block.man if m == 0]
+    assert zeros == ([0] if len(sup) == 1 else [])
