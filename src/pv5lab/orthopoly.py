@@ -163,9 +163,5 @@ def orthogonality_residual(state: OrthoState, ctx: PrecisionContext, m: int, n: 
     with mp.workprec(ctx.work_bits):
         table = state.table
         norm = mp.sqrt(state.h[m] * state.h[n])
-        res = table.raw_integral(
-            [lambda: table.cw,
-             lambda: [table.row(m, lv) for lv in range(table.nlevels)],
-             lambda: [table.row(n, lv) for lv in range(table.nlevels)]],
-            scale=norm)
+        res = table.raw_integral([table.cw, table.rows(m), table.rows(n)], scale=norm)
         return abs(res.value) / norm

@@ -27,7 +27,11 @@ Two layers:
   products are summed as one Python int, so the loops run in C through
   ``map`` over ``operator`` functions.  The truncation is less than
   N * 2^emax for N nodes; that bound is added to each integral's error
-  floor, beside the doubling-based error estimate.
+  floor, beside the doubling-based error estimate.  Where the weight
+  vanishes at the gap edge (t > 0, k2 >= 0), each level's rule stops at the
+  first node whose weight factor e^{-t/(y^2-k2)} lies below 2^-2work_bits
+  of the interval centre's, with margin for every integrand factor there:
+  the dropped terms are below the error floor (``WeightTable``).
 
 Node positions are generated from the closed forms 1 -+ x = 2/(e^{2v}+1),
 2/(1+e^{-2v}) of the tanh map, so distances to interval endpoints are known
@@ -392,6 +396,42 @@ class WeightTable:
     and ``_add_level`` extends every entry in creation order, so the rows
     grow before the products read them.  Every integral is a sum of ``_dot`` products over these
     arrays.
+
+    Edge cut.  When t > 0 and k2 >= 0 the stored interval (a, 1) has the gap
+    edge a = rk (or a = 0 for k2 = 0) at its left end, where the weight
+    vanishes with all its derivatives; tanh-sinh puts half of each level's
+    nodes against it.  ``_add_level`` walks that side of the rule from the
+    centre m outward and stops at the first node y with
+
+        t/zk2(y) + 2 ln zk2(y) > t/zk2(m) + Lambda,
+        Lambda = (2 work_bits + 2 n_max) ln 2 + 2 + alpha ln(1/om2(m)) + ln K,
+        K = g^-3 (1 + 2 alpha + 16 t/rho) / om2(m),
+
+    g the pole guard (``model.pole_guard``), rho = rk on a gap and 1 for
+    k2 = 0.  The break is exact: t/u + 2 ln u decreases in u = zk2 for
+    u < t/2 and stays below 2 < Lambda for u >= t/2, and zk2 falls along
+    the side, so every later node passes the test too.  The dropped nodes
+    never reach the weight's exp or ``_v_prime_from``.  The constant 2 in
+    Lambda covers the test's rounding at the working precision.  Each
+    dropped node's term is negligible:
+
+    * its coefficient: cw(y)/cw(m) <= om2(m)^-alpha e^-(t/zk2(y) - t/zk2(m)),
+      as the tanh-sinh weight peaks at the centre and om2(y) <= 1 (cw(m) is
+      stored at level 0), so cw(y) < 2^-2work_bits zk2(y)^2 cw(m) / (4^n_max K);
+    * its integrand factor F(y): |P_n|, |y P_n P_{n-1}| <= 2^n, 4^n_max (the
+      zeros lie in [-1, 1]); 1/om2(y) < 1/om2(m) as y < m; 1/zk2(y); and
+      either mirror part of dd(z, y) at any z the pole guard admits
+      (|z -+ 1|, |z -+ rk|, or |z| for k2 = 0, at least g):  by partial
+      fractions of v', |dd| <= g^-3 (2 alpha/om2(m) + 16 t/rho) / zk2(y)^2,
+      also where dd takes v''(z).  So |F(y)| <= 4^n_max K / zk2(y)^2;
+
+    hence |cw F| < 2^-2work_bits cw(m) at every dropped node.  With fewer
+    than 2^(work_bits+8) nodes in all, the dropped terms together lie below
+    the floor 2^-(work_bits-8) sum cw that ``raw_integral`` reports.
+    ``cut_nodes`` counts the dropped nodes and ``cut_bound`` keeps the
+    largest bound, over them, on |cw F| / cw(m) (it is < 2^-2work_bits).
+    On k2 < 0 and at t = 0 the stored interval is [-1, 1] and nothing is
+    dropped; ``integrate`` and ``moment`` keep the full rule.
     """
 
     def __init__(self, params: ModelParams, ctx: PrecisionContext):
@@ -407,6 +447,9 @@ class WeightTable:
         self.zk2 = []
         self.vp = []
         self._mass = []  # per level: _dot of cw, for absolute error floors
+        # the edge cut (class docstring): nodes dropped, largest term bound
+        self.cut_nodes = 0
+        self.cut_bound = mp.mpf(0)
         self.nlevels = 0
         self.beta = None
         # (maker, args) -> per-level list of maker(self, *args, level), in
@@ -430,18 +473,24 @@ class WeightTable:
             k2 = params.k2
             gap = _gap(params)
             inner = gap[0] if params.has_gap else None  # the inner edge rk
+            block = _ts_block(self.work_bits, level)
             ys, cws, om2s, zk2s, vps = [], [], [], [], []
             for a, b in self.intervals:
                 if b <= 0:
                     continue  # the mirror image of the interval kept beside it
-                whole = a < 0  # [-1, 1]: keep the x >= 0 half of its rule
+                # [-1, 1] keeps the x >= 0 half of its rule; otherwise a is
+                # the edge rk (or 0 for k2 = 0) and t > 0
+                whole = a < 0
                 mid = (a + b) / 2
                 half = (b - a) / 2
                 mirrored = 2 * half  # exact: the mirror weight 2
-                for x, omx, opx, wq in _ts_block(self.work_bits, level):
-                    mirror = (1,) if whole or x == 0 else (1, -1)
-                    scale = half if whole and x == 0 else mirrored
-                    for sgn in mirror:
+                cut = None if whole else self._edge_cut(mid)
+                # each side from the centre outward; sgn < 0 runs into the edge a
+                for sgn in (1,) if whole else (1, -1):
+                    for i, (x, omx, opx, wq) in enumerate(block):
+                        if x == 0 and sgn < 0:
+                            continue  # the centre node, stored once
+                        scale = half if whole and x == 0 else mirrored
                         yv = mid + half * x if sgn > 0 else mid - half * x
                         d_lo = half * (opx if sgn > 0 else omx)  # y - a
                         d_hi = half * (omx if sgn > 0 else opx)  # b - y
@@ -455,7 +504,15 @@ class WeightTable:
                         zk2 = _z2_minus_k2(yv, k2, gap, d_in)
                         wv = om2 ** alpha if alpha != 0 else mp.mpf(1)
                         if t > 0:
-                            wv = wv * mp.exp(-t / zk2)
+                            tz = t / zk2
+                            # the test only rises towards the edge: drop the rest
+                            if sgn < 0 and tz > cut and (
+                                    over := tz + 2 * mp.log(zk2) - cut) > 0:
+                                self.cut_nodes += len(block) - i
+                                self.cut_bound = max(self.cut_bound, mp.ldexp(
+                                    mp.exp(-over), -2 * self.work_bits))
+                                break
+                            wv = wv * mp.exp(-tz)
                         vpv = _v_prime_from(yv, om2, zk2, params)
                         ys.append(yv)
                         cws.append(scale * wq * wv)
@@ -472,6 +529,18 @@ class WeightTable:
         self.nlevels = level + 1
         for (make, args), arrs in self._derived.items():
             arrs.append(make(self, *args, level))
+
+    def _edge_cut(self, mid):
+        """t/zk2(m) + Lambda, the edge cut's threshold on the interval with
+        centre m (class docstring)."""
+        params = self.params
+        gap = _gap(params)
+        om2 = (1 - mid) * (1 + mid)
+        rho = gap[0] if params.has_gap else 1
+        big_k = (1 + 2 * params.alpha + 16 * params.t / rho) / (pole_guard(params) ** 3 * om2)
+        return (params.t / _z2_minus_k2(mid, params.k2, gap)
+                + (2 * self.work_bits + 2 * params.n_max) * mp.ln2 + 2
+                - params.alpha * mp.log(om2) + mp.log(big_k))
 
     def _cached(self, make, *args):
         """Per-level arrays make(self, *args, level) over the levels built so
@@ -525,6 +594,10 @@ class WeightTable:
 
     def row(self, n: int, level: int):
         return self._cached(WeightTable._level_rows)[level][n]
+
+    def rows(self, n: int):
+        """Per-level rows P_n(y), of the parity of n in y."""
+        return self._cached(WeightTable.row, n)
 
     def _folded(self, n, m, level):
         """cw * P_n * P_m on one level, floored to the working precision."""
@@ -640,9 +713,11 @@ class WeightTable:
 
     def trapezoid(self, factors, level: int):
         """Trapezoid value at step 2^-level of a product of per-level arrays
-        over the nodes of levels 0..level, rounded to the working precision.
+        over the nodes of levels 0..level.
 
-        The product must be even in y: it is the full-support value."""
+        The value is the kernel's exact sum, not rounded: it may carry
+        several times ``work_bits`` bits.  The product must be even in y: it
+        is the full-support value."""
         with mp.workprec(self.work_bits):
             return self._value(_level_terms(factors, level), level)[0]
 
@@ -655,20 +730,20 @@ class WeightTable:
         """Integrate an elementwise product of per-level factor arrays.
 
         ``factors`` is a sequence of per-level lists owned by this table
-        (``y``, ``sq(n)``, ``inv('zk2')``, ...), which grow with the table,
-        or of callables that return such lists, called again at each level.
-        Exactly one factor family must carry the folded cw weight, and the
-        product must be even in y: the sum over the stored half y >= 0 is
-        then the full-support integral.  The reported error is at least the
-        kernel's truncation bound plus the absolute floor
-        2^-(work_bits-8) * sum |cw|.
+        (``y``, ``sq(n)``, ``rows(n)``, ``inv('zk2')``, ...), which grow with
+        the table.  Exactly one factor family must carry the folded cw
+        weight, and the product must be even in y: the sum over the stored
+        half y >= 0 is then the full-support integral.  The value is the
+        kernel's exact sum at the top level, not rounded to the working
+        precision.  The reported error is at least the kernel's truncation
+        bound plus the absolute floor 2^-(work_bits-8) * sum |cw|, which
+        also covers every node the edge cut dropped (class docstring).
         """
         with mp.workprec(self.work_bits):
             floor_eps = mp.mpf(2) ** (-(self.work_bits - 8))
             rel = mp.mpf(self.ctx.rel_tol)
             while True:
-                mats = [fac() if callable(fac) else fac for fac in factors]
-                series = self._series(mats)
+                series = self._series(factors)
                 value, bound = series[-1]
                 if len(series) >= 2:
                     floor = floor_eps * self._abs_mass_total() + bound

@@ -11,7 +11,7 @@ import pv5lab
 from pv5lab.errors import ParameterError
 from pv5lab.model import _gap, _v_prime_from, _z2_minus_k2
 from pv5lab.quadrature import (IntArray, WeightTable, _dot, _fixed, _pack,
-                               integration_intervals)
+                               _ts_block, integration_intervals)
 
 
 def test_context_validation():
@@ -57,7 +57,7 @@ def test_weight_mass_cross_rule(gap_params, ctx_fast):
     # the weight table's integer-kernel route to the same mass
     table = WeightTable(gap_params, ctx_fast)
     table.ensure_levels(4)
-    mass = table.raw_integral([lambda: table.cw])
+    mass = table.raw_integral([table.cw])
     assert mass.converged
     assert abs(mass.value - oracle) < mp.mpf("1e-30") * oracle
 
@@ -301,6 +301,8 @@ def test_frozen_table_grows_every_derived_array_in_step(gap_params, gap_state, c
 
 @pytest.mark.parametrize("alpha,k2,t", [
     (1, "0.25", "0.5"),   # the gap (-1, -rk) u (rk, 1)
+    (1, "0.25", "1e-3"),  # a thin edge layer
+    (1, "0.25", "50"),    # most of the edge side cut
     (1, "0", "0.5"),      # split at the pole of v' at 0
     (1, "-0.5", "0.5"),   # [-1, 1] with its centre node
     (1, "-0.5", "0"),     # t = 0
@@ -375,3 +377,76 @@ def test_half_table_matches_full_support_route(alpha, k2, t):
     assert all(m >= 0 for block in table.y for m in block.man)
     zeros = [lv for lv, block in enumerate(table.y) for m in block.man if m == 0]
     assert zeros == ([0] if len(sup) == 1 else [])
+
+
+# ----------------------------------------------------------------------
+# the edge cut: the rule stops where the weight underflows at the gap edge
+
+
+def _half_rule_count(table, top):
+    """Nodes of the uncut half rule on levels 0..top: the x >= 0 half of
+    [-1, 1], or the whole rule of the interval (a, 1)."""
+    total = sum(len(_ts_block(table.work_bits, lv)) for lv in range(top + 1))
+    if table.intervals[-1][0] < 0:
+        return total  # the x >= 0 half, centre included
+    return 2 * total - 1  # both sides, the centre once
+
+
+# h_0..h_3 and beta_1..beta_3 of the uncut rule, 100 digits at 320 bits
+_UNCUT = {
+    ("0.95", "50"): (
+        ["1.261483870008302732881417764783858026801744327336885384364808628930180106880608058893943109143338918e-443",
+         "1.261358469415077871417225287502990717128077914747601586446141334422490292680059665365538059728083288e-443",
+         "6.195905230111633214353882849933733318260760431392141362996736504362835391831054249097583171128713774e-452",
+         "6.194680646730317233408063353989719465680310101562522087777134990378582250838728226335646241675595597e-452"],
+        ["0.999900592789011217311345288401123955745900914806705223090955935540847194812264245459706298112776207",
+         "0.000000004912089132746556056874390541404180474364374676031358986018139504497760938544416701132625072936583335",
+         "0.9998023560180739050276242870751297703816301416287455299265928451576268012531020411538720489047666186"]),
+    ("0.25", "0.5"): (
+        ["0.05140715588960843957637680981314693126153557850620464387136278295836421937447495439199107928212867233",
+         "0.03384035792049613493268001960265071412917211660197273442377374593654096702749029141564628486944559509",
+         "0.001040122992744631469129869357726233927660035670308724337536097477419690465518129388784830324696217908",
+         "0.0006669208868895315113731751659838898449428990447860549048872422733794009588100677720444884334526501282"],
+        ["0.6582810765327070450749710995855990901358376670442263954849105541391109873132338132329343498330387315",
+         "0.03073616996570413879100877708470629803687306477056729919015646871540277726973504165260835689767338051",
+         "0.6411942544695503583963487472220288061107746039832200993281355477801830905680383210403249931153629405"]),
+}
+
+
+@pytest.mark.parametrize("k2,t", list(_UNCUT))
+def test_edge_cut_keeps_the_uncut_values(k2, t, ctx_default):
+    """h and beta equal the uncut rule's at the working precision.  At k2
+    0.95, t 50, h_0 is about 1.3e-443, so a cut at an absolute weight would
+    empty the table; the cut is relative to the interval's centre."""
+    params = pv5lab.validate(1, k2, t, 256, 3)
+    state = pv5lab.build(params, ctx_default)
+    assert state.table.cut_nodes > 0
+    with mp.workprec(params.work_bits):
+        h = [mp.nstr(+v, 100) for v in state.h]
+        beta = [mp.nstr(v, 100) for v in state.beta[1:]]
+    assert (h, beta) == _UNCUT[(k2, t)]
+
+
+@pytest.mark.parametrize("k2,t", [("-0.5", "0.5"), ("0.25", "0")])
+def test_edge_cut_drops_nothing_without_an_edge(k2, t, ctx_fast):
+    """k2 < 0 and t = 0 integrate over [-1, 1], with no vanishing edge."""
+    table = WeightTable(pv5lab.validate(1, k2, t, 192, 4), ctx_fast)
+    table.ensure_levels(6)
+    assert table.cut_nodes == 0 and table.cut_bound == 0
+    assert table.node_count() == _half_rule_count(table, 6)
+
+
+@pytest.mark.parametrize("k2,t", [("0.25", "1e-3"), ("0.25", "0.5"), ("0.25", "50"),
+                                  ("0", "0.5")])
+def test_edge_cut_stays_below_the_floor(k2, t, ctx_fast):
+    """Every level keeps nodes, the stored and dropped nodes make up the
+    uncut rule, and the dropped terms together, at their recorded bound
+    relative to the centre node's coefficient (a term of sum cw), lie below
+    the absolute floor 2^-(work_bits-8) sum cw of ``raw_integral``."""
+    table = WeightTable(pv5lab.validate(1, k2, t, 192, 4), ctx_fast)
+    table.ensure_levels(7)
+    assert all(block.man for block in table.y)
+    assert table.cut_nodes > 0
+    assert table.node_count() + table.cut_nodes == _half_rule_count(table, 7)
+    assert 0 < table.cut_bound < mp.mpf(2) ** (-2 * table.work_bits)
+    assert table.cut_nodes * table.cut_bound < mp.mpf(2) ** (-(table.work_bits - 8))
