@@ -109,8 +109,8 @@ def _t_grid(args):
         if count < 1:
             raise ParameterError("t grid count must be >= 1")
         if args.t_spacing == "log":
-            if start <= 0:
-                raise ParameterError("log spacing requires t start > 0")
+            if start <= 0 or stop <= 0:
+                raise ParameterError("log spacing requires t start > 0 and t stop > 0")
             if count == 1:
                 return (start,)
             ratio = (stop / start) ** (mp.mpf(1) / (count - 1))

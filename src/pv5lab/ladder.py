@@ -76,14 +76,17 @@ def _quad(table, factors, scale):
     return res.value
 
 
+def require_eligible(params: ModelParams):
+    """Raise LadderIneligible unless ``params.ladder_eligible``."""
+    if not params.ladder_eligible:
+        raise LadderIneligible(
+            f"ladder quantities need alpha > 0, and k2 < 0 at t = 0; got {params!r}")
+
+
 @functools.lru_cache(maxsize=8)
 def _compute_cached(state: OrthoState, ctx: PrecisionContext) -> LadderState:
     params = state.params
-    if not params.ladder_eligible:
-        raise LadderIneligible("ladder quantities need alpha > 0")
-    if params.t == 0 and params.k2 >= 0:
-        raise LadderIneligible(
-            "at t = 0 the 1/(y^2-k2) integrals require k2 < 0")
+    require_eligible(params)
     table = state.table
     n_max = params.n_max
     with mp.workprec(ctx.work_bits):

@@ -56,8 +56,10 @@ class ModelParams:
 
     @property
     def ladder_eligible(self) -> bool:
-        """Endpoint vanishing needed by the ladder derivation: alpha > 0."""
-        return self.alpha > 0
+        """Whether the ladder integrals exist: alpha > 0 (the endpoint
+        vanishing of the derivation), and k2 < 0 at t = 0, where no
+        exponential factor tames the 1/(y^2-k2) integrands."""
+        return self.alpha > 0 and (self.t > 0 or self.k2 < 0)
 
     @property
     def has_gap(self) -> bool:

@@ -46,7 +46,7 @@ from .errors import ParameterError, PoleHit, SingularParams, StepUnderflow
 from .fixedpoint import fixed_type, record
 from .model import ModelParams
 from .quadrature import PrecisionContext
-from .verify import stencil_step
+from .verify import central_differences, stencil_step
 
 # Cash-Karp 5(4) tableau (numerator, denominator pairs kept exact)
 _CK_C = [(0, 1), (1, 5), (3, 10), (3, 5), (1, 1), (7, 8)]
@@ -430,7 +430,7 @@ def pv_initial(params: ModelParams, n: int, t0, ctx: PrecisionContext):
         h = stencil_step(t0)
         lo, phi0, hi = (phi_of(ladder_mod.state_at(params, ctx, tv)[1].R[n], s)
                         for tv in (t0 - h, t0, t0 + h))
-        return phi0, (hi - lo) / (2 * h)
+        return phi0, central_differences(lo, phi0, hi, h)[0]
 
 
 def crosscheck(trajectory: Trajectory, params: ModelParams, ctx: PrecisionContext,

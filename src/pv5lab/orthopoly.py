@@ -29,17 +29,13 @@ class OrthoState:
     """Frozen output of ``build``; shared, never mutated.
 
     h[n] and beta[n] cover 0..n_max (beta[0] = 0 by convention); p_sub[n]
-    covers 0..n_max+1.  ``symmetry_diag`` is max_n |<z P_n, P_n>| / h_n,
-    exactly 0: the weight table stores one mirror half of a symmetric node
-    set with the mirror weight folded in, so every odd integrand, <z P_n, P_n>
-    among them, vanishes by construction.
+    covers 0..n_max+1.
     """
 
     params: ModelParams
     h: tuple
     beta: tuple
     p_sub: tuple
-    symmetry_diag: object
     level: int
     h_error: tuple
     table: WeightTable = field(repr=False)
@@ -102,7 +98,6 @@ def _build_impl(params: ModelParams, ctx: PrecisionContext) -> OrthoState:
             h=tuple(h),
             beta=tuple(beta),
             p_sub=tuple(p_sub),
-            symmetry_diag=mp.mpf(0),
             level=table.nlevels - 1,
             h_error=h_err,
             table=table,

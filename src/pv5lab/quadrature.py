@@ -472,53 +472,45 @@ class WeightTable:
             t = params.t
             k2 = params.k2
             gap = _gap(params)
-            inner = gap[0] if params.has_gap else None  # the inner edge rk
             block = _ts_block(self.work_bits, level)
             ys, cws, om2s, zk2s, vps = [], [], [], [], []
-            for a, b in self.intervals:
-                if b <= 0:
-                    continue  # the mirror image of the interval kept beside it
-                # [-1, 1] keeps the x >= 0 half of its rule; otherwise a is
-                # the edge rk (or 0 for k2 = 0) and t > 0
-                whole = a < 0
-                mid = (a + b) / 2
-                half = (b - a) / 2
-                mirrored = 2 * half  # exact: the mirror weight 2
-                cut = None if whole else self._edge_cut(mid)
-                # each side from the centre outward; sgn < 0 runs into the edge a
-                for sgn in (1,) if whole else (1, -1):
-                    for i, (x, omx, opx, wq) in enumerate(block):
-                        if x == 0 and sgn < 0:
-                            continue  # the centre node, stored once
-                        scale = half if whole and x == 0 else mirrored
-                        yv = mid + half * x if sgn > 0 else mid - half * x
-                        d_lo = half * (opx if sgn > 0 else omx)  # y - a
-                        d_hi = half * (omx if sgn > 0 else opx)  # b - y
-                        # (1-y)(1+y) from whichever endpoint distances are exact
-                        one_m = d_hi if b == 1 else 1 - yv
-                        one_p = d_lo if a == -1 else 1 + yv
-                        om2 = one_m * one_p
-                        d_in = None
-                        if inner is not None:
-                            d_in = d_lo if a == inner else d_hi  # |y| - rk
-                        zk2 = _z2_minus_k2(yv, k2, gap, d_in)
-                        wv = om2 ** alpha if alpha != 0 else mp.mpf(1)
-                        if t > 0:
-                            tz = t / zk2
-                            # the test only rises towards the edge: drop the rest
-                            if sgn < 0 and tz > cut and (
-                                    over := tz + 2 * mp.log(zk2) - cut) > 0:
-                                self.cut_nodes += len(block) - i
-                                self.cut_bound = max(self.cut_bound, mp.ldexp(
-                                    mp.exp(-over), -2 * self.work_bits))
-                                break
-                            wv = wv * mp.exp(-tz)
-                        vpv = _v_prime_from(yv, om2, zk2, params)
-                        ys.append(yv)
-                        cws.append(scale * wq * wv)
-                        om2s.append(om2)
-                        zk2s.append(zk2)
-                        vps.append(vpv)
+            # the stored interval (a, 1): [-1, 1], which keeps the x >= 0 half
+            # of its rule, or a the edge rk (or 0 for k2 = 0) with t > 0
+            a = self.intervals[-1][0]
+            whole = a < 0
+            mid = (a + 1) / 2
+            half = (1 - a) / 2
+            mirrored = 2 * half  # exact: the mirror weight 2
+            cut = None if whole else self._edge_cut(mid)
+            # each side from the centre outward; sgn < 0 runs into the edge a
+            for sgn in (1,) if whole else (1, -1):
+                for i, (x, omx, opx, wq) in enumerate(block):
+                    if x == 0 and sgn < 0:
+                        continue  # the centre node, stored once
+                    scale = half if whole and x == 0 else mirrored
+                    yv = mid + half * x if sgn > 0 else mid - half * x
+                    d_lo = half * (opx if sgn > 0 else omx)  # y - a, exact
+                    # (1-y)(1+y) from the exact distances to 1 and, on [-1, 1], to -1
+                    om2 = half * (omx if sgn > 0 else opx) * (d_lo if whole else 1 + yv)
+                    # on a gap, d_lo is the exact |y| - rk
+                    zk2 = _z2_minus_k2(yv, k2, gap, d_lo if params.has_gap else None)
+                    wv = om2 ** alpha if alpha != 0 else mp.mpf(1)
+                    if t > 0:
+                        tz = t / zk2
+                        # the test only rises towards the edge: drop the rest
+                        if sgn < 0 and tz > cut and (
+                                over := tz + 2 * mp.log(zk2) - cut) > 0:
+                            self.cut_nodes += len(block) - i
+                            self.cut_bound = max(self.cut_bound, mp.ldexp(
+                                mp.exp(-over), -2 * self.work_bits))
+                            break
+                        wv = wv * mp.exp(-tz)
+                    vpv = _v_prime_from(yv, om2, zk2, params)
+                    ys.append(yv)
+                    cws.append(scale * wq * wv)
+                    om2s.append(om2)
+                    zk2s.append(zk2)
+                    vps.append(vpv)
         bits = self.work_bits
         self.y.append(IntArray([_fixed(v, self.frac_bits) for v in ys], -self.frac_bits))
         self.cw.append(_pack(cws, bits))

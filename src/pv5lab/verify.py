@@ -8,18 +8,29 @@ its residual is recorded, never asserted pointwise.  The only diagnostic
 assertions are trends toward the k2 -> 0 limit, and those live in the
 acceptance suite.
 
-Residual normalization: |LHS - RHS| / (1 + max(|LHS|, |RHS|)) unless a
-check documents its own scale (functional ladder relations use the largest
+Body contract: ``_run_one`` reads the (ortho, ladder) states at t once and
+calls the check's body as fn(ev, ortho, lad, n, t, z).  A body returns its
+residual, normalized |LHS - RHS| / (1 + max(|LHS|, |RHS|)) unless it
+documents its own scale (functional ladder relations use the largest
 participating term; the recurrence-route checks are relative to beta).
+A t-stencil body instead returns its (LHS, RHS) pairs, at step h and at
+step h/2 (FACTOR_PROD at step h only); ``_run_one`` alone normalizes them,
+takes the step-halving ratio res(h)/res(h/2) (expected ~4 for clean
+O(h^2) behavior, none when res(h/2) = 0) and applies the pass rule: a
+REQUIRED row passes when its residual is within tolerance and, for a
+t-stencil row with a ratio, the ratio lies in [3, 5].
 
 t-derivatives use the 5-point stencil {t-h, t-h/2, t, t+h/2, t+h} with
-h = 1e-6 * max(t, 1): second-order central first/second differences are
-formed at both steps h and h/2, and every derivative check reports the
-step-halving residual ratio (expected ~4 for clean O(h^2) behavior).
+h = 1e-6 * max(t, 1).  ``central_differences`` forms the second-order
+central first and second differences at one step; the stencil checks,
+``factor_split``, ``pv_residual`` and ``ode.pv_initial`` all call it.
+The step-h/2 values are those of a 4X/h^2 formula bit for bit, since
+2 (h/2) = h and (h/2)^2 = h^2/4 are exact.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import random
 from dataclasses import dataclass
@@ -100,7 +111,6 @@ class IdentityReport:
     n: int
     t: object
     z: object = None
-    lhs_scale: object = None
     residual: object = None
     passed: object = None  # bool for REQUIRED, None for DIAGNOSTIC
     status: str = "ok"  # ok | skipped | error
@@ -109,13 +119,18 @@ class IdentityReport:
 
 
 def _nres(lhs, rhs):
-    scale = max(abs(lhs), abs(rhs))
-    return abs(lhs - rhs) / (1 + scale), scale
+    return abs(lhs - rhs) / (1 + max(abs(lhs), abs(rhs)))
 
 
 def stencil_step(t):
     """h = 1e-6 * max(t, 1)."""
     return mp.mpf("1e-6") * max(t, mp.mpf(1))
+
+
+def central_differences(lo, mid, hi, h):
+    """(first, second) central difference at step h of a value sampled at
+    t - h, t, t + h."""
+    return (hi - lo) / (2 * h), (hi - 2 * mid + lo) / (h * h)
 
 
 def sample_points(params: ModelParams, count: int = 20, seed: int = 0, margin=0.05):
@@ -168,12 +183,6 @@ class Evaluator:
             h2 = stencil_step(t) / 2
             return {o: self.states(t + o * h2) for o in (-2, -1, 0, 1, 2)}
 
-    def stencil_values(self, t, get):
-        """(get(ortho, lad) at each stencil point, the step h, the centre
-        (ortho, lad)); the values are keyed by the offsets of ``stencil``."""
-        st = self.stencil(t)
-        return {o: get(*st[o]) for o in st}, stencil_step(t), st[0]
-
     def a_int(self, t, n, z):
         key = (t, n, z)
         if key not in self._aint:
@@ -188,45 +197,35 @@ class Evaluator:
             self._bint[key] = ladder_mod.B_integral(n, z, ortho, self.ctx)
         return self._bint[key]
 
-    # -- derivative helpers -------------------------------------------
-    def fd1(self, vals, h):
-        """(first derivative at step h, at step h/2)."""
-        return ((vals[2] - vals[-2]) / (2 * h), (vals[1] - vals[-1]) / h)
 
-    def fd2(self, vals, h):
-        d_h = (vals[2] - 2 * vals[0] + vals[-2]) / (h * h)
-        d_h2 = 4 * (vals[1] - 2 * vals[0] + vals[-1]) / (h * h)
-        return d_h, d_h2
-
-
-def _dual_residual(pair_h, pair_h2):
-    """Residuals at steps h and h/2 plus their ratio."""
-    res_h, scale = _nres(*pair_h)
-    res_h2, _ = _nres(*pair_h2)
-    ratio = res_h / res_h2 if res_h2 > 0 else None
-    return res_h, scale, ratio
+def _differences(ev, t, get):
+    """[(value, first difference, second difference)] of get(ortho, lad) at
+    t over the stencil, at step h and at step h/2."""
+    vals = {o: get(*st) for o, st in ev.stencil(t).items()}
+    h = stencil_step(t)
+    return [(vals[0], *central_differences(vals[-o], vals[0], vals[o], step))
+            for o, step in ((2, h), (1, h / 2))]
 
 
 # ----------------------------------------------------------------------
-# individual check bodies; each returns (residual, lhs_scale[, ratio])
+# individual check bodies, called as fn(ev, ortho, lad, n, t, z) with the
+# states at t; a body returns its residual, a t-stencil body its (lhs, rhs)
+# pairs at step h and h/2 (_run_one forms the residuals)
 
-def _chk_s1(ev, n, t, z):
-    ortho, _ = ev.states(t)
+def _chk_s1(ev, ortho, lad, n, t, z):
     lhs = ev.b_int(t, n + 1, z) + ev.b_int(t, n, z)
     rhs = z * ev.a_int(t, n, z) - v_prime(z, ortho.params)
     return _nres(lhs, rhs)
 
 
-def _chk_s2(ev, n, t, z):
-    ortho, _ = ev.states(t)
+def _chk_s2(ev, ortho, lad, n, t, z):
     lhs = 1 + z * (ev.b_int(t, n + 1, z) - ev.b_int(t, n, z))
     rhs = (ortho.beta[n + 1] * ev.a_int(t, n + 1, z)
            - ortho.beta[n] * ev.a_int(t, n - 1, z))
     return _nres(lhs, rhs)
 
 
-def _chk_s2p(ev, n, t, z):
-    ortho, _ = ev.states(t)
+def _chk_s2p(ev, ortho, lad, n, t, z):
     bn = ev.b_int(t, n, z)
     lhs = bn * bn + v_prime(z, ortho.params) * bn + mp.fsum(
         ev.a_int(t, j, z) for j in range(n))
@@ -234,90 +233,68 @@ def _chk_s2p(ev, n, t, z):
     return _nres(lhs, rhs)
 
 
-def _chk_lower(ev, n, t, z):
-    ortho, lad = ev.states(t)
-    res = ladder_mod.lowering_residual(n, z, ortho, lad)
-    return res, mp.mpf(1)
+def _chk_lower(ev, ortho, lad, n, t, z):
+    return ladder_mod.lowering_residual(n, z, ortho, lad)
 
 
-def _chk_raise(ev, n, t, z):
-    ortho, lad = ev.states(t)
-    res = ladder_mod.raising_residual(n, z, ortho, lad)
-    return res, mp.mpf(1)
+def _chk_raise(ev, ortho, lad, n, t, z):
+    return ladder_mod.raising_residual(n, z, ortho, lad)
 
 
-def _chk_a_form(ev, n, t, z):
-    ortho, lad = ev.states(t)
+def _chk_a_form(ev, ortho, lad, n, t, z):
     ar = ladder_mod.A_rational(n, z, ortho, lad)
-    ai = ev.a_int(t, n, z)
-    return abs(ar - ai) / (1 + abs(ar)), abs(ar)
+    return abs(ar - ev.a_int(t, n, z)) / (1 + abs(ar))
 
 
-def _chk_b_form(ev, n, t, z):
-    ortho, lad = ev.states(t)
+def _chk_b_form(ev, ortho, lad, n, t, z):
     br = ladder_mod.B_rational(n, z, ortho, lad)
-    bi = ev.b_int(t, n, z)
-    return abs(br - bi) / (1 + abs(br)), abs(br)
+    return abs(br - ev.b_int(t, n, z)) / (1 + abs(br))
 
 
-def _chk_beta_routes(ev, n, t, z):
-    ortho, _ = ev.states(t)
+def _chk_beta_routes(ev, ortho, lad, n, t, z):
     beta_n = ortho.beta[n]
-    diff = ortho.p_sub[n] - ortho.p_sub[n + 1]
-    return abs(beta_n - diff) / beta_n, beta_n
+    return abs(beta_n - (ortho.p_sub[n] - ortho.p_sub[n + 1])) / beta_n
 
 
-def _chk_tele_beta(ev, n, t, z):
-    ortho, _ = ev.states(t)
+def _chk_tele_beta(ev, ortho, lad, n, t, z):
     total = mp.fsum(ortho.beta[j] for j in range(n))
-    return abs(total + ortho.p_sub[n]) / total if total > 0 else abs(ortho.p_sub[n]), total
+    return abs(total + ortho.p_sub[n]) / total if total > 0 else abs(ortho.p_sub[n])
 
 
-def _chk_dlnh(ev, n, t, z):
-    lnh, h, (_, lad) = ev.stencil_values(t, lambda ortho, _: mp.log(ortho.h[n]))
-    d_h, d_h2 = ev.fd1(lnh, h)
-    rhs = -lad.R[n]
-    return _dual_residual((2 * t * d_h, rhs), (2 * t * d_h2, rhs))
+def _chk_dlnh(ev, ortho, lad, n, t, z):
+    return [(2 * t * d1, -lad.R[n])
+            for _, d1, _ in _differences(ev, t, lambda o, _: mp.log(o.h[n]))]
 
 
-def _chk_dbeta(ev, n, t, z):
-    betas, h, (_, lad) = ev.stencil_values(t, lambda ortho, _: ortho.beta[n])
-    d_h, d_h2 = ev.fd1(betas, h)
-    rhs = betas[0] * (lad.R[n - 1] - lad.R[n])
-    return _dual_residual((2 * t * d_h, rhs), (2 * t * d_h2, rhs))
+def _chk_dbeta(ev, ortho, lad, n, t, z):
+    rhs = ortho.beta[n] * (lad.R[n - 1] - lad.R[n])
+    return [(2 * t * d1, rhs) for _, d1, _ in _differences(ev, t, lambda o, _: o.beta[n])]
 
 
-def _chk_dp(ev, n, t, z):
-    ps, h, (ortho, lad) = ev.stencil_values(t, lambda ortho, _: ortho.p_sub[n])
-    d_h, d_h2 = ev.fd1(ps, h)
+def _chk_dp(ev, ortho, lad, n, t, z):
     rhs = lad.r[n] - ortho.beta[n] * lad.R[n]
-    return _dual_residual((2 * t * d_h, rhs), (2 * t * d_h2, rhs))
+    return [(2 * t * d1, rhs) for _, d1, _ in _differences(ev, t, lambda o, _: o.p_sub[n])]
 
 
-def _chk_c_s1_b(ev, n, t, z):
-    _, lad = ev.states(t)
+def _chk_c_s1_b(ev, ortho, lad, n, t, z):
     return _nres(lad.b[n + 1] + lad.b[n], lad.a[n] - 2 * ev.params.alpha)
 
 
-def _chk_c_s1_r(ev, n, t, z):
-    _, lad = ev.states(t)
+def _chk_c_s1_r(ev, ortho, lad, n, t, z):
     return _nres(lad.r[n + 1] + lad.r[n], ev.params.k2 * lad.R[n] + 2 * t)
 
 
-def _chk_c_s2_b(ev, n, t, z):
-    ortho, lad = ev.states(t)
+def _chk_c_s2_b(ev, ortho, lad, n, t, z):
     return _nres(lad.b[n + 1] - lad.b[n],
                  ortho.beta[n + 1] * lad.a[n + 1] - ortho.beta[n] * lad.a[n - 1])
 
 
-def _chk_c_s2_r(ev, n, t, z):
-    ortho, lad = ev.states(t)
+def _chk_c_s2_r(ev, ortho, lad, n, t, z):
     return _nres(lad.r[n + 1] - lad.r[n],
                  ortho.beta[n + 1] * lad.R[n + 1] - ortho.beta[n] * lad.R[n - 1])
 
 
-def _chk_c_s2_mix(ev, n, t, z):
-    ortho, lad = ev.states(t)
+def _chk_c_s2_mix(ev, ortho, lad, n, t, z):
     k2 = ev.params.k2
     s = _s_of(n, ev.params)
     lhs = lad.r[n + 1] - lad.r[n] + (k2 - 1) * (lad.b[n + 1] - lad.b[n]) - k2
@@ -325,8 +302,7 @@ def _chk_c_s2_mix(ev, n, t, z):
     return _nres(lhs, rhs)
 
 
-def _chk_yj3(ev, n, t, z):
-    ortho, lad = ev.states(t)
+def _chk_yj3(ev, ortho, lad, n, t, z):
     s = _s_of(n, ev.params)
     lhs = lad.b[n + 1] - lad.b[n]
     rhs = (ortho.beta[n] * (lad.R[n - 1] + s - 2)
@@ -334,47 +310,40 @@ def _chk_yj3(ev, n, t, z):
     return _nres(lhs, rhs)
 
 
-def _chk_yj4(ev, n, t, z):
-    _, lad = ev.states(t)
+def _chk_yj4(ev, ortho, lad, n, t, z):
     return _nres(lad.a[n], lad.R[n] + _s_of(n, ev.params))
 
 
-def _chk_tele_sum(ev, n, t, z):
-    ortho, lad = ev.states(t)
+def _chk_tele_sum(ev, ortho, lad, n, t, z):
     k2 = ev.params.k2
     lhs = lad.r[n] + (k2 - 1) * lad.b[n] - n * k2
     rhs = -ortho.beta[n] * _s_of(n, ev.params) + 2 * ortho.p_sub[n]
     return _nres(lhs, rhs)
 
 
-def _chk_q1(ev, n, t, z):
-    ortho, lad = ev.states(t)
+def _chk_q1(ev, ortho, lad, n, t, z):
     return _nres(lad.b[n] ** 2 + 2 * ev.params.alpha * lad.b[n],
                  ortho.beta[n] * lad.a[n] * lad.a[n - 1])
 
 
-def _chk_q2(ev, n, t, z):
-    ortho, lad = ev.states(t)
+def _chk_q2(ev, ortho, lad, n, t, z):
     return _nres(lad.r[n] ** 2 - 2 * t * lad.r[n],
                  ev.params.k2 * ortho.beta[n] * lad.R[n] * lad.R[n - 1])
 
 
-def _chk_q3(ev, n, t, z):
-    _, lad = ev.states(t)
+def _chk_q3(ev, ortho, lad, n, t, z):
     lhs = (lad.b[n] ** 2 - 2 * n * (lad.b[n] + ev.params.alpha)
            + mp.fsum(lad.a[j] for j in range(n)))
     return _nres(lhs, mp.mpf(0))
 
 
-def _chk_q4(ev, n, t, z):
-    ortho, lad = ev.states(t)
+def _chk_q4(ev, ortho, lad, n, t, z):
     lhs = 2 * lad.b[n] * (lad.r[n] - t) + 2 * ev.params.alpha * lad.r[n]
     rhs = ortho.beta[n] * (lad.a[n] * lad.R[n - 1] + lad.a[n - 1] * lad.R[n])
     return _nres(lhs, rhs)
 
 
-def _chk_q5(ev, n, t, z):
-    ortho, lad = ev.states(t)
+def _chk_q5(ev, ortho, lad, n, t, z):
     k2 = ev.params.k2
     bn = lad.b[n]
     lhs = (k2 * (bn - n) ** 2 - 2 * t * (bn - n) + 2 * lad.r[n] * (bn - n)
@@ -383,8 +352,7 @@ def _chk_q5(ev, n, t, z):
     return _nres(lhs, rhs)
 
 
-def _chk_q6(ev, n, t, z):
-    ortho, lad = ev.states(t)
+def _chk_q6(ev, ortho, lad, n, t, z):
     k2 = ev.params.k2
     alpha = ev.params.alpha
     bn = lad.b[n]
@@ -394,8 +362,7 @@ def _chk_q6(ev, n, t, z):
     return _nres(lhs, rhs)
 
 
-def _chk_q7(ev, n, t, z):
-    ortho, lad = ev.states(t)
+def _chk_q7(ev, ortho, lad, n, t, z):
     k2 = ev.params.k2
     lhs = (lad.r[n] ** 2 - 2 * t * lad.r[n]
            + 2 * k2 * (lad.b[n] - n) * (lad.r[n] - t))
@@ -403,14 +370,12 @@ def _chk_q7(ev, n, t, z):
     return _nres(lhs, rhs)
 
 
-def _chk_qp3(ev, n, t, z):
-    _, lad = ev.states(t)
+def _chk_qp3(ev, ortho, lad, n, t, z):
     lhs = lad.b[n] ** 2 + 2 * ev.params.alpha * lad.b[n]
     return _nres(lhs, mp.fsum(lad.a[j] for j in range(n)))
 
 
-def _chk_qp4(ev, n, t, z):
-    ortho, lad = ev.states(t)
+def _chk_qp4(ev, ortho, lad, n, t, z):
     alpha = ev.params.alpha
     lhs = 2 * lad.b[n] * lad.r[n] + 2 * alpha * lad.r[n] - 2 * alpha * t * lad.b[n]
     rhs = ev.params.k2 * ortho.beta[n] * (
@@ -418,8 +383,7 @@ def _chk_qp4(ev, n, t, z):
     return _nres(lhs, rhs)
 
 
-def _chk_qp5(ev, n, t, z):
-    ortho, lad = ev.states(t)
+def _chk_qp5(ev, ortho, lad, n, t, z):
     k2 = ev.params.k2
     alpha = ev.params.alpha
     bn = lad.b[n]
@@ -429,23 +393,20 @@ def _chk_qp5(ev, n, t, z):
     return _nres(lhs, rhs)
 
 
-def _chk_qp6(ev, n, t, z):
-    ortho, lad = ev.states(t)
+def _chk_qp6(ev, ortho, lad, n, t, z):
     alpha = ev.params.alpha
     lhs = 2 * (lad.b[n] + alpha) * (lad.b[n] - n)
     rhs = ortho.beta[n] * (lad.a[n - 1] * lad.R[n] + lad.a[n] * lad.R[n - 1])
     return _nres(lhs, rhs)
 
 
-def _chk_mutex(ev, n, t, z):
+def _chk_mutex(ev, ortho, lad, n, t, z):
     # Q3 and QP3 jointly force this product to vanish; measured, not asserted
-    _, lad = ev.states(t)
     val = (lad.b[n] + ev.params.alpha) * (lad.b[n] - n)
     return _nres(val, mp.mpf(0))
 
 
-def _chk_zhu232(ev, n, t, z):
-    ortho, lad = ev.states(t)
+def _chk_zhu232(ev, ortho, lad, n, t, z):
     k2 = ev.params.k2
     alpha = ev.params.alpha
     s = _s_of(n, ev.params)
@@ -456,67 +417,48 @@ def _chk_zhu232(ev, n, t, z):
     return _nres(lhs, mp.mpf(0))
 
 
-def _chk_beta_expr(ev, n, t, z):
-    ortho, lad = ev.states(t)
+def _chk_beta_expr(ev, ortho, lad, n, t, z):
     return _nres(ortho.beta[n], beta_expr(ev.params, n, t, lad.R[n], lad.r[n]))
 
 
-def _chk_ric_r(ev, n, t, z):
-    rvals, h, (_, lad) = ev.stencil_values(t, lambda _, lad: lad.r[n])
-    d_h, d_h2 = ev.fd1(rvals, h)
+def _chk_ric_r(ev, ortho, lad, n, t, z):
     rhs = _ric_r_rhs(ev.params, n, t, lad.r[n], lad.R[n])
     k2t2 = 2 * ev.params.k2 * t
-    return _dual_residual((k2t2 * d_h, rhs), (k2t2 * d_h2, rhs))
+    return [(k2t2 * d1, rhs) for _, d1, _ in _differences(ev, t, lambda _, lad: lad.r[n])]
 
 
-def _chk_ric_bigr(ev, n, t, z):
-    Rvals, h, (_, lad) = ev.stencil_values(t, lambda _, lad: lad.R[n])
-    d_h, d_h2 = ev.fd1(Rvals, h)
+def _chk_ric_bigr(ev, ortho, lad, n, t, z):
     rhs = _ric_bigr_rhs(ev.params, n, t, lad.r[n], lad.R[n])
     k2t2 = 2 * ev.params.k2 * t
-    return _dual_residual((k2t2 * d_h, rhs), (k2t2 * d_h2, rhs))
+    return [(k2t2 * d1, rhs) for _, d1, _ in _differences(ev, t, lambda _, lad: lad.R[n])]
 
 
-def _factor_values(ev, n, t):
+def _factor_values(ev, lad, n, t):
     """Both bracketed factors of the product equation, at step h."""
-    Rvals, h, (_, lad) = ev.stencil_values(t, lambda _, lad: lad.R[n])
-    d_h, _ = ev.fd1(Rvals, h)
-    return factor_pair(ev.params, n, t, Rvals[0], lad.r[n], d_h)
+    (R, d1, _), _ = _differences(ev, t, lambda _, lad: lad.R[n])
+    return factor_pair(ev.params, n, t, R, lad.r[n], d1)
 
 
-def _chk_factor_prod(ev, n, t, z):
-    f1, f2 = _factor_values(ev, n, t)
-    return _nres(f1 * f2, mp.mpf(0))
+def _chk_factor_prod(ev, ortho, lad, n, t, z):
+    f1, f2 = _factor_values(ev, lad, n, t)
+    return [(f1 * f2, mp.mpf(0))]
 
 
-def _chk_ode_rn(ev, n, t, z):
-    Rvals, h, _ = ev.stencil_values(t, lambda _, lad: lad.R[n])
-    d1_h, d1_h2 = ev.fd1(Rvals, h)
-    d2_h, d2_h2 = ev.fd2(Rvals, h)
-    R = Rvals[0]
-    v_h = ode_rn(ev.params, n, t, R, d1_h, d2_h)
-    v_h2 = ode_rn(ev.params, n, t, R, d1_h2, d2_h2)
-    return _dual_residual((v_h, mp.mpf(0)), (v_h2, mp.mpf(0)))
-
-
-def _pv_sides(params, n, t, lo, mid, hi, h):
-    """(Phi'', PV right-hand side) from Phi at t - h, t, t + h; step h differences."""
-    d1 = (hi - lo) / (2 * h)
-    d2 = (hi - 2 * mid + lo) / (h * h)
-    return d2, pv_rhs(params, n, t, mid, d1)
+def _chk_ode_rn(ev, ortho, lad, n, t, z):
+    return [(ode_rn(ev.params, n, t, R, d1, d2), mp.mpf(0))
+            for R, d1, d2 in _differences(ev, t, lambda _, lad: lad.R[n])]
 
 
 def pv_residual(params, n, t, lo, mid, hi, h):
     """Painleve V residual of Phi at t from Phi at t - h, t, t + h, as PV_PHI forms it."""
-    return _nres(*_pv_sides(params, n, t, lo, mid, hi, h))[0]
+    d1, d2 = central_differences(lo, mid, hi, h)
+    return _nres(d2, pv_rhs(params, n, t, mid, d1))
 
 
-def _chk_pv_phi(ev, n, t, z):
+def _chk_pv_phi(ev, ortho, lad, n, t, z):
     s = _s_of(n, ev.params)
-    phis, h, _ = ev.stencil_values(t, lambda _, lad: phi_of(lad.R[n], s))
-    # the h/2 stencil repeats the h formulas exactly: 2*(h/2) = h, (h/2)^2 = h^2/4
-    return _dual_residual(_pv_sides(ev.params, n, t, phis[-2], phis[0], phis[2], h),
-                          _pv_sides(ev.params, n, t, phis[-1], phis[0], phis[1], h / 2))
+    return [(d2, pv_rhs(ev.params, n, t, phi, d1))
+            for phi, d1, d2 in _differences(ev, t, lambda _, lad: phi_of(lad.R[n], s))]
 
 
 # ----------------------------------------------------------------------
@@ -532,9 +474,9 @@ class CheckDef:
     shift: int = 0  # largest index above n referenced (n+1 -> 1)
     needs_k2: bool = False
     required_tol: float = None
-    ratio_band: tuple = None
 
 
+#: the step-halving ratio band of the REQUIRED t-stencil checks
 _BAND = (3.0, 5.0)
 
 REGISTRY = {
@@ -557,13 +499,13 @@ REGISTRY = {
     IdentityId.TELE_BETA: CheckDef(Tier.REQUIRED, _chk_tele_beta, min_n=1,
                                    required_tol=None),
     IdentityId.DLNH: CheckDef(Tier.REQUIRED, _chk_dlnh, stencil=True,
-                              required_tol=1e-10, ratio_band=_BAND),
+                              required_tol=1e-10),
     IdentityId.DBETA: CheckDef(Tier.REQUIRED, _chk_dbeta, stencil=True, min_n=1,
-                               required_tol=1e-10, ratio_band=_BAND),
+                               required_tol=1e-10),
     # p(n) is identically 0 below n = 2, so the t-derivative statement
     # carries content only from n = 2 on
     IdentityId.DP: CheckDef(Tier.REQUIRED, _chk_dp, stencil=True, min_n=2,
-                            required_tol=1e-10, ratio_band=_BAND),
+                            required_tol=1e-10),
     IdentityId.C_S1_B: CheckDef(Tier.DIAGNOSTIC, _chk_c_s1_b, shift=1),
     IdentityId.C_S1_R: CheckDef(Tier.DIAGNOSTIC, _chk_c_s1_r, shift=1),
     IdentityId.C_S2_B: CheckDef(Tier.DIAGNOSTIC, _chk_c_s2_b, min_n=1, shift=1),
@@ -614,24 +556,24 @@ def _required_tol(identity: IdentityId, ctx: PrecisionContext):
 
 
 def _run_one(ev: Evaluator, identity: IdentityId, n: int, t, z):
+    """The row of ``identity`` at (n, t, z): its body gets the states at t,
+    and the residuals, the halving ratio and the pass rule are formed here."""
     d = REGISTRY[identity]
-    params = ev.params
-    out = d.fn(ev, n, t, z)
+    out = d.fn(ev, *ev.states(t), n, t, z)
     ratio = None
-    if len(out) == 3:
-        residual, scale, ratio = out
+    if d.stencil:
+        residual, *halved = (_nres(lhs, rhs) for lhs, rhs in out)
+        if halved and halved[0] > 0:
+            ratio = residual / halved[0]
     else:
-        residual, scale = out
+        residual = out
     passed = None
     if d.tier is Tier.REQUIRED:
-        tol = _required_tol(identity, ev.ctx)
-        passed = bool(residual <= tol)
-        if d.ratio_band is not None and ratio is not None:
-            passed = passed and (d.ratio_band[0] <= ratio <= d.ratio_band[1])
-    return IdentityReport(
-        id=identity, tier=d.tier, n=n, t=t, z=z,
-        lhs_scale=scale, residual=residual, passed=passed,
-        halving_ratio=ratio)
+        passed = bool(residual <= _required_tol(identity, ev.ctx))
+        if d.stencil and ratio is not None:
+            passed = passed and _BAND[0] <= ratio <= _BAND[1]
+    return IdentityReport(id=identity, tier=d.tier, n=n, t=t, z=z,
+                          residual=residual, passed=passed, halving_ratio=ratio)
 
 
 def suite_ids(suite: str):
@@ -642,12 +584,15 @@ def suite_ids(suite: str):
     return tuple(i for i, d in REGISTRY.items() if suite in ("all", d.tier.value))
 
 
-def _times(t_grid):
-    """The t values at the current precision; one negative t refuses the
-    whole call."""
+def _times(params: ModelParams, t_grid):
+    """The t values at the current precision; one negative t (NegativeT), or
+    one where the ladder integrals do not exist (LadderIneligible), refuses
+    the whole call."""
     t_grid = tuple(mp.mpf(t) for t in t_grid)
     if any(t < 0 for t in t_grid):
         raise NegativeT("t must be >= 0")
+    for t in t_grid:
+        ladder_mod.require_eligible(dataclasses.replace(params, t=t))
     return t_grid
 
 
@@ -677,8 +622,8 @@ def _refusal(identity: IdentityId, params: ModelParams, n: int, t, z=None,
 
 def _admitted(identity: IdentityId, params: ModelParams, n: int, t, z=None):
     """t at the current precision once ``identity`` may run at (n, t, z);
-    raises NegativeT or the ``_refusal`` error otherwise."""
-    (t,) = _times((t,))
+    raises NegativeT, LadderIneligible or the ``_refusal`` error otherwise."""
+    (t,) = _times(params, (t,))
     refusal = _refusal(identity, params, n, t, z)
     if refusal is not None:
         raise refusal
@@ -689,7 +634,9 @@ def check(identity: IdentityId, params: ModelParams, ctx: PrecisionContext,
           n: int, t, z=None) -> IdentityReport:
     """Evaluate one identity at (n, t[, z]) with a fresh ``Evaluator``.
 
-    Raises NegativeT for t < 0 and otherwise the error of ``_refusal``:
+    Raises NegativeT for t < 0, LadderIneligible where the ladder
+    integrals do not exist (alpha = 0, or t = 0 with k2 >= 0), and
+    otherwise the error of ``_refusal``:
     IndexError when n is outside the identity's index range,
     SingularParams for the 1/k2 family at k2 = 0, ParameterError for a
     missing z or a t-stencil identity at t <= 2h.
@@ -705,7 +652,9 @@ def check_suite(params: ModelParams, ctx: PrecisionContext, n_set, t_grid,
                 z_samples=None, suite: str = "all"):
     """Cartesian product of the suite's checks; deterministic (id, n, t, z) order.
 
-    A t grid that reaches t < 0 raises NegativeT before any check runs.
+    A t grid that reaches t < 0 raises NegativeT, and one with a point where
+    the ladder integrals do not exist (alpha = 0, or t = 0 with k2 >= 0)
+    raises LadderIneligible, before any check runs.
     Each (identity, n, t, z) is admitted by the rule ``check`` applies
     (``_refusal``): a degree outside the identity's range writes no row,
     and any other refusal writes a SKIPPED row carrying its message.  On a
@@ -716,7 +665,7 @@ def check_suite(params: ModelParams, ctx: PrecisionContext, n_set, t_grid,
     """
     ids = suite_ids(suite)
     with mp.workprec(params.work_bits):
-        t_grid = _times(t_grid)
+        t_grid = _times(params, t_grid)
         if z_samples is None:
             z_samples = sample_points(params)
         else:
@@ -757,7 +706,8 @@ def factor_split(params: ModelParams, ctx: PrecisionContext, n: int, t):
     """
     with mp.workprec(params.work_bits):
         t = _admitted(IdentityId.FACTOR_PROD, params, n, t)
-        return _factor_values(Evaluator(params, ctx), n, t)
+        ev = Evaluator(params, ctx)
+        return _factor_values(ev, ev.states(t)[1], n, t)
 
 
 def summarize(reports, ctx: PrecisionContext):

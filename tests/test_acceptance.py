@@ -25,7 +25,8 @@ import pv5lab
 from pv5lab import report as report_mod
 from pv5lab.cli import run as cli_run
 from pv5lab.ode import riccati_rhs
-from pv5lab.verify import REGISTRY, Evaluator, IdentityId, stencil_step
+from pv5lab.verify import (REGISTRY, Evaluator, IdentityId, central_differences,
+                           stencil_step)
 
 I = IdentityId
 
@@ -171,7 +172,7 @@ def _stencil_phi(params, n, t):
         st = ev.stencil(t)
         s = 2 * n + 2 * params.alpha + 1
         phis = {o: (st[o][1].R[n] + s) / s for o in st}
-        phi_pp, _ = ev.fd2(phis, stencil_step(t))
+        _, phi_pp = central_differences(phis[-2], phis[0], phis[2], stencil_step(t))
         return phis[0], phi_pp
 
 

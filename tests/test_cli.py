@@ -169,6 +169,42 @@ def test_log_grid_requires_positive_start(capsys):
     assert code == 2
 
 
+def _no_quadrature(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a weight table was built")
+    monkeypatch.setattr(pv5lab.quadrature.WeightTable, "__init__", refuse)
+
+
+def test_log_grid_refuses_stop_at_or_below_zero(capsys, monkeypatch):
+    # --t-stop -0.5 used to die in mp.mpf on a complex grid ratio (a
+    # TypeError traceback, exit 1); --t-stop 0 ran the grid (0.5, 0, 0) and
+    # exited 1 with required_pass=False
+    _no_quadrature(monkeypatch)
+    for command, extra in (("verify", ()), ("pv-residual", ("--n", "1"))):
+        for stop in ("-0.5", "0"):
+            code, _, err = _run(capsys, command, *extra, "--alpha", "1", "--k2", "-0.5",
+                                "--t-start", "0.5", "--t-stop", stop, "--t-count", "3",
+                                "--t-spacing", "log", "--n-max", "2", "--bits", "128",
+                                "--rel-tol", "1e-18")
+            assert code == 2, (command, stop)
+            assert "t stop > 0" in err
+
+
+def test_verify_refuses_ladder_ineligible_params(capsys, monkeypatch):
+    # alpha = 0, or a grid point t = 0 with k2 >= 0, used to write every row
+    # as "ERROR: LadderIneligible" and exit 1, where ladder exits 2
+    _no_quadrature(monkeypatch)
+    argv = ["verify", "--suite", "required", "--n-max", "2", "--bits", "128",
+            "--rel-tol", "1e-18", "--z-count", "2"]
+    for case in (("--alpha", "0", "--k2", "0.25", "--t", "0.5"),
+                 ("--alpha", "1", "--k2", "0.25", "--t", "0"),
+                 ("--alpha", "1", "--k2", "0", "--t-start", "0", "--t-stop", "1",
+                  "--t-count", "3", "--t-spacing", "linear")):
+        code, _, err = _run(capsys, *argv, *case)
+        assert code == 2, case
+        assert "ladder quantities need alpha > 0, and k2 < 0 at t = 0" in err
+
+
 def test_pv5_threads_validation(capsys, monkeypatch):
     monkeypatch.setenv("PV5_THREADS", "zero")
     code, _, err = _run(capsys, "moments", "--alpha", "0", "--k2", "-1",

@@ -117,10 +117,6 @@ def test_p_sub_matches_direct_coefficient_extraction(gap_state):
         assert abs(p_direct - gap_state.p_sub[n]) < mp.mpf("1e-40")
 
 
-def test_symmetry_diagnostic_tiny(gap_state):
-    assert gap_state.symmetry_diag < mp.mpf("1e-40")
-
-
 def test_build_no_convergence_at_low_cap():
     p = pv5lab.validate(1, 0.25, 0.5, 256, 4)
     ctx = pv5lab.PrecisionContext(bits=256, rel_tol=1e-40, max_level=4)

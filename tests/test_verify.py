@@ -1,11 +1,14 @@
 """Identity registry: required checks, diagnostics, suite mechanics."""
 
+import dataclasses
+
 import pytest
 from mpmath import mp
 
 import pv5lab
-from pv5lab.errors import ParameterError, SingularParams
-from pv5lab.verify import REGISTRY, IdentityId, Tier, sample_points
+from pv5lab.errors import LadderIneligible, ParameterError, SingularParams
+from pv5lab.quadrature import WeightTable
+from pv5lab.verify import REGISTRY, IdentityId, Tier, _run_one, sample_points
 
 I = IdentityId
 
@@ -210,8 +213,8 @@ def test_pair_elimination_consistent_with_second_order_equation(vp, vctx):
                         + 2 * s * to - 2 * k2 * to * slopes[o]) / (2 * (s + R[o]))
 
             r_prime = (r_elim(1) - r_elim(-1)) / h
-            elim_res, _ = _nres(2 * k2 * t * r_prime,
-                                _ric_r_rhs(vp, n, t, r_elim(0), R[0]))
+            elim_res = _nres(2 * k2 * t * r_prime,
+                             _ric_r_rhs(vp, n, t, r_elim(0), R[0]))
             ode_res = pv5lab.check(I.ODE_RN, vp, vctx, n, t).residual
             ratio = elim_res / ode_res
             assert mp.mpf("0.01") <= ratio <= mp.mpf(100), (n, mp.nstr(ratio, 5))
@@ -241,3 +244,67 @@ def test_suite_refuses_a_t_grid_below_zero(vp, vctx):
     with pytest.raises(ParameterError, match="t must be >= 0"):
         pv5lab.check_suite(vp, vctx, [1], ["0.5", "-0.5"], z_samples=["0.8"],
                            suite="required")
+
+
+def test_suite_refuses_ladder_ineligible_params(vctx, monkeypatch):
+    """alpha = 0, or a t = 0 with k2 >= 0, has no ladder integrals:
+    check_suite and check raise LadderIneligible before any table is built,
+    instead of writing an ERROR row per check."""
+    def no_table(*args, **kwargs):
+        raise AssertionError("a weight table was built")
+
+    monkeypatch.setattr(WeightTable, "__init__", no_table)
+    for (alpha, k2), grid, bad_t in (((0, "0.25"), ["0.5"], "0.5"),
+                                     ((1, "0.25"), ["0.5", "0"], "0"),
+                                     ((1, "0"), ["0", "0.5"], "0")):
+        params = pv5lab.validate(alpha, k2, 0.5, 192, 2)
+        with pytest.raises(LadderIneligible):
+            pv5lab.check_suite(params, vctx, [1], grid, z_samples=["0.8"],
+                               suite="required")
+        with pytest.raises(LadderIneligible):
+            pv5lab.check(I.Q1, params, vctx, 1, bad_t)
+
+
+class _NoStates:
+    """An Evaluator stand-in for stub bodies, which read no state."""
+
+    def __init__(self, ctx):
+        self.ctx = ctx
+
+    def states(self, t):
+        return None, None
+
+
+def _stub_row(monkeypatch, ctx, identity, out):
+    """The row _run_one writes for ``identity`` when its body returns ``out``."""
+    stub = dataclasses.replace(REGISTRY[identity], fn=lambda *args: out)
+    monkeypatch.setitem(REGISTRY, identity, stub)
+    return _run_one(_NoStates(ctx), identity, 1, mp.mpf("0.5"), None)
+
+
+def test_run_one_owns_the_pass_rule(monkeypatch, vctx):
+    """_run_one alone forms the residuals, the halving ratio and the pass
+    rule, from the (lhs, rhs) pairs a stencil body returns."""
+    tiny = mp.mpf("1e-12")  # residual tiny / (1 + tiny), within DLNH's 1e-10
+    clean = _stub_row(monkeypatch, vctx, I.DLNH, [(tiny, 0), (tiny / 4, 0)])
+    assert clean.passed is True and 3.9 < clean.halving_ratio < 4.1
+    assert clean.residual == tiny / (1 + tiny)
+    # within tolerance, but a ratio outside [3, 5] fails a REQUIRED stencil row
+    for quarter in (tiny / 2, tiny / 8):
+        row = _stub_row(monkeypatch, vctx, I.DLNH, [(tiny, 0), (quarter, 0)])
+        assert row.residual < mp.mpf("1e-10") and row.passed is False
+    # a DIAGNOSTIC stencil row keeps passed = None, whatever its ratio
+    row = _stub_row(monkeypatch, vctx, I.RIC_R, [(tiny, 0), (tiny / 2, 0)])
+    assert row.passed is None and 1.9 < row.halving_ratio < 2.1
+    # FACTOR_PROD is differenced at step h only: no ratio
+    row = _stub_row(monkeypatch, vctx, I.FACTOR_PROD, [(tiny, 0)])
+    assert row.halving_ratio is None and row.residual == tiny / (1 + tiny)
+    # a zero residual at h/2 reports no ratio, and the tolerance alone decides
+    row = _stub_row(monkeypatch, vctx, I.DLNH, [(tiny, 0), (mp.mpf(1), mp.mpf(1))])
+    assert row.halving_ratio is None and row.passed is True
+    # a body off the stencil returns its residual, which the row keeps as is;
+    # its tolerance (LOWER_FUNC: 1e-20) alone decides
+    for residual, passed in ((mp.mpf("1e-25"), True), (tiny, False)):
+        row = _stub_row(monkeypatch, vctx, I.LOWER_FUNC, residual)
+        assert row.residual is residual and row.halving_ratio is None
+        assert row.passed is passed
