@@ -31,8 +31,15 @@ y >= 0 only, so they integrate P_n^2 against the even part in y of dd(z, y)
 and P_n P_{n-1} against its odd part (``WeightTable.dd``).  r_0 = b_0 = 0
 (their integrands contain P_{-1}).
 
-``state_at`` is the one way to the states at a time t; the caches of
-``orthopoly.build`` and ``compute`` share them between its callers.
+``point_values`` evaluates the rational route at one z for every degree:
+one pole test, one recurrence pass for P_n(z) and P_n'(z), and each
+rational form once.  The lowering and raising residuals are methods of
+its ``PointValues``; ``A_rational``, ``B_rational`` and the one-degree
+residual functions read the same formulas.
+
+``state_at`` is the one way to the states at a time t, and refuses
+ladder-ineligible parameters before any quadrature; the caches of
+``orthopoly.build`` and ``compute`` share the states between its callers.
 """
 
 from __future__ import annotations
@@ -46,8 +53,8 @@ from mpmath import mp
 from . import orthopoly
 from .equations import s_of
 from .errors import LadderIneligible, NoConvergence
-from .model import ModelParams, _pole_basis, v_prime
-from .orthopoly import OrthoState, eval_monic, eval_monic_derivative
+from .model import ModelParams, _pole_basis, _v_prime_from, v_prime
+from .orthopoly import OrthoState, monic_values
 from .quadrature import PrecisionContext
 
 
@@ -123,33 +130,43 @@ def compute(state: OrthoState, ctx: PrecisionContext) -> LadderState:
 
 
 def state_at(params: ModelParams, ctx: PrecisionContext, t):
-    """(OrthoState, LadderState) of ``params`` at t, read at the working precision."""
+    """(OrthoState, LadderState) of ``params`` at t, read at the working
+    precision; raises LadderIneligible before any quadrature where the
+    ladder integrals do not exist."""
     with mp.workprec(params.work_bits):
-        ortho = orthopoly.build(dataclasses.replace(params, t=mp.mpf(t)), ctx)
+        params = dataclasses.replace(params, t=mp.mpf(t))
+        require_eligible(params)
+        ortho = orthopoly.build(params, ctx)
     return ortho, compute(ortho, ctx)
+
+
+def _a_form(n, z, om2, zk2, params, lad):
+    return (lad.a[n] / om2
+            + (lad.a[n] - s_of(n, params)) / zk2
+            + params.k2 * lad.R[n] / (zk2 * zk2))
+
+
+def _b_form(n, z, om2, zk2, params, lad):
+    return (z * lad.b[n] / om2
+            + z * (lad.b[n] - n) / zk2
+            + z * lad.r[n] / (zk2 * zk2))
+
+
+def _rational(form, n, z, ortho, lad):
+    params = ortho.params
+    with mp.workprec(params.work_bits):
+        z = mp.mpf(z)
+        return form(n, z, *_pole_basis(z, params), params, lad)
 
 
 def A_rational(n: int, z, ortho: OrthoState, lad: LadderState):
     """Three-pole rational form of A_n(z)."""
-    params = ortho.params
-    with mp.workprec(params.work_bits):
-        z = mp.mpf(z)
-        om2, zk2 = _pole_basis(z, params)
-        s = s_of(n, params)
-        return (lad.a[n] / om2
-                + (lad.a[n] - s) / zk2
-                + params.k2 * lad.R[n] / (zk2 * zk2))
+    return _rational(_a_form, n, z, ortho, lad)
 
 
 def B_rational(n: int, z, ortho: OrthoState, lad: LadderState):
     """Three-pole rational form of B_n(z); identically 0 at n = 0."""
-    params = ortho.params
-    with mp.workprec(params.work_bits):
-        z = mp.mpf(z)
-        om2, zk2 = _pole_basis(z, params)
-        return (z * lad.b[n] / om2
-                + z * (lad.b[n] - n) / zk2
-                + z * lad.r[n] / (zk2 * zk2))
+    return _rational(_b_form, n, z, ortho, lad)
 
 
 def A_integral(n: int, z, ortho: OrthoState, ctx: PrecisionContext):
@@ -178,25 +195,65 @@ def B_integral(n: int, z, ortho: OrthoState, ctx: PrecisionContext):
         return val / ortho.h[n - 1]
 
 
-def lowering_residual(n: int, z, ortho: OrthoState, lad: LadderState):
-    """|P_n' + B_n P_n - beta_n A_n P_{n-1}| over the largest term, rational route."""
+@dataclass(eq=False)
+class PointValues:
+    """The rational-route values at one z, for 0 <= n <= n_max: v'(z),
+    P_n(z), P_n'(z) and the rational forms A_n(z), B_n(z)."""
+
+    ortho: OrthoState
+    vp: object
+    P: tuple
+    dP: tuple
+    A: tuple
+    B: tuple
+
+    def lowering_residual(self, n: int):
+        """|P_n' + B_n P_n - beta_n A_n P_{n-1}| over the largest term."""
+        _ladder_degree(self.ortho, n)
+        with mp.workprec(self.ortho.params.work_bits):
+            t1 = self.dP[n]
+            t2 = self.B[n] * self.P[n]
+            t3 = self.ortho.beta[n] * self.A[n] * self.P[n - 1]
+            scale = 1 + max(abs(t1), abs(t2), abs(t3))
+            return abs(t1 + t2 - t3) / scale
+
+    def raising_residual(self, n: int):
+        """|P_{n-1}' - (B_n + v') P_{n-1} + A_{n-1} P_n| over the largest term."""
+        _ladder_degree(self.ortho, n)
+        with mp.workprec(self.ortho.params.work_bits):
+            t1 = self.dP[n - 1]
+            t2 = (self.B[n] + self.vp) * self.P[n - 1]
+            t3 = self.A[n - 1] * self.P[n]
+            scale = 1 + max(abs(t1), abs(t2), abs(t3))
+            return abs(t1 - t2 + t3) / scale
+
+
+def _ladder_degree(ortho: OrthoState, n: int):
+    # the relations pair P_n with P_{n-1}
+    if not 1 <= n <= ortho.n_max:
+        raise IndexError(f"degree {n} outside [1, {ortho.n_max}]")
+
+
+def point_values(z, ortho: OrthoState, lad: LadderState) -> PointValues:
+    """``PointValues`` at z: one pole test, one recurrence pass, and each
+    rational form once per degree; raises PoleError where v'(z) does."""
     params = ortho.params
     with mp.workprec(params.work_bits):
         z = mp.mpf(z)
-        t1 = eval_monic_derivative(ortho, n, z)
-        t2 = B_rational(n, z, ortho, lad) * eval_monic(ortho, n, z)
-        t3 = ortho.beta[n] * A_rational(n, z, ortho, lad) * eval_monic(ortho, n - 1, z)
-        scale = 1 + max(abs(t1), abs(t2), abs(t3))
-        return abs(t1 + t2 - t3) / scale
+        om2, zk2 = _pole_basis(z, params)
+        P, dP = monic_values(ortho, z)
+        degrees = range(params.n_max + 1)
+        return PointValues(
+            ortho=ortho, vp=_v_prime_from(z, om2, zk2, params), P=P, dP=dP,
+            A=tuple(_a_form(n, z, om2, zk2, params, lad) for n in degrees),
+            B=tuple(_b_form(n, z, om2, zk2, params, lad) for n in degrees))
+
+
+def lowering_residual(n: int, z, ortho: OrthoState, lad: LadderState):
+    """``PointValues.lowering_residual`` at z, rational route."""
+    return point_values(z, ortho, lad).lowering_residual(n)
 
 
 def raising_residual(n: int, z, ortho: OrthoState, lad: LadderState):
-    """|P_{n-1}' - (B_n + v') P_{n-1} + A_{n-1} P_n| over the largest term."""
-    params = ortho.params
-    with mp.workprec(params.work_bits):
-        z = mp.mpf(z)
-        t1 = eval_monic_derivative(ortho, n - 1, z)
-        t2 = (B_rational(n, z, ortho, lad) + v_prime(z, params)) * eval_monic(ortho, n - 1, z)
-        t3 = A_rational(n - 1, z, ortho, lad) * eval_monic(ortho, n, z)
-        scale = 1 + max(abs(t1), abs(t2), abs(t3))
-        return abs(t1 - t2 + t3) / scale
+    """``PointValues.raising_residual`` at z, rational route."""
+    return point_values(z, ortho, lad).raising_residual(n)

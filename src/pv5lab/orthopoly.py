@@ -118,30 +118,38 @@ def build(params: ModelParams, ctx: PrecisionContext) -> OrthoState:
     return _build_cached(params, ctx)
 
 
-def eval_monic(state: OrthoState, n: int, z):
-    """P_n(z) by forward recurrence; leading coefficient exactly 1."""
-    if not 0 <= n <= state.n_max:
-        raise IndexError(f"degree {n} outside [0, {state.n_max}]")
-    with mp.workprec(state.params.work_bits):
-        z = mp.mpf(z)
-        pm1, p = mp.mpf(0), mp.mpf(1)
-        for j in range(n):
-            pm1, p = p, z * p - state.beta[j] * pm1
-        return p
-
-
-def eval_monic_derivative(state: OrthoState, n: int, z):
-    """P_n'(z) via the differentiated recurrence."""
-    if not 0 <= n <= state.n_max:
-        raise IndexError(f"degree {n} outside [0, {state.n_max}]")
+def monic_values(state: OrthoState, z, top=None):
+    """(P_0..P_top(z), P_0'..P_top'(z)), top defaulting to n_max, from one
+    pass of the forward recurrence and its derivative; leading coefficient
+    exactly 1."""
+    top = state.n_max if top is None else top
     with mp.workprec(state.params.work_bits):
         z = mp.mpf(z)
         pm1, p = mp.mpf(0), mp.mpf(1)
         dm1, d = mp.mpf(0), mp.mpf(0)
-        for j in range(n):
+        values, derivs = [p], [d]
+        for j in range(top):
             dm1, d = d, p + z * d - state.beta[j] * dm1
             pm1, p = p, z * p - state.beta[j] * pm1
-        return d
+            values.append(p)
+            derivs.append(d)
+        return tuple(values), tuple(derivs)
+
+
+def _degree(state: OrthoState, n: int):
+    if not 0 <= n <= state.n_max:
+        raise IndexError(f"degree {n} outside [0, {state.n_max}]")
+    return n
+
+
+def eval_monic(state: OrthoState, n: int, z):
+    """P_n(z) by forward recurrence (``monic_values``)."""
+    return monic_values(state, z, _degree(state, n))[0][n]
+
+
+def eval_monic_derivative(state: OrthoState, n: int, z):
+    """P_n'(z) via the differentiated recurrence (``monic_values``)."""
+    return monic_values(state, z, _degree(state, n))[1][n]
 
 
 def orthogonality_residual(state: OrthoState, ctx: PrecisionContext, m: int, n: int):

@@ -48,6 +48,7 @@ from operator import add, floordiv, lshift, mul, neg, rshift, sub
 from typing import NamedTuple
 
 from mpmath import mp
+from mpmath.libmp import mpf_cosh_sinh, round_nearest
 
 from .errors import NoConvergence, ParameterError, PrecisionExhausted
 from .model import (GUARD_BITS, ModelParams, Support, _gap, _v_prime_from,
@@ -122,14 +123,16 @@ def _ts_block(work_bits: int, level: int):
         step = 1 if level == 0 else 2
         while True:
             u = j * h
-            v = half_pi * mp.sinh(u)
+            # one call for both, which mp.cosh and mp.sinh would each make
+            cosh_u, sinh_u = map(mp.make_mpf, mpf_cosh_sinh(u._mpf_, mp.prec, round_nearest))
+            v = half_pi * sinh_u
             e2v = mp.exp(2 * v)
             one_minus_x = 2 / (e2v + 1)
             if one_minus_x < edge:
                 break
             one_plus_x = 2 / (1 + 1 / e2v)
             x = (e2v - 1) / (e2v + 1)
-            w = half_pi * mp.cosh(u) / mp.cosh(v) ** 2
+            w = half_pi * cosh_u / mp.cosh(v) ** 2
             nodes.append((x, one_minus_x, one_plus_x, w))
             j += step
     return tuple(nodes)
@@ -392,10 +395,10 @@ class WeightTable:
     (fixed point, registered by ``freeze(beta)``), the folded products
     cw*P_n^2 (``sq``) and cw*P_n*P_{n-1} (``adj``), the reciprocals
     (``inv``) and the mirror parts of the divided differences of v'
-    (``dd``).  An entry is made on first use over the levels built so far,
-    and ``_add_level`` extends every entry in creation order, so the rows
-    grow before the products read them.  Every integral is a sum of ``_dot`` products over these
-    arrays.
+    (``dd``, until ``release_dd`` drops them).  An entry is made on first
+    use over the levels built so far, and ``_add_level`` extends every
+    entry in creation order, so the rows grow before the products read
+    them.  Every integral is a sum of ``_dot`` products over these arrays.
 
     Edge cut.  When t > 0 and k2 >= 0 the stored interval (a, 1) has the gap
     edge a = rk (or a = 0 for k2 = 0) at its left end, where the weight
@@ -694,6 +697,14 @@ class WeightTable:
         self._cached(WeightTable._dd_mirror, z, vpz)  # made before its parts
         return (self._cached(WeightTable._dd_part, z, vpz, 0),
                 self._cached(WeightTable._dd_part, z, vpz, 1))
+
+    def release_dd(self, z):
+        """Drop every ``dd`` entry at z from the cache."""
+        with mp.workprec(self.work_bits):
+            z = mp.mpf(z)
+        makers = (WeightTable._dd_mirror, WeightTable._dd_part)
+        for key in [k for k in self._derived if k[0] in makers and k[1][0] == z]:
+            del self._derived[key]
 
     # ------------------------------------------------------------------
     # integration

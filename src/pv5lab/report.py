@@ -33,6 +33,13 @@ def numstr(x, bits: int) -> str:
 
 
 def check_rows(reports, bits: int):
+    text = {}  # each distinct t and z is formatted once
+
+    def num(x):
+        if x not in text:
+            text[x] = numstr(x, bits)
+        return text[x]
+
     rows = []
     for r in reports:
         if r.status == "ok":
@@ -45,8 +52,8 @@ def check_rows(reports, bits: int):
             "id": r.id.value,
             "tier": r.tier.value,
             "n": r.n,
-            "t": numstr(r.t, bits),
-            "z": None if r.z is None else numstr(r.z, bits),
+            "t": num(r.t),
+            "z": None if r.z is None else num(r.z),
             "residual": residual,
             "pass": r.passed,
         })

@@ -9,7 +9,9 @@ assertions are trends toward the k2 -> 0 limit, and those live in the
 acceptance suite.
 
 Body contract: ``_run_one`` reads the (ortho, ladder) states at t once and
-calls the check's body as fn(ev, ortho, lad, n, t, z).  A body returns its
+calls the check's body as fn(ev, ortho, lad, n, t, z); a z-sampled body
+reads everything else from ``ev.sweep(t, z)``, which holds the point values
+and the A/B integrals of that z, each taken once.  A body returns its
 residual, normalized |LHS - RHS| / (1 + max(|LHS|, |RHS|)) unless it
 documents its own scale (functional ladder relations use the largest
 participating term; the recurrence-route checks are relative to beta).
@@ -43,7 +45,7 @@ from .equations import ric_bigr_rhs as _ric_bigr_rhs
 from .equations import ric_r_rhs as _ric_r_rhs
 from .equations import s_of as _s_of
 from .errors import NegativeT, ParameterError, SingularParams
-from .model import ModelParams, gap_edge, v_prime
+from .model import ModelParams, gap_edge
 from .quadrature import PrecisionContext
 
 
@@ -158,16 +160,51 @@ def sample_points(params: ModelParams, count: int = 20, seed: int = 0, margin=0.
 # ----------------------------------------------------------------------
 # shared state cache
 
+def _attempt(fn, *args):
+    """fn(*args), or the exception it raised, kept for the rows that read it."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return exc
+
+
+def _read(value):
+    if isinstance(value, Exception):
+        raise value
+    return value
+
+
+@dataclass(eq=False)
+class ZSweep:
+    """Everything the z-sampled bodies read at one (t, z): the rational-route
+    ``ladder.PointValues`` and the A/B integrals of degrees 0..top, each
+    taken once.  A degree whose integral raised keeps its exception, and
+    only a read of that degree raises it."""
+
+    point: object
+    A: tuple
+    B: tuple
+
+    def a_int(self, n):
+        return _read(self.A[n])
+
+    def b_int(self, n):
+        return _read(self.B[n])
+
+
 class Evaluator:
     """One cache of (ortho, ladder) states per t, from ``ladder.state_at``;
-    a stencil is five lookups into it."""
+    a stencil is five lookups into it.  The z-sampled bodies read one
+    ``ZSweep`` per (t, z), made on first read; its integrals run to degree
+    ``top`` = min(n_max, max(n_set) + 1), the highest a row at a degree of
+    ``n_set`` reads (n_max when no ``n_set`` is given)."""
 
-    def __init__(self, params: ModelParams, ctx: PrecisionContext):
+    def __init__(self, params: ModelParams, ctx: PrecisionContext, n_set=()):
         self.params = params
         self.ctx = ctx
+        self.top = min(params.n_max, max(n_set, default=params.n_max) + 1)
         self._states = {}
-        self._aint = {}
-        self._bint = {}
+        self._sweeps = {}
 
     def states(self, t):
         with mp.workprec(self.params.work_bits):
@@ -183,19 +220,21 @@ class Evaluator:
             h2 = stencil_step(t) / 2
             return {o: self.states(t + o * h2) for o in (-2, -1, 0, 1, 2)}
 
-    def a_int(self, t, n, z):
-        key = (t, n, z)
-        if key not in self._aint:
-            ortho, _ = self.states(t)
-            self._aint[key] = ladder_mod.A_integral(n, z, ortho, self.ctx)
-        return self._aint[key]
+    def sweep(self, t, z):
+        """The ``ZSweep`` at (t, z); the failure of its point values, if
+        any, is raised by every read."""
+        if (t, z) not in self._sweeps:
+            self._sweeps[t, z] = _attempt(self._sweep, t, z)
+        return _read(self._sweeps[t, z])
 
-    def b_int(self, t, n, z):
-        key = (t, n, z)
-        if key not in self._bint:
-            ortho, _ = self.states(t)
-            self._bint[key] = ladder_mod.B_integral(n, z, ortho, self.ctx)
-        return self._bint[key]
+    def _sweep(self, t, z):
+        ortho, lad = self.states(t)
+        point = ladder_mod.point_values(z, ortho, lad)
+        degrees = range(self.top + 1)
+        a = tuple(_attempt(ladder_mod.A_integral, n, z, ortho, self.ctx) for n in degrees)
+        b = tuple(_attempt(ladder_mod.B_integral, n, z, ortho, self.ctx) for n in degrees)
+        ortho.table.release_dd(z)  # no later integral reads dd at z
+        return ZSweep(point, a, b)
 
 
 def _differences(ev, t, get):
@@ -213,42 +252,45 @@ def _differences(ev, t, get):
 # pairs at step h and h/2 (_run_one forms the residuals)
 
 def _chk_s1(ev, ortho, lad, n, t, z):
-    lhs = ev.b_int(t, n + 1, z) + ev.b_int(t, n, z)
-    rhs = z * ev.a_int(t, n, z) - v_prime(z, ortho.params)
+    sw = ev.sweep(t, z)
+    lhs = sw.b_int(n + 1) + sw.b_int(n)
+    rhs = z * sw.a_int(n) - sw.point.vp
     return _nres(lhs, rhs)
 
 
 def _chk_s2(ev, ortho, lad, n, t, z):
-    lhs = 1 + z * (ev.b_int(t, n + 1, z) - ev.b_int(t, n, z))
-    rhs = (ortho.beta[n + 1] * ev.a_int(t, n + 1, z)
-           - ortho.beta[n] * ev.a_int(t, n - 1, z))
+    sw = ev.sweep(t, z)
+    lhs = 1 + z * (sw.b_int(n + 1) - sw.b_int(n))
+    rhs = ortho.beta[n + 1] * sw.a_int(n + 1) - ortho.beta[n] * sw.a_int(n - 1)
     return _nres(lhs, rhs)
 
 
 def _chk_s2p(ev, ortho, lad, n, t, z):
-    bn = ev.b_int(t, n, z)
-    lhs = bn * bn + v_prime(z, ortho.params) * bn + mp.fsum(
-        ev.a_int(t, j, z) for j in range(n))
-    rhs = ortho.beta[n] * ev.a_int(t, n, z) * ev.a_int(t, n - 1, z)
+    sw = ev.sweep(t, z)
+    bn = sw.b_int(n)
+    lhs = bn * bn + sw.point.vp * bn + mp.fsum(sw.a_int(j) for j in range(n))
+    rhs = ortho.beta[n] * sw.a_int(n) * sw.a_int(n - 1)
     return _nres(lhs, rhs)
 
 
 def _chk_lower(ev, ortho, lad, n, t, z):
-    return ladder_mod.lowering_residual(n, z, ortho, lad)
+    return ev.sweep(t, z).point.lowering_residual(n)
 
 
 def _chk_raise(ev, ortho, lad, n, t, z):
-    return ladder_mod.raising_residual(n, z, ortho, lad)
+    return ev.sweep(t, z).point.raising_residual(n)
 
 
 def _chk_a_form(ev, ortho, lad, n, t, z):
-    ar = ladder_mod.A_rational(n, z, ortho, lad)
-    return abs(ar - ev.a_int(t, n, z)) / (1 + abs(ar))
+    sw = ev.sweep(t, z)
+    ar = sw.point.A[n]
+    return abs(ar - sw.a_int(n)) / (1 + abs(ar))
 
 
 def _chk_b_form(ev, ortho, lad, n, t, z):
-    br = ladder_mod.B_rational(n, z, ortho, lad)
-    return abs(br - ev.b_int(t, n, z)) / (1 + abs(br))
+    sw = ev.sweep(t, z)
+    br = sw.point.B[n]
+    return abs(br - sw.b_int(n)) / (1 + abs(br))
 
 
 def _chk_beta_routes(ev, ortho, lad, n, t, z):
@@ -645,7 +687,7 @@ def check(identity: IdentityId, params: ModelParams, ctx: PrecisionContext,
     with mp.workprec(params.work_bits):
         z = mp.mpf(z) if d.needs_z and z is not None else None
         t = _admitted(identity, params, n, t, z)
-        return _run_one(Evaluator(params, ctx), identity, n, t, z)
+        return _run_one(Evaluator(params, ctx, (n,)), identity, n, t, z)
 
 
 def check_suite(params: ModelParams, ctx: PrecisionContext, n_set, t_grid,
@@ -672,7 +714,7 @@ def check_suite(params: ModelParams, ctx: PrecisionContext, n_set, t_grid,
             z_samples = tuple(mp.mpf(z) for z in z_samples)
         n_set = tuple(sorted(set(int(n) for n in n_set)))
         single_t = len(t_grid) < 2
-        ev = Evaluator(params, ctx)
+        ev = Evaluator(params, ctx, n_set)
         reports = []
         for identity in ids:
             d = REGISTRY[identity]

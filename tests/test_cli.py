@@ -205,6 +205,18 @@ def test_verify_refuses_ladder_ineligible_params(capsys, monkeypatch):
         assert "ladder quantities need alpha > 0, and k2 < 0 at t = 0" in err
 
 
+def test_ladder_and_ode_refuse_ladder_ineligible_params_before_quadrature(capsys, monkeypatch):
+    # ladder.state_at used to build the weight table and the Stieltjes
+    # passes before ladder.compute refused alpha = 0
+    _no_quadrature(monkeypatch)
+    for argv in (("ladder", "--alpha", "0", "--k2", "0.25", "--t", "0.5", "--n-max", "8"),
+                 ("ode", "--alpha", "0", "--k2", "0.04", "--n", "2", "--n-max", "2",
+                  "--t0", "0.5", "--t1", "0.54")):
+        code, _, err = _run(capsys, *argv)
+        assert code == 2, argv[0]
+        assert "ladder quantities need alpha > 0, and k2 < 0 at t = 0" in err
+
+
 def test_pv5_threads_validation(capsys, monkeypatch):
     monkeypatch.setenv("PV5_THREADS", "zero")
     code, _, err = _run(capsys, "moments", "--alpha", "0", "--k2", "-1",

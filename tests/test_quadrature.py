@@ -450,3 +450,31 @@ def test_edge_cut_stays_below_the_floor(k2, t, ctx_fast):
     assert table.node_count() + table.cut_nodes == _half_rule_count(table, 7)
     assert 0 < table.cut_bound < mp.mpf(2) ** (-2 * table.work_bits)
     assert table.cut_nodes * table.cut_bound < mp.mpf(2) ** (-(table.work_bits - 8))
+
+
+def _ts_block_two_calls(work_bits, level):
+    """``_ts_block`` as formed with separate mp.sinh(u) and mp.cosh(u) calls."""
+    nodes = []
+    with mp.workprec(work_bits + 16):
+        h = mp.mpf(2) ** (-level)
+        edge = mp.mpf(2) ** (-(work_bits - 32))
+        half_pi = mp.pi / 2
+        j, step = (0, 1) if level == 0 else (1, 2)
+        while True:
+            u = j * h
+            v = half_pi * mp.sinh(u)
+            e2v = mp.exp(2 * v)
+            one_minus_x = 2 / (e2v + 1)
+            if one_minus_x < edge:
+                break
+            nodes.append(((e2v - 1) / (e2v + 1), one_minus_x, 2 / (1 + 1 / e2v),
+                          half_pi * mp.cosh(u) / mp.cosh(v) ** 2))
+            j += step
+    return tuple(nodes)
+
+
+@pytest.mark.parametrize("work_bits", [128, 192, 320, 576])
+def test_ts_block_bits_match_separate_cosh_sinh(work_bits):
+    # one mpf_cosh_sinh call per node gives the bits of mp.cosh and mp.sinh
+    for level in range(9):
+        assert _ts_block.__wrapped__(work_bits, level) == _ts_block_two_calls(work_bits, level)

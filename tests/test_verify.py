@@ -6,9 +6,10 @@ import pytest
 from mpmath import mp
 
 import pv5lab
-from pv5lab.errors import LadderIneligible, ParameterError, SingularParams
+from pv5lab import ladder
+from pv5lab.errors import LadderIneligible, NoConvergence, ParameterError, SingularParams
 from pv5lab.quadrature import WeightTable
-from pv5lab.verify import REGISTRY, IdentityId, Tier, _run_one, sample_points
+from pv5lab.verify import REGISTRY, Evaluator, IdentityId, Tier, _run_one, sample_points
 
 I = IdentityId
 
@@ -308,3 +309,81 @@ def test_run_one_owns_the_pass_rule(monkeypatch, vctx):
         row = _stub_row(monkeypatch, vctx, I.LOWER_FUNC, residual)
         assert row.residual is residual and row.halving_ratio is None
         assert row.passed is passed
+
+
+@pytest.mark.parametrize("k2", ["0.25", "-0.5", "0.09"])
+def test_sweep_holds_the_public_values_bit_for_bit(k2):
+    """A ZSweep reads the same bits as the public one-degree functions."""
+    params = pv5lab.validate(1, k2, "0.5", 128, 4)
+    ctx = pv5lab.PrecisionContext(bits=128, rel_tol=1e-18, max_level=12)
+    ev = Evaluator(params, ctx)
+    with mp.workprec(params.work_bits):
+        t = mp.mpf("0.5")
+        for z in (mp.mpf("0.8"), mp.mpf("-0.4")):
+            sw = ev.sweep(t, z)
+            ortho, lad = ev.states(t)
+            point = sw.point
+            assert point.vp._mpf_ == pv5lab.v_prime(z, params)._mpf_
+            for n in range(params.n_max + 1):
+                pairs = [
+                    (sw.a_int(n), pv5lab.A_integral(n, z, ortho, ctx)),
+                    (sw.b_int(n), pv5lab.B_integral(n, z, ortho, ctx)),
+                    (point.P[n], pv5lab.eval_monic(ortho, n, z)),
+                    (point.dP[n], pv5lab.eval_monic_derivative(ortho, n, z)),
+                    (point.A[n], pv5lab.A_rational(n, z, ortho, lad)),
+                    (point.B[n], pv5lab.B_rational(n, z, ortho, lad)),
+                ]
+                for got, want in pairs:
+                    assert got._mpf_ == want._mpf_, (k2, z, n)
+
+
+def test_integral_failure_errors_only_the_rows_that_read_its_degree(vp, vctx, monkeypatch):
+    """A NoConvergence of A_2(z) is kept by the sweep: the rows that read
+    A_2 at that z are ERROR rows, every other row runs."""
+    real = ladder.A_integral
+    with mp.workprec(vp.work_bits):
+        bad = mp.mpf("0.8")
+
+    def failing(n, z, ortho, ctx):
+        if n == 2 and z == bad:
+            raise NoConvergence("patched failure")
+        return real(n, z, ortho, ctx)
+
+    monkeypatch.setattr(ladder, "A_integral", failing)
+    reports = pv5lab.check_suite(vp, vctx, range(vp.n_max + 1), ["0.5"],
+                                 z_samples=["0.8", "-0.7"], suite="required")
+    reads_a2 = {I.S1_FUNC: {2}, I.S2_FUNC: {1, 3}, I.A_FORM: {2},
+                I.S2P_FUNC: set(range(2, vp.n_max + 1))}
+    errors = {(r.id, r.n) for r in reports if r.status == "error"}
+    assert errors == {(i, n) for i, ns in reads_a2.items() for n in ns}
+    assert all(r.z == bad and r.message == "NoConvergence: patched failure"
+               for r in reports if r.status == "error")
+    assert all(r.status == "ok" for r in reports if r.z is not None and r.z != bad)
+
+
+def test_no_dd_entry_outlives_its_sweep(monkeypatch):
+    """check_suite and check leave no divided-difference arrays in the
+    (lru-cached) weight table once a z's integrals are taken."""
+    tables = []
+    init = WeightTable.__init__
+
+    def recording(table, *args, **kwargs):
+        init(table, *args, **kwargs)
+        tables.append(table)
+
+    def dd_keys(table):
+        return [k for k in table._derived if k[0].__name__ in ("_dd_mirror", "_dd_part")]
+
+    monkeypatch.setattr(WeightTable, "__init__", recording)
+    params = pv5lab.validate(1, "0.25", "0.5", 128, 3)
+    # a context of this test alone, so the table is built here
+    ctx = pv5lab.PrecisionContext(bits=128, rel_tol=1e-18, max_level=11)
+    reports = pv5lab.check_suite(params, ctx, [1, 2], ["0.5"], z_samples=["0.8", "-0.7"],
+                                 suite="required")
+    assert all(r.status != "error" for r in reports)
+    (table,) = tables
+    assert dd_keys(table) == []
+    for z in ("0.9", "-0.6", "0.75"):
+        assert pv5lab.check(I.A_FORM, params, ctx, 2, "0.5", z=z).passed
+        assert dd_keys(table) == []
+    assert len(tables) == 1
