@@ -238,6 +238,8 @@ def _cmd_verify(args):
 def _cmd_ode(args):
     if args.samples < 2:
         raise ParameterError(f"--samples must be >= 2, got {args.samples}")
+    if not 0 < args.ode_tol < float("inf"):  # false for nan too
+        raise ParameterError(f"--ode-tol must be finite and positive, got {args.ode_tol}")
     params, ctx = _params_ctx(args, mp.mpf(args.t0))
     with mp.workprec(params.work_bits):
         t0 = mp.mpf(args.t0)

@@ -169,27 +169,29 @@ def B_rational(n: int, z, ortho: OrthoState, lad: LadderState):
     return _rational(_b_form, n, z, ortho, lad)
 
 
-def A_integral(n: int, z, ortho: OrthoState, ctx: PrecisionContext):
-    """A_n(z) from its defining integral (any real z off the poles of v')."""
-    params = ortho.params
+def A_integral(n: int, z, ortho: OrthoState, ctx: PrecisionContext, vp=None):
+    """A_n(z) from its defining integral (any real z off the poles of v').
+
+    ``vp`` is v'(z) where the caller already holds it (``PointValues.vp``);
+    otherwise it is computed here, with its pole test."""
     table = ortho.table
     with mp.workprec(ctx.work_bits):
         z = mp.mpf(z)
-        vpz = v_prime(z, params)
+        vpz = v_prime(z, ortho.params) if vp is None else vp
         even, _ = table.dd(z, vpz)
         val = _quad(table, [table.sq(n), even], scale=ortho.h[n])
         return val / ortho.h[n]
 
 
-def B_integral(n: int, z, ortho: OrthoState, ctx: PrecisionContext):
-    """B_n(z) from its defining integral; B_0 = 0 (P_{-1} convention)."""
-    params = ortho.params
+def B_integral(n: int, z, ortho: OrthoState, ctx: PrecisionContext, vp=None):
+    """B_n(z) from its defining integral; B_0 = 0 (P_{-1} convention).
+    ``vp`` as in ``A_integral``."""
     table = ortho.table
     with mp.workprec(ctx.work_bits):
         if n == 0:
             return mp.mpf(0)
         z = mp.mpf(z)
-        vpz = v_prime(z, params)
+        vpz = v_prime(z, ortho.params) if vp is None else vp
         _, odd = table.dd(z, vpz)
         val = _quad(table, [table.adj(n), odd], scale=ortho.h[n - 1])
         return val / ortho.h[n - 1]

@@ -9,9 +9,12 @@ bit-identical trajectories at fixed precision.
 The step runs on fixed-point integers at scale 2^-(bits + 128): the
 ``bits + 64`` working precision plus the 64 guard bits of the weight
 table's fixed-point arrays.  The state, the stages and the embedded error
-estimate are ints, the tableau is integer rows over one common denominator,
-and the accept test is an exact integer comparison; only the step factor
-0.9 * err_norm^-0.2 is taken in mpf, once per step.
+estimate are ints, and the tableau is integer rows over one common
+denominator.  The step control is exact integer arithmetic too: the accept
+test compares ints, the worst component is picked by cross-multiplication,
+and the step factor 0.9 (bound/err)^(1/5) is a floor integer fifth root at
+``_FACTOR_BITS`` fraction bits (``_next_step``), so the step loop runs no
+mpf, float or libm operation and its step sizes are the same on every host.
 
 The right-hand side is recorded once per integration (``fixedpoint.record``)
 into a straight-line function on ints, which the stages call.  The
@@ -37,8 +40,7 @@ from operator import mul
 from typing import NamedTuple
 
 from mpmath import mp
-from mpmath.libmp import (from_int, from_man_exp, mpf_div, mpf_lt, mpf_shift,
-                           round_nearest)
+from mpmath.libmp import from_man_exp, round_nearest
 
 from . import ladder as ladder_mod
 from .equations import phi_of, pv_rhs, ric_bigr_rhs, ric_r_rhs, s_of
@@ -96,29 +98,49 @@ def _to_mpf(v, frac, prec):
     return mp.make_mpf(from_man_exp(v, -frac, prec, round_nearest))
 
 
-def _err_norm(errs, bounds, prec):
-    """max_j errs[j] / bounds[j] for ints, as an mpf: each quotient is rounded
-    as ``mp.mpf(e) / b`` rounds it at precision ``prec``, taken on raw tuples.
+#: fraction bits of the step factor
+_FACTOR_BITS = 64
 
-    A bound carries the tolerance's binary scale as trailing zero bits,
-    which ``from_int`` strips eight at a time; dividing by the odd part and
-    shifting the quotient gives the same bits, since rounding commutes with
-    scaling by powers of two.
+
+def _iroot5(x):
+    """floor(x^(1/5)) for an int x >= 0, by integer Newton started above the root.
+
+    From any r > x^(1/5) the step (4r + x // r^4) // 5 falls strictly and,
+    by the AM-GM inequality, not below floor(x^(1/5)); at r = floor(x^(1/5))
+    it does not fall, which ends the loop.
     """
-    worst = None
-    for e, b in zip(errs, bounds):
-        zeros = (b & -b).bit_length() - 1
-        q = mpf_div(from_int(e, prec, round_nearest), from_int(b >> zeros), prec, round_nearest)
-        q = mpf_shift(q, -zeros)
-        if worst is None or mpf_lt(worst, q):
-            worst = q
-    return mp.make_mpf(worst)
+    if not x:
+        return 0
+    r = 1 << -(-x.bit_length() // 5)  # r^5 >= 2^bit_length > x
+    while True:
+        s = (4 * r + x // r ** 4) // 5
+        if s >= r:
+            return r
+        r = s
 
 
-def _scaled(v, x):
-    """floor(v * x) for an int v and a positive mpf x."""
-    _, man, exp, _ = x._mpf_
-    return v * man << exp if exp >= 0 else v * man >> -exp
+def _worst(errs, bounds):
+    """The pair (err, bound) of largest ratio err / bound, bounds positive."""
+    e, b = errs[0], bounds[0]
+    for ej, bj in zip(errs, bounds):
+        if ej * b > e * bj:
+            e, b = ej, bj
+    return e, b
+
+
+def _next_step(h, e, b):
+    """floor(h * factor), factor = 0.9 (b / e)^(1/5) clamped to [1/5, 5]; 5 for e = 0.
+
+    The factor inside the clamps is floor(2^P factor) / 2^P, P = ``_FACTOR_BITS``,
+    from the exact rational 0.9^5 b / e.  A negative h floors as a positive
+    one does, toward minus infinity.
+    """
+    num, den = 59049 * b, 100000 * e  # factor^5 = num / den, 0.9^5 = 59049 / 100000
+    if num >= 5 ** 5 * den:
+        return h * 5
+    if 5 ** 5 * num <= den:
+        return h // 5
+    return h * _iroot5((num << 5 * _FACTOR_BITS) // den) >> _FACTOR_BITS
 
 
 class Trajectory:
@@ -204,6 +226,14 @@ class Trajectory:
 def integrate_ivp(f, t0, t1, y0, tol, bits=256, guard=None, max_steps=200000):
     """Adaptive Cash-Karp 5(4) integration of y' = f(t, y).
 
+    A step is accepted when each component's embedded error estimate is at
+    most tol (1 + max(|y_j|, |y5_j|)), y5 the fifth-order solution; the
+    next step, after an accepted or a rejected one, is h times
+    0.9 (bound/err)^(1/5) for the worst component, clamped to [1/5, 5].
+    This step control is exact integer arithmetic (``_next_step``), so
+    identical inputs give bit-identical trajectories on every host.  ``tol``
+    must be finite and positive, or ``ParameterError`` is raised.
+
     ``f`` is first called once on recording numbers (``fixedpoint.record``)
     and, if that succeeds, the integration runs the recorded program on
     ints.  Otherwise ``f`` is called at every stage with t and y as
@@ -222,8 +252,8 @@ def integrate_ivp(f, t0, t1, y0, tol, bits=256, guard=None, max_steps=200000):
         t1 = mp.mpf(t1)
         y0 = tuple(mp.mpf(v) for v in y0)
         tol = mp.mpf(tol)
-        if tol <= 0:
-            raise ParameterError("tol must be positive")
+        if not (mp.isfinite(tol) and tol > 0):
+            raise ParameterError(f"tol must be finite and positive, got {tol}")
         Fixed = fixed_type(bits)
         frac = Fixed.FRAC
         prec = mp.prec
@@ -260,8 +290,6 @@ def integrate_ivp(f, t0, t1, y0, tol, bits=256, guard=None, max_steps=200000):
         bound_mul = _D * tol_man
         unit = _D << frac
         one = 1 << frac
-        nine_tenths, exponent = mp.mpf("0.9"), mp.mpf(-0.2)
-        shrink, grow = mp.mpf("0.2"), mp.mpf(5)
         h = span // 64
         h_floor = max(abs(span) >> (bits // 2), 1)
         steps = rejected = 0
@@ -284,8 +312,8 @@ def integrate_ivp(f, t0, t1, y0, tol, bits=256, guard=None, max_steps=200000):
             errs = [abs(h * sum(map(mul, _E, col))) << err_up for col in cols]
             bounds = [bound_mul * (one + max(abs(a), abs(b))) << bound_up
                       for a, b in zip(y, y5)]
-            err_norm = _err_norm(errs, bounds, prec)
-            if all(map(int.__le__, errs, bounds)):
+            e, b = _worst(errs, bounds)
+            if e <= b:
                 t += h
                 y = y5
                 if guard is not None:
@@ -298,8 +326,7 @@ def integrate_ivp(f, t0, t1, y0, tol, bits=256, guard=None, max_steps=200000):
                 min_step = min(min_step, abs(h))
             else:
                 rejected += 1
-            factor = nine_tenths * err_norm ** exponent if err_norm > 0 else grow
-            h = _scaled(h, min(grow, max(shrink, factor)))
+            h = _next_step(h, e, b)
             if steps + rejected > max_steps:
                 raise StepUnderflow(f"step budget {max_steps} exhausted")
         start = (0, t0, y0)

@@ -1,4 +1,4 @@
-"""The benchmark's correctness gate on the certify workload, in Tier-1."""
+"""The benchmark's correctness gate on the certify and trajectory workloads, in Tier-1."""
 
 import importlib.util
 import json
@@ -30,3 +30,15 @@ def test_certify_workload_passes_the_benchmark_gate(tmp_path, capsys):
     verdict = gate.check_report(out, reference, certify.flag("--rel-tol"), same_seed=True)
     assert verdict.failed == 0 and verdict.problems == []
     assert verdict.margin_digits >= 56.11
+
+
+def test_trajectory_workload_passes_the_benchmark_gate(tmp_path, capsys):
+    gate, workloads = _perfbench("gate"), _perfbench("workloads")
+    trajectory = workloads.WORKLOADS["trajectory"]
+    out = tmp_path / "trajectory.csv"
+    assert run(trajectory.argv(workloads.REFERENCE_SEED, out)) == 0
+    capsys.readouterr()
+    reference = gate.read_csv(PERFBENCH / "reference" / "trajectory.csv")
+    verdict = gate.check_trajectory(out, reference, trajectory.flag("--ode-tol"))
+    assert verdict.rows > 0
+    assert verdict.failed == 0 and verdict.problems == []

@@ -300,6 +300,21 @@ def test_ode_rejects_fewer_than_two_samples(capsys, tmp_path):
     assert not out_csv.exists()
 
 
+def test_ode_refuses_non_finite_or_non_positive_tolerance(capsys, tmp_path, monkeypatch):
+    # nan and inf used to run the quadrature and then die in the step
+    # control with "ValueError: negative shift count" (exit 1)
+    _no_quadrature(monkeypatch)
+    out_csv = tmp_path / "t.csv"
+    for tol in ("nan", "inf", "0", "-1e-18"):
+        code, _, err = _run(capsys, "ode", "--alpha", "1", "--k2", "0.04", "--n", "2",
+                            "--n-max", "2", "--t0", "0.5", "--t1", "0.54",
+                            "--bits", "128", "--rel-tol", "1e-25",
+                            f"--ode-tol={tol}", "--out-csv", str(out_csv))
+        assert code == 2, tol
+        assert "--ode-tol must be finite and positive" in err
+    assert not out_csv.exists()
+
+
 def test_verify_names_suite_identities_without_rows(capsys):
     argv = ["verify", "--suite", "required", "--alpha", "1", "--k2", "0.25",
             "--t", "0.5", "--n-max", "2", "--bits", "128", "--rel-tol", "1e-18",

@@ -1,6 +1,8 @@
 """Adaptive integrator: order behavior, round trips, singularity policy."""
 
+import math
 import random
+from fractions import Fraction
 
 import pytest
 from mpmath import mp
@@ -385,25 +387,63 @@ def test_state_at_shares_one_state(oparams, octx):
     assert pv5lab.crosscheck(traj, oparams, octx, ["0.5"]) == 0
 
 
-def test_err_norm_matches_mpf_quotient_bit_for_bit(oparams, ricc_init, monkeypatch):
-    """The step-control norm, taken on raw tuples, equals max(mp.mpf(e) / b)
-    bit for bit on the error and bound ints of a coupled-pair run."""
-    from pv5lab import ode
+def test_integer_fifth_root_is_the_exact_floor():
+    from pv5lab.ode import _iroot5
 
-    seen = []
-    norm = ode._err_norm
+    rng = random.Random(5)
+    xs = [0, 1, 2, 31, 32, 33, 242, 243, 244]
+    for r in (2, 3, 10, 2 ** 64 - 1, 2 ** 64, 3 ** 41, rng.getrandbits(80)):
+        xs += [r ** 5 - 1, r ** 5, r ** 5 + 1]
+    xs += [rng.getrandbits(rng.randint(300, 400)) for _ in range(200)]
+    for x in xs:
+        r = _iroot5(x)
+        assert r ** 5 <= x < (r + 1) ** 5, x
 
-    def spy(errs, bounds, prec):
-        seen.append((errs, bounds, prec))
-        return norm(errs, bounds, prec)
 
-    monkeypatch.setattr(ode, "_err_norm", spy)
-    traj = pv5lab.integrate_riccati(oparams, 2, "0.5", "0.502", ricc_init, 1e-18)
-    assert len(seen) == traj.meta["steps"] + traj.meta["rejected"] > 10
-    for errs, bounds, prec in seen:
-        with mp.workprec(prec):
-            ref = max(mp.mpf(e) / b for e, b in zip(errs, bounds))
-        assert norm(errs, bounds, prec)._mpf_ == ref._mpf_
+def test_worst_component_is_the_largest_exact_ratio():
+    from pv5lab.ode import _worst
+
+    rng = random.Random(7)
+    for _ in range(200):
+        dim = rng.randint(1, 4)
+        errs = [rng.getrandbits(rng.randint(0, 700)) for _ in range(dim)]
+        bounds = [rng.getrandbits(rng.randint(1, 700)) | 1 for _ in range(dim)]
+        e, b = _worst(errs, bounds)
+        assert (e, b) in zip(errs, bounds)
+        assert Fraction(e, b) == max(map(Fraction, errs, bounds))
+
+
+def test_next_step_clamps_and_floors_exactly():
+    from pv5lab.ode import _FACTOR_BITS, _iroot5, _next_step
+
+    scale = 2 ** _FACTOR_BITS
+    rng = random.Random(11)
+    for h in (1, 7, rng.getrandbits(300), 3 ** 200):
+        for sign in (1, -1):
+            hs = sign * h
+            # err = 0, and any factor at or beyond a clamp
+            assert _next_step(hs, 0, 5) == hs * 5
+            assert _next_step(hs, 59049, 5 ** 5 * 100000) == hs * 5
+            assert _next_step(hs, 1, 10 ** 9) == hs * 5
+            assert _next_step(hs, 5 ** 5 * 59049, 100000) == hs // 5
+            assert _next_step(hs, 10 ** 9, 1) == hs // 5
+            # inside the clamps: floor(h F / 2^P), F = floor(2^P factor)
+            for _ in range(20):
+                e = rng.getrandbits(rng.randint(500, 700)) + 1
+                b = e * rng.randint(1, 1000) // rng.randint(1, 1000) + 1
+                q = Fraction(59049 * b, 100000 * e)
+                if not Fraction(1, 5 ** 5) < q < 5 ** 5:
+                    continue
+                f = _iroot5(q.numerator * scale ** 5 // q.denominator)
+                assert f ** 5 <= q * scale ** 5 < (f + 1) ** 5
+                # a negative h floors as a positive one does: toward -inf
+                assert _next_step(hs, e, b) == math.floor(Fraction(hs * f, scale))
+
+
+def test_integrate_ivp_refuses_non_finite_or_non_positive_tolerance():
+    for tol in ("nan", "inf", "-inf", 0, "-1e-12"):
+        with pytest.raises(ParameterError, match="tol must be finite and positive"):
+            pv5lab.integrate_ivp(harmonic, 0, 1, (1, 0), tol, bits=192)
 
 
 def test_initial_data_refuses_degrees_outside_n_max(oparams, octx, monkeypatch):
