@@ -5,15 +5,14 @@ Exit codes: 0 all requested REQUIRED checks pass (or none requested),
 1 a REQUIRED check failed, 2 usage/configuration error, 3 numerical
 failure (no convergence, precision exhausted, pole hit, step underflow).
 
-Execution is sequential and deterministic; the optional PV5_THREADS
-environment variable is accepted as an upper bound on parallelism and
-validated, with the current engine always running at 1.
+Every subcommand but ``ode`` takes ``--t`` (or, for verify and pv-residual,
+a t grid); ``ode`` runs from ``--t0`` to ``--t1``.  Execution is sequential
+and deterministic.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from mpmath import mp
@@ -27,10 +26,12 @@ from .model import validate
 from .quadrature import PrecisionContext, moment
 
 
-def _common(parser, default_t="0.5"):
+def _common(parser, t=True):
+    """The flags every subcommand takes; ``--t`` unless ``t`` is false."""
     parser.add_argument("--alpha", required=True, help="exponent of (1-z^2)")
     parser.add_argument("--k2", required=True, help="singularity parameter k^2 (< 1; may be <= 0)")
-    parser.add_argument("--t", default=None, help=f"deformation time (default {default_t})")
+    if t:
+        parser.add_argument("--t", default=None, help="deformation time (default 0.5)")
     parser.add_argument("--n-max", type=int, default=12, dest="n_max")
     parser.add_argument("--bits", type=int, default=256, help="working mantissa bits")
     parser.add_argument("--rel-tol", type=float, default=1e-40, dest="rel_tol")
@@ -77,7 +78,7 @@ def build_parser():
         "ode",
         help="integrate the coupled pair; CSV carries beta_n from the closed "
              "(R, r) expression and the Painleve residual of the dense output")
-    _common(p)
+    _common(p, t=False)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--t0", required=True)
     p.add_argument("--t1", required=True)
@@ -307,14 +308,6 @@ _COMMANDS = {
 
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    threads = os.environ.get("PV5_THREADS")
-    if threads is not None:
-        try:
-            if int(threads) < 1:
-                raise ValueError
-        except ValueError:
-            sys.stderr.write(f"pv5lab: PV5_THREADS must be a positive integer, got {threads!r}\n")
-            return 2
     try:
         return _COMMANDS[args.command](args)
     except (ParameterError, IndexError) as exc:

@@ -29,7 +29,11 @@ defining integrals directly, so rational and integral routes can be
 compared as an end-to-end validation.  The weight table stores the nodes
 y >= 0 only, so they integrate P_n^2 against the even part in y of dd(z, y)
 and P_n P_{n-1} against its odd part (``WeightTable.dd``).  r_0 = b_0 = 0
-(their integrands contain P_{-1}).
+(their integrands contain P_{-1}), and R_n = r_n = 0 at t = 0.  Every
+other sequence value, and every A_n(z) and B_n(z) but B_0 = 0, is one
+``WeightTable.raw_integral`` divided by a norm; that routine refines the
+shared table and raises NoConvergence at its level cap, so no value here
+comes from an unconverged integral.
 
 ``point_values`` evaluates the rational route at one z for every degree:
 one pole test, one recurrence pass for P_n(z) and P_n'(z), and each
@@ -52,7 +56,7 @@ from mpmath import mp
 
 from . import orthopoly
 from .equations import s_of
-from .errors import LadderIneligible, NoConvergence
+from .errors import LadderIneligible
 from .model import ModelParams, _pole_basis, _v_prime_from, v_prime
 from .orthopoly import OrthoState, monic_values
 from .quadrature import PrecisionContext
@@ -73,16 +77,6 @@ class LadderState:
         return self.ortho.params
 
 
-def _quad(table, factors, scale):
-    res = table.raw_integral(factors, scale=scale)
-    if not res.converged:
-        raise NoConvergence(
-            "ladder integral did not converge "
-            f"(estimate {mp.nstr(res.error, 6)})",
-            value=res.value, error=res.error)
-    return res.value
-
-
 def require_eligible(params: ModelParams):
     """Raise LadderIneligible unless ``params.ladder_eligible``."""
     if not params.ladder_eligible:
@@ -97,30 +91,26 @@ def _compute_cached(state: OrthoState, ctx: PrecisionContext) -> LadderState:
     table = state.table
     n_max = params.n_max
     with mp.workprec(ctx.work_bits):
+        zero = mp.mpf(0)
         two_t = 2 * params.t
         two_alpha = 2 * params.alpha
+
+        def seq(coef, factors, h):
+            return coef * table.raw_integral(factors, scale=h).value / h
+
         R, r, a, b = [], [], [], []
         for n in range(n_max + 1):
-            scale = state.h[n]
-            if params.t == 0:
-                R.append(mp.mpf(0))
-            else:
-                val = _quad(table, [table.sq(n), table.inv("zk2")], scale)
-                R.append(two_t * val / state.h[n])
-            a.append(two_alpha * _quad(table, [table.sq(n), table.inv("om2")], scale)
-                     / state.h[n])
+            h = state.h[n]
+            R.append(zero if params.t == 0 else seq(two_t, [table.sq(n), table.inv("zk2")], h))
+            a.append(seq(two_alpha, [table.sq(n), table.inv("om2")], h))
             if n == 0:
-                r.append(mp.mpf(0))
-                b.append(mp.mpf(0))
+                r.append(zero)
+                b.append(zero)
                 continue
-            scale = state.h[n - 1]
-            if params.t == 0:
-                r.append(mp.mpf(0))
-            else:
-                val = _quad(table, [table.adj(n), table.y, table.inv("zk2")], scale)
-                r.append(two_t * val / state.h[n - 1])
-            val = _quad(table, [table.adj(n), table.y, table.inv("om2")], scale)
-            b.append(two_alpha * val / state.h[n - 1])
+            h = state.h[n - 1]
+            r.append(zero if params.t == 0
+                     else seq(two_t, [table.adj(n), table.y, table.inv("zk2")], h))
+            b.append(seq(two_alpha, [table.adj(n), table.y, table.inv("om2")], h))
         return LadderState(ortho=state, R=tuple(R), r=tuple(r), a=tuple(a), b=tuple(b))
 
 
@@ -179,8 +169,8 @@ def A_integral(n: int, z, ortho: OrthoState, ctx: PrecisionContext, vp=None):
         z = mp.mpf(z)
         vpz = v_prime(z, ortho.params) if vp is None else vp
         even, _ = table.dd(z, vpz)
-        val = _quad(table, [table.sq(n), even], scale=ortho.h[n])
-        return val / ortho.h[n]
+        h = ortho.h[n]
+        return table.raw_integral([table.sq(n), even], scale=h).value / h
 
 
 def B_integral(n: int, z, ortho: OrthoState, ctx: PrecisionContext, vp=None):
@@ -193,8 +183,8 @@ def B_integral(n: int, z, ortho: OrthoState, ctx: PrecisionContext, vp=None):
         z = mp.mpf(z)
         vpz = v_prime(z, ortho.params) if vp is None else vp
         _, odd = table.dd(z, vpz)
-        val = _quad(table, [table.adj(n), odd], scale=ortho.h[n - 1])
-        return val / ortho.h[n - 1]
+        h = ortho.h[n - 1]
+        return table.raw_integral([table.adj(n), odd], scale=h).value / h
 
 
 @dataclass(eq=False)

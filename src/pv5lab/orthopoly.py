@@ -155,7 +155,9 @@ def eval_monic_derivative(state: OrthoState, n: int, z):
 def orthogonality_residual(state: OrthoState, ctx: PrecisionContext, m: int, n: int):
     """|<P_m, P_n>| / sqrt(h_m h_n) for m != n.
 
-    Odd m+n is an odd integrand and short-circuits to exact 0.
+    Odd m+n is an odd integrand and short-circuits to exact 0.  The inner
+    product is one ``WeightTable.raw_integral``, so an integral that does
+    not converge by the level cap raises NoConvergence.
     """
     if m == n:
         raise ParameterError("orthogonality residual needs m != n")

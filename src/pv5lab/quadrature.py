@@ -89,17 +89,13 @@ class PrecisionContext:
         return self.bits + GUARD_BITS
 
 
-@dataclass
-class IntegralResult:
+class IntegralResult(NamedTuple):
     """Value, doubling-based error estimate, convergence flag, top level used."""
 
     value: object
     error: object
     converged: bool
     levels: int
-
-    def __iter__(self):
-        return iter((self.value, self.error, self.converged, self.levels))
 
 
 DEFAULT_CONTEXT = PrecisionContext()
@@ -399,6 +395,11 @@ class WeightTable:
     use over the levels built so far, and ``_add_level`` extends every
     entry in creation order, so the rows grow before the products read
     them.  Every integral is a sum of ``_dot`` products over these arrays.
+    ``trapezoid`` gives the sum at one given level; ``raw_integral`` is the
+    one routine that decides when an integral stops and when it fails: it
+    forms each level's sum once, compares the trapezoid values of the top
+    two levels, adds a level while they disagree, and raises NoConvergence
+    at the level cap.
 
     Edge cut.  When t > 0 and k2 >= 0 the stored interval (a, 1) has the gap
     edge a = rk (or a = 0 for k2 = 0) at its left end, where the weight
@@ -724,11 +725,6 @@ class WeightTable:
         with mp.workprec(self.work_bits):
             return self._value(_level_terms(factors, level), level)[0]
 
-    def _series(self, factors):
-        """(value, bound) of the trapezoid sums at levels MIN_LEVEL..top."""
-        terms = _level_terms(factors, self.nlevels - 1)
-        return [self._value(terms[: lv + 1], lv) for lv in range(MIN_LEVEL, self.nlevels)]
-
     def raw_integral(self, factors, scale=None) -> IntegralResult:
         """Integrate an elementwise product of per-level factor arrays.
 
@@ -738,28 +734,35 @@ class WeightTable:
         weight, and the product must be even in y: the sum over the stored
         half y >= 0 is then the full-support integral.  The value is the
         kernel's exact sum at the top level, not rounded to the working
-        precision.  The reported error is at least the kernel's truncation
-        bound plus the absolute floor 2^-(work_bits-8) * sum |cw|, which
-        also covers every node the edge cut dropped (class docstring).
+        precision.
+
+        Each level's kernel sum is formed once.  The error estimate compares
+        the trapezoid values of the top two levels, the lower one at least
+        ``MIN_LEVEL``; it is at least the kernel's truncation bound plus the
+        absolute floor 2^-(work_bits-8) * sum |cw|, which also covers every
+        node the edge cut dropped (class docstring).  While the estimate
+        exceeds rel_tol * max(|value|, scale) and the floor, the table gains
+        a level; at ``max_level`` this raises NoConvergence with the value
+        and the estimate attached.  So a returned result is always converged.
         """
         with mp.workprec(self.work_bits):
             floor_eps = mp.mpf(2) ** (-(self.work_bits - 8))
             rel = mp.mpf(self.ctx.rel_tol)
+            self.ensure_levels(MIN_LEVEL + 1)
+            terms = _level_terms(factors, self.nlevels - 1)
             while True:
-                series = self._series(factors)
-                value, bound = series[-1]
-                if len(series) >= 2:
-                    floor = floor_eps * self._abs_mass_total() + bound
-                    err = max(abs(value - series[-2][0]), floor)
-                    target = max(rel * max(abs(value), mp.mpf(scale or 0)), floor)
-                    if err <= target:
-                        return IntegralResult(value, err, True, self.nlevels - 1)
-                else:
-                    err = abs(value) + bound
-                if self.nlevels <= self.ctx.max_level:
-                    self.ensure_levels(self.nlevels)
-                    continue
-                return IntegralResult(value, err, False, self.nlevels - 1)
+                top = self.nlevels - 1
+                value, bound = self._value(terms, top)
+                floor = floor_eps * self._abs_mass_total() + bound
+                err = max(abs(value - self._value(terms[:-1], top - 1)[0]), floor)
+                if err <= max(rel * max(abs(value), mp.mpf(scale or 0)), floor):
+                    return IntegralResult(value, err, True, top)
+                if top >= self.ctx.max_level:
+                    raise NoConvergence(
+                        f"table integral did not converge at level {top} "
+                        f"(estimate {mp.nstr(err, 6)})", value=value, error=err)
+                self.ensure_levels(top + 1)
+                terms.append(_dot([fac[top + 1] for fac in factors]))
 
     def _abs_mass_total(self):
         """sum |cw| * 2^-(top level); cw >= 0, so this is the sum of cw."""

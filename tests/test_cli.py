@@ -5,6 +5,7 @@ import io
 import json
 import re
 
+import pytest
 from mpmath import mp
 
 import pv5lab
@@ -217,17 +218,15 @@ def test_ladder_and_ode_refuse_ladder_ineligible_params_before_quadrature(capsys
         assert "ladder quantities need alpha > 0, and k2 < 0 at t = 0" in err
 
 
-def test_pv5_threads_validation(capsys, monkeypatch):
-    monkeypatch.setenv("PV5_THREADS", "zero")
-    code, _, err = _run(capsys, "moments", "--alpha", "0", "--k2", "-1",
-                        "--t", "0", "--n-max", "0", "--bits", "128",
-                        "--rel-tol", "1e-18")
-    assert code == 2
-    monkeypatch.setenv("PV5_THREADS", "2")
-    code, _, _ = _run(capsys, "moments", "--alpha", "0", "--k2", "-1",
-                      "--t", "0", "--n-max", "0", "--bits", "128",
-                      "--rel-tol", "1e-18")
-    assert code == 0
+def test_ode_does_not_take_t(capsys, monkeypatch):
+    # ode runs from --t0 to --t1; it used to accept --t, never read it, and exit 0
+    _no_quadrature(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        run(["ode", "--alpha", "1", "--k2", "0.04", "--n", "2", "--n-max", "2",
+             "--t0", "0.5", "--t1", "0.5001", "--bits", "128", "--rel-tol", "1e-25",
+             "--samples", "2", "--t", "7.5"])
+    assert exc.value.code == 2
+    assert "--t" in capsys.readouterr().err
 
 
 def test_verify_rejects_degrees_outside_n_max(capsys):

@@ -8,10 +8,10 @@ import pytest
 from mpmath import mp
 
 import pv5lab
-from pv5lab.errors import ParameterError
+from pv5lab.errors import NoConvergence, ParameterError
 from pv5lab.model import _gap, _v_prime_from, _z2_minus_k2
-from pv5lab.quadrature import (IntArray, WeightTable, _dot, _fixed, _pack,
-                               _ts_block, integration_intervals)
+from pv5lab.quadrature import (IntArray, WeightTable, _dot, _fixed, _level_terms,
+                               _pack, _ts_block, integration_intervals)
 
 
 def test_context_validation():
@@ -209,7 +209,7 @@ def test_raw_integral_error_covers_kernel_bound(gap_params, ctx_fast):
     factors = [table.cw, table.y, table.y, table.inv("zk2")]
     res = table.raw_integral(factors)
     assert res.converged
-    value, bound = table._series(factors)[-1]
+    value, bound = table._value(_level_terms(factors, res.levels), res.levels)
     assert value == res.value and bound > 0
     assert res.error >= bound
     with mp.workprec(gap_params.work_bits):
@@ -221,6 +221,35 @@ def test_raw_integral_error_covers_kernel_bound(gap_params, ctx_fast):
         / ((z - mp.sqrt(gap_params.k2)) * (z + mp.sqrt(gap_params.k2))),
         pv5lab.support(gap_params), ctx_fast)
     assert abs(res.value - ref.value) <= 10 * (res.error + ref.error)
+
+
+def test_raw_integral_raises_at_the_level_cap():
+    ctx = pv5lab.PrecisionContext(bits=256, rel_tol=1e-40, max_level=4)
+    table = WeightTable(pv5lab.validate(1, 0.25, 0.5, 256, 4), ctx)
+    table.ensure_levels(4)
+    with pytest.raises(NoConvergence) as exc:
+        table.raw_integral([table.cw])
+    # the last value and estimate ride along: the mass, with levels 3 and 4
+    # still about 1e-10 apart
+    assert exc.value.value == table.trapezoid([table.cw], 4)
+    assert mp.mpf("1e-40") * exc.value.value < exc.value.error < mp.mpf("1e-8")
+    assert table.nlevels == 5
+
+
+def test_raw_integral_refines_to_the_same_bits(gap_params, ctx_fast):
+    """An integral that adds levels inside ``raw_integral`` reads the same
+    value and error as on a table filled to that level beforehand."""
+    def integral(filled):
+        table = WeightTable(gap_params, ctx_fast)
+        table.ensure_levels(filled)
+        factors = [table.cw, table.y, table.y, table.inv("zk2")]
+        res = table.raw_integral(factors)
+        assert res.value == table.trapezoid(factors, res.levels)
+        return res
+
+    refined = integral(4)
+    assert refined.levels > 5  # the table gained levels inside raw_integral
+    assert integral(refined.levels) == refined
 
 
 def test_table_divided_differences_match_model(gap_params, ctx_fast):
