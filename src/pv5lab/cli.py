@@ -26,12 +26,10 @@ from .model import validate
 from .quadrature import PrecisionContext, moment
 
 
-def _common(parser, t=True):
-    """The flags every subcommand takes; ``--t`` unless ``t`` is false."""
+def _common(parser):
+    """The flags every subcommand takes."""
     parser.add_argument("--alpha", required=True, help="exponent of (1-z^2)")
     parser.add_argument("--k2", required=True, help="singularity parameter k^2 (< 1; may be <= 0)")
-    if t:
-        parser.add_argument("--t", default=None, help="deformation time (default 0.5)")
     parser.add_argument("--n-max", type=int, default=12, dest="n_max")
     parser.add_argument("--bits", type=int, default=256, help="working mantissa bits")
     parser.add_argument("--rel-tol", type=float, default=1e-40, dest="rel_tol")
@@ -44,6 +42,9 @@ def _common(parser, t=True):
 
 
 def _grid_opts(parser):
+    parser.add_argument("--t", default=None,
+                        help="one deformation time instead of the t grid (default: the "
+                             "12-point log grid from 0.05 to 1.0)")
     parser.add_argument("--t-start", type=str, default=None)
     parser.add_argument("--t-stop", type=str, default=None)
     parser.add_argument("--t-count", type=int, default=None)
@@ -57,14 +58,12 @@ def build_parser():
                     "coefficients, and residual verification of the identity chain.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("moments", help="weight moments mu_j for j <= n_max")
-    _common(p)
-
-    p = sub.add_parser("recurrence", help="h_n, beta_n, p(n) by the Stieltjes procedure")
-    _common(p)
-
-    p = sub.add_parser("ladder", help="ladder sequences R_n, r_n, a_n, b_n")
-    _common(p)
+    for name, what in (("moments", "weight moments mu_j for j <= n_max"),
+                       ("recurrence", "h_n, beta_n, p(n) by the Stieltjes procedure"),
+                       ("ladder", "ladder sequences R_n, r_n, a_n, b_n")):
+        p = sub.add_parser(name, help=what)
+        _common(p)
+        p.add_argument("--t", default=None, help="deformation time (default 0.5)")
 
     p = sub.add_parser("verify", help="run the identity check suite")
     _common(p)
@@ -78,7 +77,7 @@ def build_parser():
         "ode",
         help="integrate the coupled pair; CSV carries beta_n from the closed "
              "(R, r) expression and the Painleve residual of the dense output")
-    _common(p, t=False)
+    _common(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--t0", required=True)
     p.add_argument("--t1", required=True)
@@ -147,7 +146,7 @@ def _params_block(args, params, ctx, extra=None):
     block = {
         "alpha": report.numstr(params.alpha, ctx.bits),
         "k2": report.numstr(params.k2, ctx.bits),
-        "n_max": params.n_max,
+        "n_max": args.n_max,
         "bits": ctx.bits,
         "rel_tol": repr(ctx.rel_tol),
         "max_level": ctx.max_level,
@@ -167,12 +166,13 @@ def _emit_params_report(args, params, ctx, extra):
 
 def _cmd_moments(args):
     t = _single_t(args)
-    j_max = args.n_max
-    if j_max < 0:
+    if args.n_max < 0:
         raise ParameterError("moments need --n-max >= 0")
-    args = argparse.Namespace(**{**vars(args), "n_max": max(1, j_max)})
-    params, ctx = _params_ctx(args, t)
-    rows = [(j, moment(j, params, ctx)) for j in range(j_max + 1)]
+    # validate asks n_max >= 1, which no moment reads
+    params = validate(args.alpha, args.k2, t, precision_bits=args.bits,
+                      n_max=max(1, args.n_max))
+    ctx = PrecisionContext(bits=args.bits, rel_tol=args.rel_tol, max_level=args.max_level)
+    rows = [(j, moment(j, params, ctx)) for j in range(args.n_max + 1)]
     _emit_csv(args, ["j", "mu_j"], rows, ctx.bits)
     _emit_params_report(args, params, ctx, {"t": report.numstr(t, ctx.bits)})
     return 0

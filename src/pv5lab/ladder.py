@@ -101,16 +101,16 @@ def _compute_cached(state: OrthoState, ctx: PrecisionContext) -> LadderState:
         R, r, a, b = [], [], [], []
         for n in range(n_max + 1):
             h = state.h[n]
-            R.append(zero if params.t == 0 else seq(two_t, [table.sq(n), table.inv("zk2")], h))
-            a.append(seq(two_alpha, [table.sq(n), table.inv("om2")], h))
+            R.append(zero if params.t == 0 else seq(two_t, [table.sq(n), table.inv_zk2], h))
+            a.append(seq(two_alpha, [table.sq(n), table.inv_om2], h))
             if n == 0:
                 r.append(zero)
                 b.append(zero)
                 continue
             h = state.h[n - 1]
             r.append(zero if params.t == 0
-                     else seq(two_t, [table.adj(n), table.y, table.inv("zk2")], h))
-            b.append(seq(two_alpha, [table.adj(n), table.y, table.inv("om2")], h))
+                     else seq(two_t, [table.adj(n), table.y, table.inv_zk2], h))
+            b.append(seq(two_alpha, [table.adj(n), table.y, table.inv_om2], h))
         return LadderState(ortho=state, R=tuple(R), r=tuple(r), a=tuple(a), b=tuple(b))
 
 

@@ -157,13 +157,13 @@ class Trajectory:
     ``meta`` records n, params and integrator statistics.
     """
 
-    def __init__(self, ts, ys, fs, frac, prec, start, meta=None):
+    def __init__(self, ts, ys, fs, frac, prec, start, meta):
         if any(b <= a for a, b in zip(ts, ts[1:])):
             raise ParameterError("trajectory t_points must be strictly increasing")
         self.ts, self.ys, self.fs = ts, ys, fs
         self.frac, self.prec = frac, prec
         self._start = start
-        self.meta = {} if meta is None else meta
+        self.meta = meta
 
     def _mpf(self, v):
         return _to_mpf(v, self.frac, self.prec)

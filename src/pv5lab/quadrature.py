@@ -11,15 +11,15 @@ Two layers:
 * ``WeightTable`` - the shared engine behind the orthogonal-polynomial
   pipeline.  It caches, per refinement level, the mapped nodes together
   with the weight already folded into the quadrature coefficients, the
-  stable products 1-y^2 and y^2-k2, the values v'(y), and (once the
-  recurrence is frozen) the monic-polynomial rows.  y^2-k2 and v'(y) come
-  from the formulas of ``model``, fed with the exact endpoint distances of
-  the tanh-sinh map.  The weight is even and the node set is symmetric
-  about 0, so a table stores one mirror half, the nodes y >= 0, with the
-  mirror weight 2 folded into each coefficient (the centre node y = 0 of
-  [-1, 1] keeps weight 1); an even integrand sums to the full-support
-  integral over these nodes alone.  Every array is stored once, in
-  integer form (``IntArray``): an int mantissa of ``work_bits`` bits with
+  reciprocals of the stable products 1-y^2 and y^2-k2, the values v'(y),
+  and (once the recurrence is frozen) the monic-polynomial rows.  y^2-k2
+  and v'(y) come from the formulas of ``model``, fed with the exact
+  endpoint distances of the tanh-sinh map.  The weight is even and the
+  node set is symmetric about 0, so a table stores one mirror half, the
+  nodes y >= 0, with the mirror weight 2 folded into each coefficient (the
+  centre node y = 0 of [-1, 1] keeps weight 1); an even integrand sums to
+  the full-support integral over these nodes alone.  Every array is stored
+  once, in integer form (``IntArray``): an int mantissa of ``work_bits`` bits with
   its own exponent, or, for the bounded y and P_n(y), one fixed point int
   at scale 2^-(work_bits+64).  Every inner product downstream is one call of the
   kernel ``_dot`` per level: the mantissa products are exact, each is
@@ -96,9 +96,6 @@ class IntegralResult(NamedTuple):
     error: object
     converged: bool
     levels: int
-
-
-DEFAULT_CONTEXT = PrecisionContext()
 
 
 @functools.lru_cache(maxsize=64)
@@ -189,7 +186,7 @@ def _interval_series(f, a, b, ctx: PrecisionContext, scale=None):
         return IntegralResult(value, err, False, ctx.max_level)
 
 
-def integrate(f, sup, ctx: PrecisionContext = DEFAULT_CONTEXT, scale=None) -> IntegralResult:
+def integrate(f, sup, ctx: PrecisionContext, scale=None) -> IntegralResult:
     """Integrate ``f`` over a ``Support`` (or iterable of (lo, hi) pairs).
 
     Never raises on slow convergence: the result carries ``converged`` and
@@ -210,7 +207,7 @@ def integrate(f, sup, ctx: PrecisionContext = DEFAULT_CONTEXT, scale=None) -> In
         return IntegralResult(total, err, converged, top)
 
 
-def moment(j: int, params: ModelParams, ctx: PrecisionContext = DEFAULT_CONTEXT):
+def moment(j: int, params: ModelParams, ctx: PrecisionContext):
     """mu_j = integral of z^j w(z); odd j returns exact 0 without integration."""
     if not isinstance(j, int) or j < 0:
         raise ParameterError(f"moment order must be an integer >= 0, got {j!r}")
@@ -334,6 +331,16 @@ def _accumulate(terms):
     return total, emax, count
 
 
+def _reciprocal(arr, bits):
+    """Floating integer form of the reciprocals of a floating array of
+    ``bits``-bit mantissas: 2^(2 bits - 1) // m has ``bits`` bits, give or
+    take one.  A zero element stays 0: y^2 - k2 vanishes at a node only at
+    t = 0 with k2 >= 0, where no ladder integral exists to read it."""
+    top = 1 << (2 * bits - 1)
+    return IntArray([top // m if m else 0 for m in arr.man],
+                    list(map(sub, repeat(1 - 2 * bits), arr.exp)))
+
+
 def _mirror_halves(p, q):
     """Exact (p + q)/2 and (p - q)/2 of two floating integer arrays.
 
@@ -379,22 +386,23 @@ class WeightTable:
               bits)
     ``cw``    mirror weight * half-width * tanh-sinh weight * w(y);
               trapezoid step applied at summation time
-    ``om2``   (1-y)(1+y), built from exact endpoint distances
-    ``zk2``   y^2 - k2, built from the exact gap-edge distance when a gap
-              is open
-    ``vp``    v'(y) evaluated from om2/zk2 (no pole guard; the folded weight
-              suppresses the near-edge blow-up)
+    ``inv_om2``  1/((1-y)(1+y)), om2 built from exact endpoint distances
+    ``inv_zk2``  1/(y^2 - k2), zk2 built from the exact gap-edge distance
+                 when a gap is open
+    ``vp``       v'(y) evaluated from om2/zk2 (no pole guard; the folded
+                 weight suppresses the near-edge blow-up)
 
     The node values are computed in mpf at the working precision and stored
-    only in integer form.  Every array derived from them lives in one cache
-    keyed by its maker and the maker's arguments: the monic rows P_n(y)
-    (fixed point, registered by ``freeze(beta)``), the folded products
-    cw*P_n^2 (``sq``) and cw*P_n*P_{n-1} (``adj``), the reciprocals
-    (``inv``) and the mirror parts of the divided differences of v'
-    (``dd``, until ``release_dd`` drops them).  An entry is made on first
-    use over the levels built so far, and ``_add_level`` extends every
-    entry in creation order, so the rows grow before the products read
-    them.  Every integral is a sum of ``_dot`` products over these arrays.
+    only in integer form; om2 and zk2 are packed and kept only as their
+    reciprocals, which are what the ladder integrals read.  Every array
+    derived from the stored ones lives in one cache keyed by its maker and
+    the maker's arguments: the monic rows P_n(y) (fixed point, registered by
+    ``freeze(beta)``), the folded products cw*P_n^2 (``sq``) and
+    cw*P_n*P_{n-1} (``adj``), and the mirror parts of the divided
+    differences of v' (``dd``, until ``release_dd`` drops them).  An entry
+    is made on first use over the levels built so far, and ``_add_level``
+    extends every entry in creation order, so the rows grow before the
+    products read them.  Every integral is a sum of ``_dot`` products over these arrays.
     ``trapezoid`` gives the sum at one given level; ``raw_integral`` is the
     one routine that decides when an integral stops and when it fails: it
     forms each level's sum once, compares the trapezoid values of the top
@@ -447,8 +455,8 @@ class WeightTable:
             self.intervals = integration_intervals(params)
         self.y = []
         self.cw = []
-        self.om2 = []
-        self.zk2 = []
+        self.inv_om2 = []
+        self.inv_zk2 = []
         self.vp = []
         self._mass = []  # per level: _dot of cw, for absolute error floors
         # the edge cut (class docstring): nodes dropped, largest term bound
@@ -518,8 +526,8 @@ class WeightTable:
         bits = self.work_bits
         self.y.append(IntArray([_fixed(v, self.frac_bits) for v in ys], -self.frac_bits))
         self.cw.append(_pack(cws, bits))
-        self.om2.append(_pack(om2s, bits))
-        self.zk2.append(_pack(zk2s, bits))
+        self.inv_om2.append(_reciprocal(_pack(om2s, bits), bits))
+        self.inv_zk2.append(_reciprocal(_pack(zk2s, bits), bits))
         self.vp.append(_pack(vps, bits))
         self._mass.append(_dot([self.cw[level]]))
         self.nlevels = level + 1
@@ -611,19 +619,6 @@ class WeightTable:
         """Per-level arrays cw * P_n(y) * P_{n-1}(y), odd in y: integrate them
         against an odd factor (``y``, the odd part of ``dd``)."""
         return self._cached(WeightTable._folded, n, n - 1)
-
-    def _reciprocal(self, key, level):
-        src = (self.om2 if key == "om2" else self.zk2)[level]
-        # 2^(2b-1) // m has b bits, give or take one, for a b-bit mantissa m
-        top = 2 * self.work_bits - 1
-        return IntArray(list(map(floordiv, repeat(1 << top), src.man)),
-                        list(map(sub, repeat(-top), src.exp)))
-
-    def inv(self, key: str):
-        """Per-level reciprocal arrays for 'om2' or 'zk2', even in y."""
-        if key not in ("om2", "zk2"):
-            raise ParameterError(f"unknown reciprocal key {key!r}")
-        return self._cached(WeightTable._reciprocal, key)
 
     def _dd_side(self, z, vz, reach, ys, vp):
         """(v'(z) - v'(y)) / (z - y) at the nodes ``ys`` with values ``vp`` = v'(y),
@@ -729,7 +724,7 @@ class WeightTable:
         """Integrate an elementwise product of per-level factor arrays.
 
         ``factors`` is a sequence of per-level lists owned by this table
-        (``y``, ``sq(n)``, ``rows(n)``, ``inv('zk2')``, ...), which grow with
+        (``y``, ``sq(n)``, ``rows(n)``, ``inv_zk2``, ...), which grow with
         the table.  Exactly one factor family must carry the folded cw
         weight, and the product must be even in y: the sum over the stored
         half y >= 0 is then the full-support integral.  The value is the

@@ -79,19 +79,19 @@ def _jsonable_summary(summary, bits: int):
     }
 
 
-def build_document(reports, summary, params_block, bits: int, timestamp=None):
+def build_document(reports, summary, params_block, bits: int):
     return {
         "schema": SCHEMA,
-        "timestamp": timestamp or datetime.now(timezone.utc).isoformat(),
+        "timestamp": datetime.now(timezone.utc).isoformat(),
         "params": params_block,
         "checks": check_rows(reports, bits),
         "summary": _jsonable_summary(summary, bits),
     }
 
 
-def emit_report(reports, summary, path, params_block, bits: int, timestamp=None):
+def emit_report(reports, summary, path, params_block, bits: int):
     """Write the JSON document; returns the document dict."""
-    doc = build_document(reports, summary, params_block, bits, timestamp=timestamp)
+    doc = build_document(reports, summary, params_block, bits)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")

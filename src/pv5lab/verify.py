@@ -54,56 +54,6 @@ class Tier(enum.Enum):
     DIAGNOSTIC = "diagnostic"
 
 
-class IdentityId(enum.Enum):
-    # functional ladder relations at sampled z (general theory)
-    S1_FUNC = "S1_FUNC"
-    S2_FUNC = "S2_FUNC"
-    S2P_FUNC = "S2P_FUNC"
-    LOWER_FUNC = "LOWER_FUNC"
-    RAISE_FUNC = "RAISE_FUNC"
-    A_FORM = "A_FORM"
-    B_FORM = "B_FORM"
-    # recurrence bookkeeping (exact by construction, guards index slips)
-    BETA_ROUTES = "BETA_ROUTES"
-    TELE_BETA = "TELE_BETA"
-    # t-derivative identities (general theory, finite-difference tolerance)
-    DLNH = "DLNH"
-    DBETA = "DBETA"
-    DP = "DP"
-    # coefficient identities from the supplementary conditions
-    C_S1_B = "C_S1_B"
-    C_S1_R = "C_S1_R"
-    C_S2_B = "C_S2_B"
-    C_S2_R = "C_S2_R"
-    C_S2_MIX = "C_S2_MIX"
-    YJ3 = "YJ3"
-    YJ4 = "YJ4"
-    TELE_SUM = "TELE_SUM"
-    Q1 = "Q1"
-    Q2 = "Q2"
-    Q3 = "Q3"
-    Q4 = "Q4"
-    Q5 = "Q5"
-    Q6 = "Q6"
-    Q7 = "Q7"
-    QP1 = "QP1"
-    QP2 = "QP2"
-    QP3 = "QP3"
-    QP4 = "QP4"
-    QP5 = "QP5"
-    QP6 = "QP6"
-    QP7 = "QP7"
-    MUTEX_WITNESS = "MUTEX_WITNESS"
-    ZHU232 = "ZHU232"
-    BETA_EXPR = "BETA_EXPR"
-    # dynamics in t
-    RIC_R = "RIC_R"
-    RIC_BIGR = "RIC_BIGR"
-    FACTOR_PROD = "FACTOR_PROD"
-    ODE_RN = "ODE_RN"
-    PV_PHI = "PV_PHI"
-
-
 @dataclass
 class IdentityReport:
     """One measured residual (or an explicit skip/error)."""
@@ -135,12 +85,12 @@ def central_differences(lo, mid, hi, h):
     return (hi - lo) / (2 * h), (hi - 2 * mid + lo) / (h * h)
 
 
-def sample_points(params: ModelParams, count: int = 20, seed: int = 0, margin=0.05):
-    """Deterministic z samples in (-0.95, 0.95), kept ``margin`` away from
-    every pole of v'; ascending order."""
+def sample_points(params: ModelParams, count: int = 20, seed: int = 0):
+    """Deterministic z samples in (-0.95, 0.95), kept 0.05 away from every
+    pole of v'; ascending order."""
     rng = random.Random(seed)
     with mp.workprec(params.work_bits):
-        margin = mp.mpf(margin)
+        margin = mp.mpf(0.05)
         rk = gap_edge(params) if params.k2 > 0 else None
         out = []
         attempts = 0
@@ -523,70 +473,69 @@ class CheckDef:
 #: the step-halving ratio band of the REQUIRED t-stencil checks
 _BAND = (3.0, 5.0)
 
-REGISTRY = {
-    IdentityId.S1_FUNC: CheckDef(Tier.REQUIRED, _chk_s1, needs_z=True, shift=1,
-                                 required_tol=1e-15),
-    IdentityId.S2_FUNC: CheckDef(Tier.REQUIRED, _chk_s2, needs_z=True, min_n=1,
-                                 shift=1, required_tol=1e-15),
-    IdentityId.S2P_FUNC: CheckDef(Tier.REQUIRED, _chk_s2p, needs_z=True, min_n=1,
-                                  required_tol=1e-15),
-    IdentityId.LOWER_FUNC: CheckDef(Tier.REQUIRED, _chk_lower, needs_z=True,
-                                    min_n=1, required_tol=1e-20),
-    IdentityId.RAISE_FUNC: CheckDef(Tier.REQUIRED, _chk_raise, needs_z=True,
-                                    min_n=1, required_tol=1e-20),
-    IdentityId.A_FORM: CheckDef(Tier.REQUIRED, _chk_a_form, needs_z=True,
-                                required_tol=1e-20),
-    IdentityId.B_FORM: CheckDef(Tier.REQUIRED, _chk_b_form, needs_z=True,
-                                min_n=1, required_tol=1e-20),
-    IdentityId.BETA_ROUTES: CheckDef(Tier.REQUIRED, _chk_beta_routes, min_n=1,
-                                     required_tol=None),  # 10 * rel_tol at run time
-    IdentityId.TELE_BETA: CheckDef(Tier.REQUIRED, _chk_tele_beta, min_n=1,
-                                   required_tol=None),
-    IdentityId.DLNH: CheckDef(Tier.REQUIRED, _chk_dlnh, stencil=True,
-                              required_tol=1e-10),
-    IdentityId.DBETA: CheckDef(Tier.REQUIRED, _chk_dbeta, stencil=True, min_n=1,
-                               required_tol=1e-10),
+#: every identity of the chain, in report order; ``IdentityId`` is built
+#: from these names
+_CHECKS = {
+    # functional ladder relations at sampled z (general theory)
+    "S1_FUNC": CheckDef(Tier.REQUIRED, _chk_s1, needs_z=True, shift=1, required_tol=1e-15),
+    "S2_FUNC": CheckDef(Tier.REQUIRED, _chk_s2, needs_z=True, min_n=1, shift=1,
+                        required_tol=1e-15),
+    "S2P_FUNC": CheckDef(Tier.REQUIRED, _chk_s2p, needs_z=True, min_n=1, required_tol=1e-15),
+    "LOWER_FUNC": CheckDef(Tier.REQUIRED, _chk_lower, needs_z=True, min_n=1,
+                           required_tol=1e-20),
+    "RAISE_FUNC": CheckDef(Tier.REQUIRED, _chk_raise, needs_z=True, min_n=1,
+                           required_tol=1e-20),
+    "A_FORM": CheckDef(Tier.REQUIRED, _chk_a_form, needs_z=True, required_tol=1e-20),
+    "B_FORM": CheckDef(Tier.REQUIRED, _chk_b_form, needs_z=True, min_n=1, required_tol=1e-20),
+    # recurrence bookkeeping (exact by construction, guards index slips);
+    # tolerance 10 * rel_tol at run time
+    "BETA_ROUTES": CheckDef(Tier.REQUIRED, _chk_beta_routes, min_n=1),
+    "TELE_BETA": CheckDef(Tier.REQUIRED, _chk_tele_beta, min_n=1),
+    # t-derivative identities (general theory, finite-difference tolerance)
+    "DLNH": CheckDef(Tier.REQUIRED, _chk_dlnh, stencil=True, required_tol=1e-10),
+    "DBETA": CheckDef(Tier.REQUIRED, _chk_dbeta, stencil=True, min_n=1, required_tol=1e-10),
     # p(n) is identically 0 below n = 2, so the t-derivative statement
     # carries content only from n = 2 on
-    IdentityId.DP: CheckDef(Tier.REQUIRED, _chk_dp, stencil=True, min_n=2,
-                            required_tol=1e-10),
-    IdentityId.C_S1_B: CheckDef(Tier.DIAGNOSTIC, _chk_c_s1_b, shift=1),
-    IdentityId.C_S1_R: CheckDef(Tier.DIAGNOSTIC, _chk_c_s1_r, shift=1),
-    IdentityId.C_S2_B: CheckDef(Tier.DIAGNOSTIC, _chk_c_s2_b, min_n=1, shift=1),
-    IdentityId.C_S2_R: CheckDef(Tier.DIAGNOSTIC, _chk_c_s2_r, min_n=1, shift=1),
-    IdentityId.C_S2_MIX: CheckDef(Tier.DIAGNOSTIC, _chk_c_s2_mix, min_n=1, shift=1),
-    IdentityId.YJ3: CheckDef(Tier.DIAGNOSTIC, _chk_yj3, min_n=1, shift=1),
-    IdentityId.YJ4: CheckDef(Tier.DIAGNOSTIC, _chk_yj4),
-    IdentityId.TELE_SUM: CheckDef(Tier.DIAGNOSTIC, _chk_tele_sum, min_n=1),
-    IdentityId.Q1: CheckDef(Tier.DIAGNOSTIC, _chk_q1, min_n=1),
-    IdentityId.Q2: CheckDef(Tier.DIAGNOSTIC, _chk_q2, min_n=1, needs_k2=True),
-    IdentityId.Q3: CheckDef(Tier.DIAGNOSTIC, _chk_q3, min_n=1),
-    IdentityId.Q4: CheckDef(Tier.DIAGNOSTIC, _chk_q4, min_n=1),
-    IdentityId.Q5: CheckDef(Tier.DIAGNOSTIC, _chk_q5, min_n=1),
-    IdentityId.Q6: CheckDef(Tier.DIAGNOSTIC, _chk_q6, min_n=1),
-    IdentityId.Q7: CheckDef(Tier.DIAGNOSTIC, _chk_q7, min_n=1),
-    IdentityId.QP1: CheckDef(Tier.DIAGNOSTIC, _chk_q1, min_n=1),
-    IdentityId.QP2: CheckDef(Tier.DIAGNOSTIC, _chk_q2, min_n=1, needs_k2=True),
-    IdentityId.QP3: CheckDef(Tier.DIAGNOSTIC, _chk_qp3, min_n=1),
-    IdentityId.QP4: CheckDef(Tier.DIAGNOSTIC, _chk_qp4, min_n=1),
-    IdentityId.QP5: CheckDef(Tier.DIAGNOSTIC, _chk_qp5, min_n=1),
-    IdentityId.QP6: CheckDef(Tier.DIAGNOSTIC, _chk_qp6, min_n=1),
-    IdentityId.QP7: CheckDef(Tier.DIAGNOSTIC, _chk_q7, min_n=1),
-    IdentityId.MUTEX_WITNESS: CheckDef(Tier.DIAGNOSTIC, _chk_mutex, min_n=1),
-    IdentityId.ZHU232: CheckDef(Tier.DIAGNOSTIC, _chk_zhu232, min_n=1),
-    IdentityId.BETA_EXPR: CheckDef(Tier.DIAGNOSTIC, _chk_beta_expr, min_n=1,
-                                   needs_k2=True),
-    IdentityId.RIC_R: CheckDef(Tier.DIAGNOSTIC, _chk_ric_r, min_n=1, stencil=True,
-                               needs_k2=True),
-    IdentityId.RIC_BIGR: CheckDef(Tier.DIAGNOSTIC, _chk_ric_bigr, min_n=1,
-                                  stencil=True, needs_k2=True),
-    IdentityId.FACTOR_PROD: CheckDef(Tier.DIAGNOSTIC, _chk_factor_prod, min_n=1,
-                                     stencil=True, needs_k2=True),
-    IdentityId.ODE_RN: CheckDef(Tier.DIAGNOSTIC, _chk_ode_rn, min_n=1,
-                                stencil=True, needs_k2=True),
-    IdentityId.PV_PHI: CheckDef(Tier.DIAGNOSTIC, _chk_pv_phi, min_n=1,
-                                stencil=True, needs_k2=True),
+    "DP": CheckDef(Tier.REQUIRED, _chk_dp, stencil=True, min_n=2, required_tol=1e-10),
+    # coefficient identities from the supplementary conditions
+    "C_S1_B": CheckDef(Tier.DIAGNOSTIC, _chk_c_s1_b, shift=1),
+    "C_S1_R": CheckDef(Tier.DIAGNOSTIC, _chk_c_s1_r, shift=1),
+    "C_S2_B": CheckDef(Tier.DIAGNOSTIC, _chk_c_s2_b, min_n=1, shift=1),
+    "C_S2_R": CheckDef(Tier.DIAGNOSTIC, _chk_c_s2_r, min_n=1, shift=1),
+    "C_S2_MIX": CheckDef(Tier.DIAGNOSTIC, _chk_c_s2_mix, min_n=1, shift=1),
+    "YJ3": CheckDef(Tier.DIAGNOSTIC, _chk_yj3, min_n=1, shift=1),
+    "YJ4": CheckDef(Tier.DIAGNOSTIC, _chk_yj4),
+    "TELE_SUM": CheckDef(Tier.DIAGNOSTIC, _chk_tele_sum, min_n=1),
+    "Q1": CheckDef(Tier.DIAGNOSTIC, _chk_q1, min_n=1),
+    "Q2": CheckDef(Tier.DIAGNOSTIC, _chk_q2, min_n=1, needs_k2=True),
+    "Q3": CheckDef(Tier.DIAGNOSTIC, _chk_q3, min_n=1),
+    "Q4": CheckDef(Tier.DIAGNOSTIC, _chk_q4, min_n=1),
+    "Q5": CheckDef(Tier.DIAGNOSTIC, _chk_q5, min_n=1),
+    "Q6": CheckDef(Tier.DIAGNOSTIC, _chk_q6, min_n=1),
+    "Q7": CheckDef(Tier.DIAGNOSTIC, _chk_q7, min_n=1),
+    "QP1": CheckDef(Tier.DIAGNOSTIC, _chk_q1, min_n=1),
+    "QP2": CheckDef(Tier.DIAGNOSTIC, _chk_q2, min_n=1, needs_k2=True),
+    "QP3": CheckDef(Tier.DIAGNOSTIC, _chk_qp3, min_n=1),
+    "QP4": CheckDef(Tier.DIAGNOSTIC, _chk_qp4, min_n=1),
+    "QP5": CheckDef(Tier.DIAGNOSTIC, _chk_qp5, min_n=1),
+    "QP6": CheckDef(Tier.DIAGNOSTIC, _chk_qp6, min_n=1),
+    "QP7": CheckDef(Tier.DIAGNOSTIC, _chk_q7, min_n=1),
+    "MUTEX_WITNESS": CheckDef(Tier.DIAGNOSTIC, _chk_mutex, min_n=1),
+    "ZHU232": CheckDef(Tier.DIAGNOSTIC, _chk_zhu232, min_n=1),
+    "BETA_EXPR": CheckDef(Tier.DIAGNOSTIC, _chk_beta_expr, min_n=1, needs_k2=True),
+    # dynamics in t
+    "RIC_R": CheckDef(Tier.DIAGNOSTIC, _chk_ric_r, min_n=1, stencil=True, needs_k2=True),
+    "RIC_BIGR": CheckDef(Tier.DIAGNOSTIC, _chk_ric_bigr, min_n=1, stencil=True, needs_k2=True),
+    "FACTOR_PROD": CheckDef(Tier.DIAGNOSTIC, _chk_factor_prod, min_n=1, stencil=True,
+                            needs_k2=True),
+    "ODE_RN": CheckDef(Tier.DIAGNOSTIC, _chk_ode_rn, min_n=1, stencil=True, needs_k2=True),
+    "PV_PHI": CheckDef(Tier.DIAGNOSTIC, _chk_pv_phi, min_n=1, stencil=True, needs_k2=True),
 }
+
+#: one member per registry row, value = name
+IdentityId = enum.Enum("IdentityId", [(name, name) for name in _CHECKS], module=__name__)
+
+REGISTRY = {IdentityId(name): d for name, d in _CHECKS.items()}
 
 #: ids that cannot run at k2 = 0 (carry 1/k2 factors or degenerate bases)
 REQUIRES_NONZERO_K2 = tuple(i for i, d in REGISTRY.items() if d.needs_k2)

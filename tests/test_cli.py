@@ -32,6 +32,35 @@ def test_moments_trivial_row(capsys):
     assert mp.mpf(rows[2][1]) == 0  # odd moment exact zero
 
 
+def test_moments_report_the_requested_n_max(capsys, tmp_path):
+    # the params block used to carry n_max = 1, the floor validate asks for
+    out_json = tmp_path / "moments.json"
+    code, out, _ = _run(capsys, "moments", "--alpha", "0", "--k2", "-1", "--t", "0",
+                        "--n-max", "0", "--bits", "128", "--rel-tol", "1e-18",
+                        "--out-json", str(out_json))
+    assert code == 0
+    assert [row[0] for row in csv.reader(io.StringIO(out))] == ["j", "0"]
+    assert json.loads(out_json.read_text())["params"]["n_max"] == 0
+
+
+@pytest.mark.parametrize("command", ["verify", "pv-residual"])
+def test_grid_commands_document_their_default_t(command, capsys):
+    # the --t help used to say "(default 0.5)"; without --t these commands run the grid
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "default 0.5" not in text
+    assert "12-point log grid from 0.05 to 1.0" in text
+
+
+@pytest.mark.parametrize("command", ["moments", "recurrence", "ladder"])
+def test_single_t_commands_document_their_default_t(command, capsys):
+    with pytest.raises(SystemExit):
+        run([command, "--help"])
+    assert "deformation time (default 0.5)" in " ".join(capsys.readouterr().out.split())
+
+
 def test_recurrence_and_ladder_tables(capsys, tmp_path):
     code, out, _ = _run(capsys, "recurrence", "--alpha", "1", "--k2", "-1",
                         "--t", "0", "--n-max", "2", "--bits", "128",

@@ -206,7 +206,7 @@ def test_dot_kernel_fixed_point_and_zero_cases():
 def test_raw_integral_error_covers_kernel_bound(gap_params, ctx_fast):
     table = WeightTable(gap_params, ctx_fast)
     table.ensure_levels(5)
-    factors = [table.cw, table.y, table.y, table.inv("zk2")]
+    factors = [table.cw, table.y, table.y, table.inv_zk2]
     res = table.raw_integral(factors)
     assert res.converged
     value, bound = table._value(_level_terms(factors, res.levels), res.levels)
@@ -242,7 +242,7 @@ def test_raw_integral_refines_to_the_same_bits(gap_params, ctx_fast):
     def integral(filled):
         table = WeightTable(gap_params, ctx_fast)
         table.ensure_levels(filled)
-        factors = [table.cw, table.y, table.y, table.inv("zk2")]
+        factors = [table.cw, table.y, table.y, table.inv_zk2]
         res = table.raw_integral(factors)
         assert res.value == table.trapezoid(factors, res.levels)
         return res
@@ -278,21 +278,37 @@ def test_table_divided_differences_match_model(gap_params, ctx_fast):
 
 @pytest.mark.parametrize("t", ["0", "0.5"])
 def test_table_zk2_is_y2_minus_k2(t, ctx_fast):
-    """The stored y^2 - k2 at k2 > 0, on one interval [-1, 1] (t = 0) and
-    on the two intervals of an open gap (t > 0)."""
+    """The stored 1/(y^2 - k2) at k2 > 0, relative to the exact value, on
+    one interval [-1, 1] (t = 0) and on the two intervals of an open gap
+    (t > 0)."""
     params = pv5lab.validate(1, 0.25, t, 192, 4)
     table = WeightTable(params, ctx_fast)
     table.ensure_levels(4)
     checked = 0
     with mp.workprec(2 * table.frac_bits):
         for lv in range(table.nlevels):
-            for y, zk2 in zip(_mpf_values(table.y[lv]), _mpf_values(table.zk2[lv])):
-                ref = y * y - params.k2
-                assert abs(zk2 - ref) <= mp.mpf(2) ** (-(ctx_fast.work_bits - 8)), (
-                    f"zk2 = {mp.nstr(zk2, 12)} at y = {mp.nstr(y, 12)}, "
-                    f"y^2 - k2 = {mp.nstr(ref, 12)}")
+            for y, inv in zip(_mpf_values(table.y[lv]), _mpf_values(table.inv_zk2[lv])):
+                ref = 1 / (y * y - params.k2)
+                assert abs(inv - ref) <= mp.mpf(2) ** (-(ctx_fast.work_bits - 8)) * abs(ref), (
+                    f"1/zk2 = {mp.nstr(inv, 12)} at y = {mp.nstr(y, 12)}, "
+                    f"1/(y^2 - k2) = {mp.nstr(ref, 12)}")
                 checked += 1
     assert checked > 50
+
+
+def test_table_builds_where_zk2_vanishes_at_a_node():
+    """At k2 = 0, t = 0 the centre node y = 0 of [-1, 1] has y^2 - k2 = 0.
+    The table still builds, with that one reciprocal stored as 0: the
+    recurrence does not read it, and no ladder integral exists there."""
+    params = pv5lab.validate(1, 0, 0, 128, 2)
+    ctx = pv5lab.PrecisionContext(bits=128, rel_tol=1e-20, max_level=12)
+    state = pv5lab.build(params, ctx)
+    zeros = [(lv, i) for lv, block in enumerate(state.table.inv_zk2)
+             for i, m in enumerate(block.man) if m == 0]
+    assert zeros == [(0, 0)] and state.table.y[0].man[0] == 0
+    assert state.beta[1] > 0
+    with pytest.raises(pv5lab.LadderIneligible):
+        pv5lab.compute(state, ctx)
 
 
 def test_frozen_table_grows_every_derived_array_in_step(gap_params, gap_state, ctx_fast):
@@ -303,8 +319,8 @@ def test_frozen_table_grows_every_derived_array_in_step(gap_params, gap_state, c
         vpz = pv5lab.v_prime(z, gap_params)
 
     def derived(table):
-        return {"sq": table.sq(3), "adj": table.adj(3), "inv_zk2": table.inv("zk2"),
-                "inv_om2": table.inv("om2"), "dd_even": table.dd(z, vpz)[0],
+        return {"sq": table.sq(3), "adj": table.adj(3), "inv_zk2": table.inv_zk2,
+                "inv_om2": table.inv_om2, "dd_even": table.dd(z, vpz)[0],
                 "dd_odd": table.dd(z, vpz)[1],
                 "rows": [[table.row(n, lv) for n in range(gap_params.n_max + 1)]
                          for lv in range(table.nlevels)]}
@@ -369,17 +385,17 @@ def test_half_table_matches_full_support_route(alpha, k2, t):
             checks[f"h{n}"] = ([table.sq(n)], lambda y, n=n: P(n, y) ** 2)
             if not ladder:
                 continue
-            checks[f"a{n}"] = ([table.sq(n), table.inv("om2")],
+            checks[f"a{n}"] = ([table.sq(n), table.inv_om2],
                                lambda y, n=n: P(n, y) ** 2 / basis(y)[0])
             if params.t > 0:
-                checks[f"R{n}"] = ([table.sq(n), table.inv("zk2")],
+                checks[f"R{n}"] = ([table.sq(n), table.inv_zk2],
                                    lambda y, n=n: P(n, y) ** 2 / basis(y)[1])
             if n == 0:
                 continue
-            checks[f"b{n}"] = ([table.adj(n), table.y, table.inv("om2")],
+            checks[f"b{n}"] = ([table.adj(n), table.y, table.inv_om2],
                                lambda y, n=n: y * P(n, y) * P(n - 1, y) / basis(y)[0])
             if params.t > 0:
-                checks[f"r{n}"] = ([table.adj(n), table.y, table.inv("zk2")],
+                checks[f"r{n}"] = ([table.adj(n), table.y, table.inv_zk2],
                                    lambda y, n=n: y * P(n, y) * P(n - 1, y) / basis(y)[1])
         for z in (mp.mpf("0.3"), mp.mpf("-0.7")) if ladder else ():
             vpz = pv5lab.v_prime(z, params)

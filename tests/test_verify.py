@@ -19,6 +19,30 @@ EXACT_DIAGNOSTICS = (I.C_S1_B, I.C_S1_R, I.C_S2_B, I.C_S2_R, I.C_S2_MIX,
                      I.TELE_SUM, I.Q1, I.Q2, I.QP1, I.QP2)
 
 
+#: the identities in registry (and report) order
+IDENTITY_NAMES = (
+    "S1_FUNC", "S2_FUNC", "S2P_FUNC", "LOWER_FUNC", "RAISE_FUNC", "A_FORM", "B_FORM",
+    "BETA_ROUTES", "TELE_BETA", "DLNH", "DBETA", "DP",
+    "C_S1_B", "C_S1_R", "C_S2_B", "C_S2_R", "C_S2_MIX", "YJ3", "YJ4", "TELE_SUM",
+    "Q1", "Q2", "Q3", "Q4", "Q5", "Q6", "Q7", "QP1", "QP2", "QP3", "QP4", "QP5", "QP6", "QP7",
+    "MUTEX_WITNESS", "ZHU232", "BETA_EXPR",
+    "RIC_R", "RIC_BIGR", "FACTOR_PROD", "ODE_RN", "PV_PHI",
+)
+
+
+def test_identity_ids_are_the_registry_rows():
+    assert [i.value for i in REGISTRY] == list(IDENTITY_NAMES)
+    assert [i.value for i in IdentityId] == list(IDENTITY_NAMES)
+    for name in IDENTITY_NAMES:
+        assert IdentityId(name) is IdentityId[name] is getattr(pv5lab.IdentityId, name)
+        assert IdentityId[name].name == name
+    assert IdentityId.__module__ == "pv5lab.verify"
+    assert pv5lab.verify.REQUIRES_NONZERO_K2 == tuple(
+        IdentityId[n] for n in ("Q2", "QP2", "BETA_EXPR", "RIC_R", "RIC_BIGR",
+                                "FACTOR_PROD", "ODE_RN", "PV_PHI"))
+    assert [i.value for i in pv5lab.verify.suite_ids("required")] == list(IDENTITY_NAMES[:12])
+
+
 @pytest.fixture(scope="module")
 def vp():
     return pv5lab.validate(1, 0.25, 0.5, 192, 5)
