@@ -24,17 +24,13 @@ from .errors import (
 )
 from .ladder import (
     A_integral,
-    A_rational,
     B_integral,
-    B_rational,
     LadderState,
     compute,
-    lowering_residual,
-    raising_residual,
+    point_values,
 )
 from .model import (
     ModelParams,
-    Support,
     dd_quotient,
     support,
     v_prime,
@@ -54,8 +50,7 @@ from .ode import (
 from .orthopoly import (
     OrthoState,
     build,
-    eval_monic,
-    eval_monic_derivative,
+    monic_values,
     orthogonality_residual,
 )
 from .quadrature import (

@@ -48,7 +48,8 @@ def _grid_opts(parser):
     parser.add_argument("--t-start", type=str, default=None)
     parser.add_argument("--t-stop", type=str, default=None)
     parser.add_argument("--t-count", type=int, default=None)
-    parser.add_argument("--t-spacing", choices=("linear", "log"), default="log")
+    parser.add_argument("--t-spacing", choices=("linear", "log"), default=None,
+                        help="grid spacing (default log)")
 
 
 def build_parser():
@@ -94,12 +95,15 @@ def build_parser():
 
 def _t_grid(args):
     """t or t_grid from flags; log default grid 0.05..1.0 with 12 points.
+    A grid flag beside --t is refused.
 
     Parsed at working precision so a flag like --t 0.4 means 0.4 to the
     full mantissa, not its binary64 rounding.
     """
-    if args.t is not None and args.t_start is not None:
-        raise ParameterError("give either --t or a --t-start/--t-stop grid, not both")
+    grid_flags = (args.t_start, args.t_stop, args.t_count, args.t_spacing)
+    if args.t is not None and any(f is not None for f in grid_flags):
+        raise ParameterError("give either --t or a --t-start/--t-stop/--t-count/"
+                             "--t-spacing grid, not both")
     with mp.workprec(args.bits + 64):
         if args.t is not None:
             return (mp.mpf(args.t),)
@@ -108,7 +112,7 @@ def _t_grid(args):
         count = args.t_count if args.t_count is not None else 12
         if count < 1:
             raise ParameterError("t grid count must be >= 1")
-        if args.t_spacing == "log":
+        if args.t_spacing != "linear":
             if start <= 0 or stop <= 0:
                 raise ParameterError("log spacing requires t start > 0 and t stop > 0")
             if count == 1:
@@ -161,7 +165,7 @@ def _emit_params_report(args, params, ctx, extra):
     """With --out-json, a report that carries only the parameters block."""
     if args.out_json:
         block = _params_block(args, params, ctx, extra)
-        report.emit_report([], verify.summarize([], ctx), args.out_json, block, ctx.bits)
+        report.emit_report([], verify.summarize([]), args.out_json, block, ctx.bits)
 
 
 def _cmd_moments(args):
@@ -214,7 +218,7 @@ def _cmd_verify(args):
     z_samples = verify.sample_points(params, args.z_count, args.seed)
     reports = verify.check_suite(params, ctx, n_set, t_grid,
                                  z_samples=z_samples, suite=args.suite)
-    summary = verify.summarize(reports, ctx)
+    summary = verify.summarize(reports)
     extra = {
         "t_grid": [report.numstr(tv, ctx.bits) for tv in t_grid],
         "suite": args.suite,

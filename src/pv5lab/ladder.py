@@ -35,15 +35,16 @@ other sequence value, and every A_n(z) and B_n(z) but B_0 = 0, is one
 shared table and raises NoConvergence at its level cap, so no value here
 comes from an unconverged integral.
 
-``point_values`` evaluates the rational route at one z for every degree:
-one pole test, one recurrence pass for P_n(z) and P_n'(z), and each
-rational form once.  The lowering and raising residuals are methods of
-its ``PointValues``; ``A_rational``, ``B_rational`` and the one-degree
-residual functions read the same formulas.
+``point_values`` is the one entry to the rational route at a z: one pole
+test, one recurrence pass for P_n(z) and P_n'(z), and each rational form
+once, for every degree.  The lowering and raising residuals are methods of
+its ``PointValues``.
 
 ``state_at`` is the one way to the states at a time t, and refuses
 ladder-ineligible parameters before any quadrature; the caches of
 ``orthopoly.build`` and ``compute`` share the states between its callers.
+Every function handed a built state works at the precision of its weight
+table, whose context also fixes each integral's tolerance and level cap.
 """
 
 from __future__ import annotations
@@ -72,10 +73,6 @@ class LadderState:
     a: tuple
     b: tuple
 
-    @property
-    def params(self):
-        return self.ortho.params
-
 
 def require_eligible(params: ModelParams):
     """Raise LadderIneligible unless ``params.ladder_eligible``."""
@@ -85,12 +82,12 @@ def require_eligible(params: ModelParams):
 
 
 @functools.lru_cache(maxsize=8)
-def _compute_cached(state: OrthoState, ctx: PrecisionContext) -> LadderState:
+def _compute_cached(state: OrthoState) -> LadderState:
     params = state.params
     require_eligible(params)
     table = state.table
     n_max = params.n_max
-    with mp.workprec(ctx.work_bits):
+    with mp.workprec(table.work_bits):
         zero = mp.mpf(0)
         two_t = 2 * params.t
         two_alpha = 2 * params.alpha
@@ -114,9 +111,9 @@ def _compute_cached(state: OrthoState, ctx: PrecisionContext) -> LadderState:
         return LadderState(ortho=state, R=tuple(R), r=tuple(r), a=tuple(a), b=tuple(b))
 
 
-def compute(state: OrthoState, ctx: PrecisionContext) -> LadderState:
-    """All four ladder sequences by quadrature; cached per (state, ctx)."""
-    return _compute_cached(state, ctx)
+def compute(state: OrthoState) -> LadderState:
+    """All four ladder sequences by quadrature; cached per state."""
+    return _compute_cached(state)
 
 
 def state_at(params: ModelParams, ctx: PrecisionContext, t):
@@ -127,7 +124,7 @@ def state_at(params: ModelParams, ctx: PrecisionContext, t):
         params = dataclasses.replace(params, t=mp.mpf(t))
         require_eligible(params)
         ortho = orthopoly.build(params, ctx)
-    return ortho, compute(ortho, ctx)
+    return ortho, compute(ortho)
 
 
 def _a_form(n, z, om2, zk2, params, lad):
@@ -142,30 +139,13 @@ def _b_form(n, z, om2, zk2, params, lad):
             + z * lad.r[n] / (zk2 * zk2))
 
 
-def _rational(form, n, z, ortho, lad):
-    params = ortho.params
-    with mp.workprec(params.work_bits):
-        z = mp.mpf(z)
-        return form(n, z, *_pole_basis(z, params), params, lad)
-
-
-def A_rational(n: int, z, ortho: OrthoState, lad: LadderState):
-    """Three-pole rational form of A_n(z)."""
-    return _rational(_a_form, n, z, ortho, lad)
-
-
-def B_rational(n: int, z, ortho: OrthoState, lad: LadderState):
-    """Three-pole rational form of B_n(z); identically 0 at n = 0."""
-    return _rational(_b_form, n, z, ortho, lad)
-
-
-def A_integral(n: int, z, ortho: OrthoState, ctx: PrecisionContext, vp=None):
+def A_integral(n: int, z, ortho: OrthoState, vp=None):
     """A_n(z) from its defining integral (any real z off the poles of v').
 
     ``vp`` is v'(z) where the caller already holds it (``PointValues.vp``);
     otherwise it is computed here, with its pole test."""
     table = ortho.table
-    with mp.workprec(ctx.work_bits):
+    with mp.workprec(table.work_bits):
         z = mp.mpf(z)
         vpz = v_prime(z, ortho.params) if vp is None else vp
         even, _ = table.dd(z, vpz)
@@ -173,11 +153,11 @@ def A_integral(n: int, z, ortho: OrthoState, ctx: PrecisionContext, vp=None):
         return table.raw_integral([table.sq(n), even], scale=h).value / h
 
 
-def B_integral(n: int, z, ortho: OrthoState, ctx: PrecisionContext, vp=None):
+def B_integral(n: int, z, ortho: OrthoState, vp=None):
     """B_n(z) from its defining integral; B_0 = 0 (P_{-1} convention).
     ``vp`` as in ``A_integral``."""
     table = ortho.table
-    with mp.workprec(ctx.work_bits):
+    with mp.workprec(table.work_bits):
         if n == 0:
             return mp.mpf(0)
         z = mp.mpf(z)
@@ -239,13 +219,3 @@ def point_values(z, ortho: OrthoState, lad: LadderState) -> PointValues:
             ortho=ortho, vp=_v_prime_from(z, om2, zk2, params), P=P, dP=dP,
             A=tuple(_a_form(n, z, om2, zk2, params, lad) for n in degrees),
             B=tuple(_b_form(n, z, om2, zk2, params, lad) for n in degrees))
-
-
-def lowering_residual(n: int, z, ortho: OrthoState, lad: LadderState):
-    """``PointValues.lowering_residual`` at z, rational route."""
-    return point_values(z, ortho, lad).lowering_residual(n)
-
-
-def raising_residual(n: int, z, ortho: OrthoState, lad: LadderState):
-    """``PointValues.raising_residual`` at z, rational route."""
-    return point_values(z, ortho, lad).raising_residual(n)

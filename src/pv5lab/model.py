@@ -72,19 +72,6 @@ class ModelParams:
         )
 
 
-@dataclass(frozen=True)
-class Support:
-    """Ordered, disjoint closed intervals carrying the weight's mass."""
-
-    intervals: tuple
-
-    def __iter__(self):
-        return iter(self.intervals)
-
-    def __len__(self):
-        return len(self.intervals)
-
-
 def validate(alpha, k2, t, precision_bits=256, n_max=12) -> ModelParams:
     """Validate raw inputs and return frozen ``ModelParams``.
 
@@ -133,14 +120,15 @@ def _gap_edge(k2, work_bits: int):
         return rk
 
 
-def support(params: ModelParams) -> Support:
-    """Support of the weight: [-1,1], or two intervals when a gap is open."""
+def support(params: ModelParams) -> tuple:
+    """Support of the weight as ordered, disjoint closed intervals (lo, hi):
+    ((-1, 1),), or ((-1, -sqrt(k2)), (sqrt(k2), 1)) when a gap is open."""
     with mp.workprec(params.work_bits):
         one = mp.mpf(1)
         if params.has_gap:
             rk = gap_edge(params)
-            return Support(((-one, -rk), (rk, one)))
-        return Support(((-one, one),))
+            return ((-one, -rk), (rk, one))
+        return ((-one, one),)
 
 
 def _gap(params: ModelParams):

@@ -436,21 +436,26 @@ def integrate_pv(params: ModelParams, n: int, t0, t1, init, tol) -> Trajectory:
         return traj
 
 
-def _require_degree(params: ModelParams, n: int):
+def _require_seed(params: ModelParams, n: int, t0):
+    """Refuse, before any quadrature, the initial data that the integrators
+    would refuse after it: n outside 1..n_max, k2 = 0 or t0 <= 0."""
     if not 1 <= n <= params.n_max:
         raise ParameterError(f"degree n = {n} outside 1..n_max = 1..{params.n_max}")
+    _require_dynamic(params, n, mp.mpf(t0))
 
 
 def riccati_initial(params: ModelParams, n: int, t0, ctx: PrecisionContext):
-    """(R_n, r_n) at t0 from quadrature, for n in 1..n_max."""
-    _require_degree(params, n)
+    """(R_n, r_n) at t0 from quadrature, for n in 1..n_max; refused where
+    ``integrate_riccati`` would refuse them."""
+    _require_seed(params, n, t0)
     _, lad = ladder_mod.state_at(params, ctx, t0)
     return lad.R[n], lad.r[n]
 
 
 def pv_initial(params: ModelParams, n: int, t0, ctx: PrecisionContext):
-    """(Phi_n, Phi_n') at t0, n in 1..n_max: quadrature value plus a stencil derivative."""
-    _require_degree(params, n)
+    """(Phi_n, Phi_n') at t0, n in 1..n_max: quadrature value plus a stencil
+    derivative; refused where ``integrate_pv`` would refuse them."""
+    _require_seed(params, n, t0)
     with mp.workprec(params.work_bits):
         t0 = mp.mpf(t0)
         s = s_of(n, params)

@@ -37,7 +37,6 @@ class OrthoState:
     beta: tuple
     p_sub: tuple
     level: int
-    h_error: tuple
     table: WeightTable = field(repr=False)
 
     @property
@@ -68,27 +67,28 @@ def _stieltjes_pass(table: WeightTable, level: int, n_max: int):
     return h, beta
 
 
-def _build_impl(params: ModelParams, ctx: PrecisionContext) -> OrthoState:
+@functools.lru_cache(maxsize=6)
+def _build_cached(params: ModelParams, ctx: PrecisionContext) -> OrthoState:
     with mp.workprec(ctx.work_bits):
         table = WeightTable(params, ctx)
         table.ensure_levels(MIN_LEVEL)
         rel = mp.mpf(ctx.rel_tol)
         prev_h = None
         h = beta = None
-        h_err = None
+        worst = None
         for level in range(MIN_LEVEL, ctx.max_level + 1):
             table.ensure_levels(level)
             h, beta = _stieltjes_pass(table, level, params.n_max)
             if prev_h is not None:
-                h_err = tuple(abs(a - b) / a for a, b in zip(h, prev_h))
-                if max(h_err) <= rel:
+                worst = max(abs(a - b) / a for a, b in zip(h, prev_h))
+                if worst <= rel:
                     break
             prev_h = h
         else:
             raise NoConvergence(
                 f"recurrence build not stable at level {ctx.max_level} "
-                f"(worst relative change {mp.nstr(max(h_err), 6)})",
-                value=None, error=max(h_err))
+                f"(worst relative change {mp.nstr(worst, 6)})",
+                value=None, error=worst)
         p_sub = [mp.mpf(0), mp.mpf(0)]
         for n in range(1, params.n_max + 1):
             p_sub.append(p_sub[n] - beta[n])
@@ -99,14 +99,8 @@ def _build_impl(params: ModelParams, ctx: PrecisionContext) -> OrthoState:
             beta=tuple(beta),
             p_sub=tuple(p_sub),
             level=table.nlevels - 1,
-            h_error=h_err,
             table=table,
         )
-
-
-@functools.lru_cache(maxsize=6)
-def _build_cached(params: ModelParams, ctx: PrecisionContext) -> OrthoState:
-    return _build_impl(params, ctx)
 
 
 def build(params: ModelParams, ctx: PrecisionContext) -> OrthoState:
@@ -118,17 +112,15 @@ def build(params: ModelParams, ctx: PrecisionContext) -> OrthoState:
     return _build_cached(params, ctx)
 
 
-def monic_values(state: OrthoState, z, top=None):
-    """(P_0..P_top(z), P_0'..P_top'(z)), top defaulting to n_max, from one
-    pass of the forward recurrence and its derivative; leading coefficient
-    exactly 1."""
-    top = state.n_max if top is None else top
+def monic_values(state: OrthoState, z):
+    """(P_0..P_n_max(z), P_0'..P_n_max'(z)) from one pass of the forward
+    recurrence and its derivative; leading coefficient exactly 1."""
     with mp.workprec(state.params.work_bits):
         z = mp.mpf(z)
         pm1, p = mp.mpf(0), mp.mpf(1)
         dm1, d = mp.mpf(0), mp.mpf(0)
         values, derivs = [p], [d]
-        for j in range(top):
+        for j in range(state.n_max):
             dm1, d = d, p + z * d - state.beta[j] * dm1
             pm1, p = p, z * p - state.beta[j] * pm1
             values.append(p)
@@ -136,23 +128,7 @@ def monic_values(state: OrthoState, z, top=None):
         return tuple(values), tuple(derivs)
 
 
-def _degree(state: OrthoState, n: int):
-    if not 0 <= n <= state.n_max:
-        raise IndexError(f"degree {n} outside [0, {state.n_max}]")
-    return n
-
-
-def eval_monic(state: OrthoState, n: int, z):
-    """P_n(z) by forward recurrence (``monic_values``)."""
-    return monic_values(state, z, _degree(state, n))[0][n]
-
-
-def eval_monic_derivative(state: OrthoState, n: int, z):
-    """P_n'(z) via the differentiated recurrence (``monic_values``)."""
-    return monic_values(state, z, _degree(state, n))[1][n]
-
-
-def orthogonality_residual(state: OrthoState, ctx: PrecisionContext, m: int, n: int):
+def orthogonality_residual(state: OrthoState, m: int, n: int):
     """|<P_m, P_n>| / sqrt(h_m h_n) for m != n.
 
     Odd m+n is an odd integrand and short-circuits to exact 0.  The inner
@@ -165,8 +141,8 @@ def orthogonality_residual(state: OrthoState, ctx: PrecisionContext, m: int, n: 
         raise IndexError(f"degrees ({m}, {n}) outside [0, {state.n_max}]")
     if (m + n) % 2 == 1:
         return mp.mpf(0)
-    with mp.workprec(ctx.work_bits):
-        table = state.table
+    table = state.table
+    with mp.workprec(table.work_bits):
         norm = mp.sqrt(state.h[m] * state.h[n])
         res = table.raw_integral([table.cw, table.rows(m), table.rows(n)], scale=norm)
         return abs(res.value) / norm

@@ -51,8 +51,8 @@ from mpmath import mp
 from mpmath.libmp import mpf_cosh_sinh, round_nearest
 
 from .errors import NoConvergence, ParameterError, PrecisionExhausted
-from .model import (GUARD_BITS, ModelParams, Support, _gap, _v_prime_from,
-                    _z2_minus_k2, pole_guard, support, v_second, weight)
+from .model import (GUARD_BITS, ModelParams, _gap, _v_prime_from, _z2_minus_k2,
+                    pole_guard, support, v_second, weight)
 
 #: coarsest level at which an integral value is first formed
 MIN_LEVEL = 3
@@ -138,13 +138,12 @@ def integration_intervals(params: ModelParams):
     not analytic at 0, and endpoint clustering restores fast convergence.
     The reported ``support`` is unchanged; this is a quadrature detail.
     """
-    sup = support(params)
-    with mp.workprec(params.work_bits):
-        if params.k2 == 0 and params.t > 0:
+    if params.k2 == 0 and params.t > 0:
+        with mp.workprec(params.work_bits):
             one = mp.mpf(1)
             zero = mp.mpf(0)
             return ((-one, zero), (zero, one))
-    return tuple(sup.intervals)
+    return support(params)
 
 
 def _interval_series(f, a, b, ctx: PrecisionContext, scale=None):
@@ -186,13 +185,13 @@ def _interval_series(f, a, b, ctx: PrecisionContext, scale=None):
         return IntegralResult(value, err, False, ctx.max_level)
 
 
-def integrate(f, sup, ctx: PrecisionContext, scale=None) -> IntegralResult:
-    """Integrate ``f`` over a ``Support`` (or iterable of (lo, hi) pairs).
+def integrate(f, intervals, ctx: PrecisionContext, scale=None) -> IntegralResult:
+    """Integrate ``f`` over an iterable of (lo, hi) intervals, such as
+    ``model.support``.
 
     Never raises on slow convergence: the result carries ``converged`` and
     the summed per-interval error estimates, and callers decide.
     """
-    intervals = sup.intervals if isinstance(sup, Support) else tuple(sup)
     with mp.workprec(ctx.work_bits):
         total = mp.mpf(0)
         err = mp.mpf(0)

@@ -124,19 +124,17 @@ def checks_csv(reports, bits: int, fh):
         ])
 
 
-def table_csv(header, rows, bits: int, fh):
-    writer = csv.writer(fh)
+def csv_text(header, rows, bits: int) -> str:
+    """The table as CSV text: the header, then one line per row with every
+    number but an int at the full digits of ``bits``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
     writer.writerow(header)
     for row in rows:
         writer.writerow([
             cell if isinstance(cell, (str, int)) else numstr(cell, bits)
             for cell in row
         ])
-
-
-def csv_text(header, rows, bits: int) -> str:
-    buf = io.StringIO()
-    table_csv(header, rows, bits, buf)
     return buf.getvalue()
 
 

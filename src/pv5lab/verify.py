@@ -181,10 +181,8 @@ class Evaluator:
         ortho, lad = self.states(t)
         point = ladder_mod.point_values(z, ortho, lad)
         degrees = range(self.top + 1)
-        a = tuple(_attempt(ladder_mod.A_integral, n, z, ortho, self.ctx, point.vp)
-                  for n in degrees)
-        b = tuple(_attempt(ladder_mod.B_integral, n, z, ortho, self.ctx, point.vp)
-                  for n in degrees)
+        a = tuple(_attempt(ladder_mod.A_integral, n, z, ortho, point.vp) for n in degrees)
+        b = tuple(_attempt(ladder_mod.B_integral, n, z, ortho, point.vp) for n in degrees)
         ortho.table.release_dd(z)  # no later integral reads dd at z
         return ZSweep(point, a, b)
 
@@ -703,7 +701,7 @@ def factor_split(params: ModelParams, ctx: PrecisionContext, n: int, t):
         return _factor_values(ev, ev.states(t)[1], n, t)
 
 
-def summarize(reports, ctx: PrecisionContext):
+def summarize(reports):
     """Aggregate a report list into the summary block used by the emitters."""
     required = [r for r in reports if r.tier is Tier.REQUIRED]
     required_ok = [r for r in required if r.status == "ok"]

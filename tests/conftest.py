@@ -50,8 +50,8 @@ def gap_state(gap_params, ctx_fast):
 
 
 @pytest.fixture(scope="session")
-def gap_ladder(gap_state, ctx_fast):
-    return pv5lab.compute(gap_state, ctx_fast)
+def gap_ladder(gap_state):
+    return pv5lab.compute(gap_state)
 
 
 @pytest.fixture(scope="session")
@@ -66,8 +66,8 @@ def jacobi_state(jacobi_params, ctx_fast):
 
 
 @pytest.fixture(scope="session")
-def jacobi_ladder(jacobi_state, ctx_fast):
-    return pv5lab.compute(jacobi_state, ctx_fast)
+def jacobi_ladder(jacobi_state):
+    return pv5lab.compute(jacobi_state)
 
 
 def mpf(x):

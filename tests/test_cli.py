@@ -3,16 +3,21 @@
 import csv
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from mpmath import mp
 
 import pv5lab
-from pv5lab.cli import run
+from pv5lab.cli import _t_grid, build_parser, run
 from pv5lab.report import SCHEMA, load_report
 
 ROW_KEYS = ["id", "tier", "n", "t", "z", "residual", "pass"]
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _run(capsys, *argv):
@@ -245,6 +250,84 @@ def test_ladder_and_ode_refuse_ladder_ineligible_params_before_quadrature(capsys
         code, _, err = _run(capsys, *argv)
         assert code == 2, argv[0]
         assert "ladder quantities need alpha > 0, and k2 < 0 at t = 0" in err
+
+
+def test_ode_refuses_dynamics_before_quadrature(capsys, monkeypatch):
+    # k2 = 0 and t0 = 0 used to build a table and its ladder for the seed
+    # before integrate_riccati refused them
+    _no_quadrature(monkeypatch)
+    argv = ["ode", "--alpha", "1", "--n", "2", "--n-max", "2", "--bits", "128",
+            "--rel-tol", "1e-20"]
+    for case, message in ((("--k2", "0", "--t0", "0.5", "--t1", "0.52"), "need k2 != 0"),
+                          (("--k2", "-0.5", "--t0", "0", "--t1", "0.02"),
+                           "t0 must be positive")):
+        code, _, err = _run(capsys, *argv, *case)
+        assert code == 2, case
+        assert message in err
+
+
+@pytest.mark.parametrize("flags", [("--t-stop", "1"), ("--t-count", "5"),
+                                   ("--t-spacing", "log"),
+                                   ("--t-stop", "1", "--t-count", "5",
+                                    "--t-spacing", "linear")],
+                         ids=["stop", "count", "spacing", "grid"])
+def test_grid_flags_beside_t_are_refused(flags, capsys, monkeypatch):
+    # --t used to win silently over --t-stop, --t-count and --t-spacing:
+    # one row at t = 0.5 and exit 0 (--t-start beside --t was refused already)
+    _no_quadrature(monkeypatch)
+    code, out, err = _run(capsys, "pv-residual", "--alpha", "1", "--k2", "0.09", "--n", "2",
+                          "--n-max", "2", "--bits", "128", "--rel-tol", "1e-20",
+                          "--t", "0.5", *flags)
+    assert code == 2
+    assert out == "" and "not both" in err
+
+
+def _grid(*flags):
+    return _t_grid(build_parser().parse_args(
+        ["verify", "--alpha", "1", "--k2", "0.25", *flags]))
+
+
+def test_default_t_grid_is_twelve_log_spaced_points():
+    grid = _grid()
+    assert len(grid) == 12
+    with mp.workprec(256 + 64):  # the grid's precision at the default --bits
+        assert grid[0] == mp.mpf("0.05")
+        assert abs(grid[-1] - 1) < mp.mpf(2) ** -300
+        ratios = [b / a for a, b in zip(grid, grid[1:])]
+        assert max(ratios) - min(ratios) < mp.mpf(2) ** -300
+        assert abs(ratios[0] ** 11 - 20) < mp.mpf(2) ** -290
+
+
+@pytest.mark.parametrize("spacing", ["log", "linear"])
+def test_one_point_t_grid_is_its_start(spacing):
+    grid = _grid("--t-start", "0.3", "--t-count", "1", "--t-spacing", spacing)
+    with mp.workprec(256 + 64):
+        assert grid == (mp.mpf("0.3"),)
+
+
+def test_t_grid_refuses_a_count_below_one(capsys, monkeypatch):
+    _no_quadrature(monkeypatch)
+    code, _, err = _run(capsys, "verify", "--alpha", "1", "--k2", "0.25", "--t-count", "0")
+    assert code == 2
+    assert "count must be >= 1" in err
+
+
+def test_moments_refuse_a_negative_n_max(capsys):
+    code, out, err = _run(capsys, "moments", "--alpha", "0", "--k2", "-1",
+                          "--n-max", "-1")
+    assert code == 2
+    assert out == "" and "--n-max >= 0" in err
+
+
+def test_module_entry_point_exits_with_the_run_code():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pv5lab.cli", "moments", "--alpha", "0", "--k2", "-1",
+         "--n-max", "-1"], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert "configuration error" in proc.stderr
 
 
 def test_ode_does_not_take_t(capsys, monkeypatch):

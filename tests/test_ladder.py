@@ -28,64 +28,62 @@ def test_positivity_invariants(gap_ladder):
 def test_ladder_ineligible_cases(ctx_fast):
     p = pv5lab.validate(0, 0.25, 0.5, 192, 4)  # alpha = 0
     with pytest.raises(LadderIneligible):
-        pv5lab.compute(pv5lab.build(p, ctx_fast), ctx_fast)
+        pv5lab.compute(pv5lab.build(p, ctx_fast))
     p = pv5lab.validate(1, 0.25, 0, 192, 4)  # t = 0 with k2 > 0
     with pytest.raises(LadderIneligible):
-        pv5lab.compute(pv5lab.build(p, ctx_fast), ctx_fast)
+        pv5lab.compute(pv5lab.build(p, ctx_fast))
 
 
 def test_a_rational_classical_point(jacobi_state, jacobi_ladder):
-    got = pv5lab.A_rational(0, 0, jacobi_state, jacobi_ladder)
+    got = pv5lab.point_values(0, jacobi_state, jacobi_ladder).A[0]
     assert abs(got - 3) < mp.mpf("1e-28")
 
 
-def test_a_integral_classical_point(jacobi_state, ctx_fast):
-    got = pv5lab.A_integral(0, 0, jacobi_state, ctx_fast)
+def test_a_integral_classical_point(jacobi_state):
+    got = pv5lab.A_integral(0, 0, jacobi_state)
     assert abs(got - 3) < mp.mpf("1e-28")
 
 
 def test_a_rational_even_b_rational_odd(gap_state, gap_ladder):
     for z in ("0.8", "0.13"):
-        ap = pv5lab.A_rational(3, z, gap_state, gap_ladder)
-        am = pv5lab.A_rational(3, "-" + z, gap_state, gap_ladder)
-        assert ap == am
-        bp = pv5lab.B_rational(3, z, gap_state, gap_ladder)
-        bm = pv5lab.B_rational(3, "-" + z, gap_state, gap_ladder)
-        assert bp == -bm
-    assert pv5lab.B_rational(3, 0, gap_state, gap_ladder) == 0
+        plus = pv5lab.point_values(z, gap_state, gap_ladder)
+        minus = pv5lab.point_values("-" + z, gap_state, gap_ladder)
+        assert plus.A[3] == minus.A[3]
+        assert plus.B[3] == -minus.B[3]
+    assert pv5lab.point_values(0, gap_state, gap_ladder).B[3] == 0
 
 
-def test_b_integral_vanishes_at_degree_zero(gap_state, ctx_fast):
-    assert pv5lab.B_integral(0, "0.8", gap_state, ctx_fast) == 0
-    assert pv5lab.B_integral(0, "1.5", gap_state, ctx_fast) == 0
+def test_b_integral_vanishes_at_degree_zero(gap_state):
+    assert pv5lab.B_integral(0, "0.8", gap_state) == 0
+    assert pv5lab.B_integral(0, "1.5", gap_state) == 0
 
 
-def test_a_integral_even_in_z(gap_state, ctx_fast):
-    za = pv5lab.A_integral(2, "0.66", gap_state, ctx_fast)
-    zb = pv5lab.A_integral(2, "-0.66", gap_state, ctx_fast)
+def test_a_integral_even_in_z(gap_state):
+    za = pv5lab.A_integral(2, "0.66", gap_state)
+    zb = pv5lab.A_integral(2, "-0.66", gap_state)
     assert abs(za - zb) < mp.mpf("1e-30") * (1 + abs(za))
 
 
 @pytest.mark.parametrize("n", [0, 2, 5])
-def test_rational_equals_integral_A(n, gap_state, gap_ladder, ctx_fast):
+def test_rational_equals_integral_A(n, gap_state, gap_ladder):
     for z in sample_points(gap_state.params, count=5, seed=7):
-        ar = pv5lab.A_rational(n, z, gap_state, gap_ladder)
-        ai = pv5lab.A_integral(n, z, gap_state, ctx_fast)
+        ar = pv5lab.point_values(z, gap_state, gap_ladder).A[n]
+        ai = pv5lab.A_integral(n, z, gap_state)
         assert abs(ar - ai) / (1 + abs(ar)) < mp.mpf("1e-25")
 
 
 @pytest.mark.parametrize("n", [1, 4, 6])
-def test_rational_equals_integral_B(n, gap_state, gap_ladder, ctx_fast):
+def test_rational_equals_integral_B(n, gap_state, gap_ladder):
     for z in sample_points(gap_state.params, count=5, seed=8):
-        br = pv5lab.B_rational(n, z, gap_state, gap_ladder)
-        bi = pv5lab.B_integral(n, z, gap_state, ctx_fast)
+        br = pv5lab.point_values(z, gap_state, gap_ladder).B[n]
+        bi = pv5lab.B_integral(n, z, gap_state)
         assert abs(br - bi) / (1 + abs(br)) < mp.mpf("1e-25")
 
 
-def test_routes_agree_outside_unit_interval(gap_state, gap_ladder, ctx_fast):
+def test_routes_agree_outside_unit_interval(gap_state, gap_ladder):
     z = mp.mpf("1.5")
-    br = pv5lab.B_rational(2, z, gap_state, gap_ladder)
-    bi = pv5lab.B_integral(2, z, gap_state, ctx_fast)
+    br = pv5lab.point_values(z, gap_state, gap_ladder).B[2]
+    bi = pv5lab.B_integral(2, z, gap_state)
     assert abs(br - bi) / (1 + abs(br)) < mp.mpf("1e-25")
 
 
@@ -96,7 +94,7 @@ def test_large_z_sum_rule_with_decay_trend(gap_state, gap_ladder):
         s = 2 * n + 2 * alpha + 1
         errs = []
         for z in (mp.mpf(10), mp.mpf(100), mp.mpf(1000)):
-            a = pv5lab.A_rational(n, z, gap_state, gap_ladder)
+            a = pv5lab.point_values(z, gap_state, gap_ladder).A[n]
             errs.append(abs(z * z * a + s))
         assert errs[1] < errs[0] / 20
         assert errs[2] < errs[1] / 20
@@ -105,13 +103,14 @@ def test_large_z_sum_rule_with_decay_trend(gap_state, gap_ladder):
 @pytest.mark.parametrize("n", [1, 3, 6])
 def test_lowering_and_raising_relations(n, gap_state, gap_ladder):
     for z in sample_points(gap_state.params, count=5, seed=9):
-        assert pv5lab.lowering_residual(n, z, gap_state, gap_ladder) < mp.mpf("1e-25")
-        assert pv5lab.raising_residual(n, z, gap_state, gap_ladder) < mp.mpf("1e-25")
+        point = pv5lab.point_values(z, gap_state, gap_ladder)
+        assert point.lowering_residual(n) < mp.mpf("1e-25")
+        assert point.raising_residual(n) < mp.mpf("1e-25")
 
 
-def test_compute_is_cached(gap_state, ctx_fast):
-    a = pv5lab.compute(gap_state, ctx_fast)
-    b = pv5lab.compute(gap_state, ctx_fast)
+def test_compute_is_cached(gap_state):
+    a = pv5lab.compute(gap_state)
+    b = pv5lab.compute(gap_state)
     assert a is b
 
 
@@ -120,7 +119,7 @@ def k2_zero_ladder():
     params = pv5lab.validate(1, 0, 0.5, 128, 2)
     ctx = pv5lab.PrecisionContext(bits=128, rel_tol=1e-25, max_level=12)
     state = pv5lab.build(params, ctx)
-    return state, pv5lab.compute(state, ctx)
+    return state, pv5lab.compute(state)
 
 
 @pytest.mark.parametrize("case", ["gap", "k2_zero", "t_zero"])
@@ -146,8 +145,8 @@ def test_pole_guard_is_shared(case, request):
     funcs = {
         "v_prime": lambda z: pv5lab.v_prime(z, params),
         "v_second": lambda z: pv5lab.v_second(z, params),
-        "A_rational": lambda z: pv5lab.A_rational(1, z, state, lad),
-        "B_rational": lambda z: pv5lab.B_rational(1, z, state, lad),
+        "A_1": lambda z: pv5lab.point_values(z, state, lad).A[1],
+        "B_1": lambda z: pv5lab.point_values(z, state, lad).B[1],
     }
     for name, fn in funcs.items():
         for z in points:

@@ -42,23 +42,23 @@ def test_h_positive_and_beta_convention(gap_state):
 
 
 def test_eval_monic_basics(gap_state, jacobi_state):
-    assert pv5lab.eval_monic(gap_state, 0, "0.37") == 1
+    assert pv5lab.monic_values(gap_state, "0.37")[0][0] == 1
     # P_2 = z^2 - beta_1 at the classical point: P_2(0.5) = 1/4 - 1/5
-    got = pv5lab.eval_monic(jacobi_state, 2, "0.5")
+    got = pv5lab.monic_values(jacobi_state, "0.5")[0][2]
     assert abs(got - mp.mpf("0.05")) < mp.mpf("1e-30")
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])
 def test_eval_monic_parity(n, gap_state):
     for z in ("0.3", "0.77"):
-        left = pv5lab.eval_monic(gap_state, n, "-" + z)
-        right = pv5lab.eval_monic(gap_state, n, z)
+        left = pv5lab.monic_values(gap_state, "-" + z)[0][n]
+        right = pv5lab.monic_values(gap_state, z)[0][n]
         assert left == (right if n % 2 == 0 else -right)
 
 
 def test_eval_monic_derivative_basics(jacobi_state):
-    assert pv5lab.eval_monic_derivative(jacobi_state, 1, "0.9") == 1
-    got = pv5lab.eval_monic_derivative(jacobi_state, 2, "0.7")
+    assert pv5lab.monic_values(jacobi_state, "0.9")[1][1] == 1
+    got = pv5lab.monic_values(jacobi_state, "0.7")[1][2]
     assert abs(got - mp.mpf("1.4")) < mp.mpf("1e-30")
 
 
@@ -66,31 +66,24 @@ def test_eval_monic_derivative_matches_finite_difference(gap_state):
     h = mp.mpf("1e-12")
     for n in (3, 6):
         for z in (mp.mpf("0.41"), mp.mpf("-0.88")):
-            fd = (pv5lab.eval_monic(gap_state, n, z + h)
-                  - pv5lab.eval_monic(gap_state, n, z - h)) / (2 * h)
-            exact = pv5lab.eval_monic_derivative(gap_state, n, z)
+            fd = (pv5lab.monic_values(gap_state, z + h)[0][n]
+                  - pv5lab.monic_values(gap_state, z - h)[0][n]) / (2 * h)
+            exact = pv5lab.monic_values(gap_state, z)[1][n]
             assert abs(fd - exact) < mp.mpf("1e-20") * (1 + abs(exact))
 
 
-def test_eval_monic_degree_bounds(gap_state):
-    with pytest.raises(IndexError):
-        pv5lab.eval_monic(gap_state, gap_state.n_max + 1, "0.1")
-    with pytest.raises(IndexError):
-        pv5lab.eval_monic_derivative(gap_state, -1, "0.1")
+def test_orthogonality_odd_pair_short_circuits(gap_state):
+    assert pv5lab.orthogonality_residual(gap_state, 0, 1) == 0
 
 
-def test_orthogonality_odd_pair_short_circuits(gap_state, ctx_fast):
-    assert pv5lab.orthogonality_residual(gap_state, ctx_fast, 0, 1) == 0
+def test_orthogonality_residuals_small(gap_state):
+    assert pv5lab.orthogonality_residual(gap_state, 0, 2) < mp.mpf("1e-28")
+    assert pv5lab.orthogonality_residual(gap_state, 3, 5) < mp.mpf("1e-25")
 
 
-def test_orthogonality_residuals_small(gap_state, ctx_fast):
-    assert pv5lab.orthogonality_residual(gap_state, ctx_fast, 0, 2) < mp.mpf("1e-28")
-    assert pv5lab.orthogonality_residual(gap_state, ctx_fast, 3, 5) < mp.mpf("1e-25")
-
-
-def test_orthogonality_rejects_equal_degrees(gap_state, ctx_fast):
+def test_orthogonality_rejects_equal_degrees(gap_state):
     with pytest.raises(ParameterError):
-        pv5lab.orthogonality_residual(gap_state, ctx_fast, 2, 2)
+        pv5lab.orthogonality_residual(gap_state, 2, 2)
 
 
 def test_beta_two_routes_and_telescoping(gap_state, ctx_fast):
