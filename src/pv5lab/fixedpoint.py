@@ -8,12 +8,15 @@ right-hand side: one int at scale 2^-FRAC, ``FRAC = bits + 128``.
 Constant operands (``Fixed`` numbers and ints) fold with ``Fixed``'s own
 arithmetic before they reach a recording number, so only the operations on
 t and the state are recorded, one line each, in the order ``f`` performs
-them.  The lines are compiled into one Python function on ints that does
-exactly the floored integer operations ``Fixed`` would do, without the
-per-operation dispatch; its source holds nothing but the operation
-templates below and int literals.  A recording number has no value: asked
-for one (``_mpf_``, a comparison, ``bool``) or met with an operand of
-another type, it raises ``NotRecordable``, and ``record`` returns None.
+them.  Each distinct line is emitted once: an operation whose text was
+already recorded reads that line's variable, which holds the same int since
+every variable is assigned once.  The lines are compiled into one Python
+function on ints that does exactly the floored integer operations ``Fixed``
+would do, without the per-operation dispatch; its source holds nothing but
+the operation templates below and int literals.  A recording number has no
+value: asked for one (``_mpf_``, a comparison, ``bool``) or met with an
+operand of another type, it raises ``NotRecordable``, and ``record``
+returns None.
 """
 
 from __future__ import annotations
@@ -175,6 +178,7 @@ class _Tape:
         self.Fixed = Fixed
         self.frac = Fixed.FRAC
         self.lines = []
+        self.emitted = {}  # expression text -> its variable
         self.refused = False
 
     def refuse(self, what):
@@ -184,9 +188,15 @@ class _Tape:
         return NotRecordable(f"a right-hand side on recording numbers asked for {what}")
 
     def emit(self, expr):
-        name = f"v{len(self.lines)}"
-        self.lines.append(f"    {name} = {expr}")
-        return Recorded(self, name)
+        """The variable of expr: a new line the first time, that line's after.
+
+        Every variable is assigned once, so equal text gives equal ints.
+        """
+        known = self.emitted.get(expr)
+        if known is None:
+            known = self.emitted[expr] = Recorded(self, f"v{len(self.lines)}")
+            self.lines.append(f"    {known.name} = {expr}")
+        return known
 
     def operand(self, x, int_shift):
         """x in a template: a variable, or a literal; an int m reads m << int_shift."""

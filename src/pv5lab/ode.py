@@ -10,14 +10,18 @@ The step runs on fixed-point integers at scale 2^-(bits + 128): the
 ``bits + 64`` working precision plus the 64 guard bits of the weight
 table's fixed-point arrays.  The state, the stages and the embedded error
 estimate are ints, and the tableau is integer rows over one common
-denominator.  The step control is exact integer arithmetic too: the accept
+denominator.  One step is one generated straight-line function on ints
+(``_step_maker``): the five further stages, the fifth-order update, the
+embedded errors and their bounds, with every tableau fraction written out
+as a literal.  The step control is exact integer arithmetic too: the accept
 test compares ints, the worst component is picked by cross-multiplication,
 and the step factor 0.9 (bound/err)^(1/5) is a floor integer fifth root at
 ``_FACTOR_BITS`` fraction bits (``_next_step``), so the step loop runs no
 mpf, float or libm operation and its step sizes are the same on every host.
 
 The right-hand side is recorded once per integration (``fixedpoint.record``)
-into a straight-line function on ints, which the stages call.  The
+into a straight-line function on ints, which the generated step calls
+through a closure that counts each call (``meta["rhs_evals"]``).  The
 equations (``equations.py``) are coded once, type-neutrally, and record as
 they are.  A right-hand side that branches on values or calls ``mp.*``
 functions cannot be recorded; it is called with the integrator's
@@ -36,7 +40,6 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-from operator import mul
 from typing import NamedTuple
 
 from mpmath import mp
@@ -143,6 +146,64 @@ def _next_step(h, e, b):
     return h * _iroot5((num << 5 * _FACTOR_BITS) // den) >> _FACTOR_BITS
 
 
+def _terms(coeffs, names):
+    """The source of sum(c * name) over the nonzero coefficients c."""
+    terms = [name if c == 1 else f"{c} * {name}" for c, name in zip(coeffs, names) if c]
+    return " + ".join(terms).replace("+ -", "- ")
+
+
+def _lowest(row, names):
+    """(source of sum(c' * name), d): the tableau row over _D as c' / d in
+    lowest terms, the same fractions, so every floor of them is the same int."""
+    g = math.gcd(_D, *row)
+    return _terms([c // g for c in row], names), _D // g
+
+
+@functools.lru_cache(maxsize=16)
+def _step_maker(dim, frac):
+    """One Cash-Karp step on ``dim`` components at scale 2^-frac, as one
+    straight-line function generated from the integer tableau.
+
+    ``_step_maker(dim, frac)(rhs, err_up, bound_mul, bound_up)`` returns
+    ``step(t, h, y, k1)``.  From the first stage ``k1 = rhs(t, y)`` it
+    forms the stages ``k_i = rhs(t + c_i h, y + h (a_i . k))``, i = 2..6,
+    and returns ``(y5, errs, bounds)``: ``y5 = y + h (b5 . k)``,
+    ``errs_j = |h (e . k)_j| << err_up`` and ``bounds_j = bound_mul
+    (1 + max(|y_j|, |y5_j|)) << bound_up``, with e the tableau row over _D.
+    Each fraction is floored onto the scale from its lowest terms c' / d
+    as ``h (c' . k) // d >> frac``, which is floor(h (c . k) / (_D 2^frac)):
+    the integer sums are exact in any order, so these are the ints of the
+    tableau rows applied term by term.  The source holds only int
+    literals, names and ``abs``/``max``.
+    """
+    def floored(row, col):
+        source, d = _lowest(row, col)
+        return f"(h * ({source}) // {d} >> {frac})"
+
+    ys = [f"y{j}" for j in range(dim)]
+    ks = [[f"k{i}_{j}" for j in range(dim)] for i in range(1, 7)]
+    cols = [[k[j] for k in ks] for j in range(dim)]
+    lines = ["def make_step(rhs, err_up, bound_mul, bound_up):",
+             "    def step(t, h, y, k1):",
+             f"        [{', '.join(ys)}] = y",
+             f"        [{', '.join(ks[0])}] = k1"]
+    for i in range(1, 6):
+        source, d = _lowest([_C[i]], ["h"])
+        offset = source if d == 1 else f"{source} // {d}"
+        stage = ", ".join(f"{y} + {floored(_A[i], col)}" for y, col in zip(ys, cols))
+        lines.append(f"        [{', '.join(ks[i])}] = rhs(t + {offset}, [{stage}])")
+    y5 = [f"y5_{j}" for j in range(dim)]
+    lines += [f"        {v} = {y} + {floored(_B5, col)}" for v, y, col in zip(y5, ys, cols)]
+    errs = ", ".join(f"abs(h * ({_terms(_E, col)})) << err_up" for col in cols)
+    bounds = ", ".join(f"bound_mul * ({hex(1 << frac)} + max(abs({y}), abs({v}))) << bound_up"
+                       for y, v in zip(ys, y5))
+    lines += [f"        return [{', '.join(y5)}], [{errs}], [{bounds}]",
+              "    return step"]
+    namespace = {"__builtins__": {}, "abs": abs, "max": max}
+    exec(compile("\n".join(lines), f"<Cash-Karp step, {dim} components>", "exec"), namespace)
+    return namespace["make_step"]
+
+
 class Trajectory:
     """Accepted steps, kept as the integrator's ints, with dense cubic-Hermite output.
 
@@ -234,18 +295,21 @@ def integrate_ivp(f, t0, t1, y0, tol, bits=256, guard=None, max_steps=200000):
     identical inputs give bit-identical trajectories on every host.  ``tol``
     must be finite and positive, or ``ParameterError`` is raised.
 
-    ``f`` is first called once on recording numbers (``fixedpoint.record``)
-    and, if that succeeds, the integration runs the recorded program on
-    ints.  Otherwise ``f`` is called at every stage with t and y as
-    ``fixed_type(bits)`` numbers and may return those, ints or anything
-    mpf accepts.  Both paths give the same bits.  ``guard(t, y)`` sees each
+    Each step is one call of a function generated from the tableau
+    (``_step_maker``); the loop keeps the clamp to t1, the floor check,
+    the accept test, the guard and the next step.  ``f`` is first called
+    once on recording numbers (``fixedpoint.record``) and, if that
+    succeeds, the step runs the recorded program on ints.  Otherwise ``f``
+    is called at every stage with t and y as ``fixed_type(bits)`` numbers
+    and may return those, ints or anything mpf accepts.  Both paths run
+    the same step and give the same bits.  ``guard(t, y)`` sees each
     accepted point as mpf and may raise ``PoleHit`` to stop near singular
     values.  A step that floors to zero units of the scale, or a nonzero
     t1 - t0 that does, raises ``StepUnderflow``.  Returns a
     ``Trajectory``; backward runs (t1 < t0) are stored ascending.
     Statistics: steps, rejected, min_step, rhs_evals (right-hand sides
-    evaluated, the recording call not counted) and rhs_path ("recorded" or
-    "generic").
+    evaluated, counted at each call, the recording call not counted) and
+    rhs_path ("recorded" or "generic").
     """
     with mp.workprec(bits + 64):
         t0 = mp.mpf(t0)
@@ -286,10 +350,8 @@ def integrate_ivp(f, t0, t1, y0, tol, bits=256, guard=None, max_steps=200000):
         # 2^-2frac / _D and tol = tol_man 2^tol_exp, cleared of denominators
         _, tol_man, tol_exp, _ = tol._mpf_
         tol_shift = tol_exp + frac
-        err_up, bound_up = max(0, -tol_shift), max(0, tol_shift)
-        bound_mul = _D * tol_man
-        unit = _D << frac
-        one = 1 << frac
+        step = _step_maker(len(y), frac)(
+            rhs, max(0, -tol_shift), _D * tol_man, max(0, tol_shift))
         h = span // 64
         h_floor = max(abs(span) >> (bits // 2), 1)
         steps = rejected = 0
@@ -302,16 +364,7 @@ def integrate_ivp(f, t0, t1, y0, tol, bits=256, guard=None, max_steps=200000):
                 raise StepUnderflow(
                     f"step {mp.nstr(to_mpf(abs(h)), 6)} below floor "
                     f"{mp.nstr(to_mpf(h_floor), 6)} at t={mp.nstr(to_mpf(t), 8)}")
-            k = [fcur]
-            for i in range(1, 6):
-                yi = [yj + h * sum(map(mul, _A[i], col)) // unit
-                      for yj, col in zip(y, zip(*k))]
-                k.append(rhs(t + _C[i] * h // _D, yi))
-            cols = list(zip(*k))
-            y5 = [yj + h * sum(map(mul, _B5, col)) // unit for yj, col in zip(y, cols)]
-            errs = [abs(h * sum(map(mul, _E, col))) << err_up for col in cols]
-            bounds = [bound_mul * (one + max(abs(a), abs(b))) << bound_up
-                      for a, b in zip(y, y5)]
+            y5, errs, bounds = step(t, h, y, fcur)
             e, b = _worst(errs, bounds)
             if e <= b:
                 t += h

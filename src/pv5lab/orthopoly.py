@@ -107,9 +107,20 @@ def build(params: ModelParams, ctx: PrecisionContext) -> OrthoState:
     """Stieltjes procedure for (h_n, beta_n, p(n)) up to params.n_max.
 
     Results are cached per (params, ctx); states are immutable and safe
-    to share.
+    to share.  A pair of two precisions is refused before any quadrature
+    (``require_one_precision``).
     """
+    require_one_precision(params, ctx)
     return _build_cached(params, ctx)
+
+
+def require_one_precision(params: ModelParams, ctx: PrecisionContext):
+    """ParameterError unless ``params.precision_bits == ctx.bits``: a state's
+    point values work at the one and its table integrals at the other."""
+    if params.precision_bits != ctx.bits:
+        raise ParameterError(
+            f"params.precision_bits = {params.precision_bits} differs from "
+            f"ctx.bits = {ctx.bits}; a state has one precision")
 
 
 def monic_values(state: OrthoState, z):

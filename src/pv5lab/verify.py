@@ -40,6 +40,7 @@ from dataclasses import dataclass
 from mpmath import mp
 
 from . import ladder as ladder_mod
+from . import orthopoly
 from .equations import beta_expr, factor_pair, ode_rn, phi_of, pv_rhs
 from .equations import ric_bigr_rhs as _ric_bigr_rhs
 from .equations import ric_r_rhs as _ric_r_rhs
@@ -643,9 +644,11 @@ def check_suite(params: ModelParams, ctx: PrecisionContext, n_set, t_grid,
                 z_samples=None, suite: str = "all"):
     """Cartesian product of the suite's checks; deterministic (id, n, t, z) order.
 
-    A t grid that reaches t < 0 raises NegativeT, and one with a point where
+    A t grid that reaches t < 0 raises NegativeT, one with a point where
     the ladder integrals do not exist (alpha = 0, or t = 0 with k2 >= 0)
-    raises LadderIneligible, before any check runs.
+    raises LadderIneligible, and params and ctx of two precisions raise
+    ParameterError (``orthopoly.require_one_precision``), before any check
+    runs.
     Each (identity, n, t, z) is admitted by the rule ``check`` applies
     (``_refusal``): a degree outside the identity's range writes no row,
     and any other refusal writes a SKIPPED row carrying its message.  On a
@@ -655,6 +658,7 @@ def check_suite(params: ModelParams, ctx: PrecisionContext, n_set, t_grid,
     collected as rows with status='error', never fatal.
     """
     ids = suite_ids(suite)
+    orthopoly.require_one_precision(params, ctx)
     with mp.workprec(params.work_bits):
         t_grid = _times(params, t_grid)
         if z_samples is None:

@@ -1,5 +1,6 @@
 """Adaptive integrator: order behavior, round trips, singularity policy."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -257,6 +258,12 @@ def _generic(f, Fixed):
     return lambda t, y: [pv5lab.ode._mantissa(v, Fixed) for v in f(Fixed(t), tuple(map(Fixed, y)))]
 
 
+def _program_lines(program):
+    """The recorded lines of a program: its source is the def, the unpacking
+    of y, one line per recorded operation, and the return."""
+    return max(line for *_, line in program.__code__.co_lines() if line) - 3
+
+
 def test_recorded_ops_match_fixed_type_bit_for_bit():
     Fixed = fixed_type(192)
     xs = _fixed_samples(Fixed, 23)
@@ -275,6 +282,27 @@ def test_recorded_ops_match_fixed_type_bit_for_bit():
             for b in xs:
                 want = _outcome(generic, b.v, [a.v, b.v])
                 assert _outcome(program, b.v, [a.v, b.v]) == want
+
+
+def test_recorder_emits_each_distinct_line_once():
+    Fixed = fixed_type(192)
+    xs = _fixed_samples(Fixed, 29)
+
+    def repeats(t, y):
+        s = t + y[0]
+        return ((t + y[0]) * (t + y[0]) * y[1], s * s * y[1] - y[1] * y[1], y[1] * y[1])
+
+    program = record(repeats, Fixed, 2)
+    # t + y0, its square, that times y1, y1 * y1, and the difference
+    assert _program_lines(program) == 5
+    generic = _generic(repeats, Fixed)
+    for a in xs:
+        for b in xs:
+            assert _outcome(program, b.v, [a.v, b.v]) == _outcome(generic, b.v, [a.v, b.v])
+    # the coupled pair at the trajectory benchmark's parameters: t + C, 2 (t + C)
+    # and y1 * y1 each appear in both equations
+    params = pv5lab.validate("1", "0.04", "0.5", 256, 2)
+    assert _program_lines(record(pv5lab.ode.riccati_rhs(params, 2), fixed_type(256), 2)) == 26
 
 
 def test_recorded_equations_match_fixed_type_on_random_states(oparams):
@@ -440,6 +468,39 @@ def test_next_step_clamps_and_floors_exactly():
                 assert _next_step(hs, e, b) == math.floor(Fraction(hs * f, scale))
 
 
+def test_generated_step_is_the_tableau_rows_term_by_term():
+    from pv5lab.ode import _A, _B5, _C, _D, _E, _step_maker
+
+    frac = fixed_type(192).FRAC
+    unit, one = _D << frac, 1 << frac
+
+    def rhs(t, y):  # any int map will do; this one mixes t and every component
+        return [(t * y[-1] >> frac) - 3 * y[0]] + [a - b for a, b in zip(y, y[1:])]
+
+    def reference(t, h, y, k1, err_up, bound_mul, bound_up):
+        k = [k1]
+        for i in range(1, 6):
+            stage = [yj + h * sum(a * kj for a, kj in zip(_A[i], col)) // unit
+                     for yj, col in zip(y, zip(*k))]
+            k.append(rhs(t + _C[i] * h // _D, stage))
+        cols = list(zip(*k))
+        y5 = [yj + h * sum(b * kj for b, kj in zip(_B5, col)) // unit
+              for yj, col in zip(y, cols)]
+        errs = [abs(h * sum(e * kj for e, kj in zip(_E, col))) << err_up for col in cols]
+        bounds = [bound_mul * (one + max(abs(a), abs(b))) << bound_up for a, b in zip(y, y5)]
+        return y5, errs, bounds
+
+    rng = random.Random(17)
+    for dim in (1, 2, 3):
+        for _ in range(40):
+            t = rng.randrange(-one, one)
+            h = rng.randrange(-one, one) >> rng.randrange(frac)
+            y = [rng.randrange(-4 * one, 4 * one) for _ in range(dim)]
+            scales = (rng.randrange(60), rng.randrange(1, 1 << 60), rng.randrange(60))
+            got = _step_maker(dim, frac)(rhs, *scales)(t, h, y, rhs(t, y))
+            assert got == reference(t, h, y, rhs(t, y), *scales)
+
+
 def test_integrate_ivp_refuses_non_finite_or_non_positive_tolerance():
     for tol in ("nan", "inf", "-inf", 0, "-1e-12"):
         with pytest.raises(ParameterError, match="tol must be finite and positive"):
@@ -457,3 +518,27 @@ def test_initial_data_refuses_degrees_outside_n_max(oparams, octx, monkeypatch):
         for n in (-1, 0, oparams.n_max + 1):
             with pytest.raises(ParameterError, match=r"1\.\.n_max = 1\.\.4"):
                 initial(oparams, n, "0.5", octx)
+
+
+def _int_digest(traj):
+    """SHA-256 of a trajectory's ints (ts, ys, fs), and its step counts."""
+    ints = (tuple(traj.ts), tuple(map(tuple, traj.ys)), tuple(map(tuple, traj.fs)))
+    counts = tuple(traj.meta[k] for k in ("steps", "rejected", "rhs_evals"))
+    return hashlib.sha256(repr(ints).encode()).hexdigest(), counts
+
+
+def test_integrator_ints_are_pinned():
+    # the trajectory benchmark's integration (``ode --k2 0.04 --n 2 --n-max 2
+    # --t0 0.5 --t1 0.54 --ode-tol 1e-18 --bits 256``) and a backward run:
+    # a change to the step's arithmetic must leave every int where it is
+    params = pv5lab.validate("1", "0.04", mp.mpf("0.5"), precision_bits=256, n_max=2)
+    ctx = pv5lab.PrecisionContext(bits=256, rel_tol=1e-40, max_level=12)
+    init = pv5lab.riccati_initial(params, 2, "0.5", ctx)
+    traj = pv5lab.integrate_riccati(params, 2, "0.5", "0.54", init, 1e-18)
+    assert _int_digest(traj) == (
+        "e128e2368d6fa20673c44ecb625a610f85b10a56e9dfa4643dc9eb800a7b846e",
+        (2585, 3, 15526))
+    back = pv5lab.integrate_ivp(harmonic, 2, 0, ("0.3", 1), 1e-16, bits=192)
+    assert _int_digest(back) == (
+        "41bd1a86c785cb43600499bdc48bf507d987e0c60e9e86b38f8638e243622a0c",
+        (617, 2, 3713))

@@ -406,3 +406,25 @@ def test_no_dd_entry_outlives_its_sweep(monkeypatch):
         assert pv5lab.check(I.A_FORM, params, ctx, 2, "0.5", z=z).passed
         assert dd_keys(table) == []
     assert len(tables) == 1
+
+
+def test_a_state_has_one_precision(monkeypatch):
+    """Point values work at params' bits and table integrals at ctx's, so a
+    pair whose bits differ is refused before any quadrature; at 128/256
+    bits A_FORM used to read 1.5e-58 where 256/256 reads 4.8e-87."""
+    def no_quadrature(*args):
+        raise AssertionError("a weight table was built")
+
+    monkeypatch.setattr(pv5lab.orthopoly, "WeightTable", no_quadrature)
+    params = pv5lab.validate(1, 0.25, 0.5, 128, 4)
+    ctx = pv5lab.PrecisionContext(bits=256, rel_tol=1e-40)
+    calls = (lambda: pv5lab.check(I.A_FORM, params, ctx, 2, 0.5, z=0.8),
+             lambda: pv5lab.check_suite(params, ctx, [2], ["0.5"], z_samples=["0.8"],
+                                        suite="required"),
+             lambda: ladder.state_at(params, ctx, "0.5"),
+             lambda: pv5lab.riccati_initial(params, 2, "0.5", ctx),
+             lambda: pv5lab.pv_initial(params, 2, "0.5", ctx),
+             lambda: pv5lab.build(params, ctx))
+    for call in calls:
+        with pytest.raises(ParameterError, match="a state has one precision"):
+            call()
