@@ -55,7 +55,6 @@ from .orthopoly import (
 )
 from .quadrature import (
     IntegralResult,
-    PrecisionContext,
     WeightTable,
     integrate,
     moment,

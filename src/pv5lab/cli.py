@@ -22,8 +22,8 @@ from . import ode as ode_mod
 from . import orthopoly, report, verify
 from .equations import beta_expr, phi_of, s_of
 from .errors import NumericalError, ParameterError, SingularParams
-from .model import validate
-from .quadrature import PrecisionContext, moment
+from .model import GUARD_BITS, validate
+from .quadrature import moment
 
 
 def _common(parser):
@@ -104,7 +104,7 @@ def _t_grid(args):
     if args.t is not None and any(f is not None for f in grid_flags):
         raise ParameterError("give either --t or a --t-start/--t-stop/--t-count/"
                              "--t-spacing grid, not both")
-    with mp.workprec(args.bits + 64):
+    with mp.workprec(args.bits + GUARD_BITS):
         if args.t is not None:
             return (mp.mpf(args.t),)
         start = mp.mpf(args.t_start) if args.t_start is not None else mp.mpf("0.05")
@@ -127,14 +127,16 @@ def _t_grid(args):
 
 def _single_t(args):
     """--t at working precision, 0.5 when not given."""
-    with mp.workprec(args.bits + 64):
+    with mp.workprec(args.bits + GUARD_BITS):
         return mp.mpf(args.t) if args.t is not None else mp.mpf("0.5")
 
 
-def _params_ctx(args, t):
-    params = validate(args.alpha, args.k2, t, precision_bits=args.bits, n_max=args.n_max)
-    ctx = PrecisionContext(bits=args.bits, rel_tol=args.rel_tol, max_level=args.max_level)
-    return params, ctx
+def _params(args, t, n_max=None):
+    """The run's ``ModelParams`` at t from the flags (``n_max`` overrides
+    --n-max)."""
+    return validate(args.alpha, args.k2, t, precision_bits=args.bits,
+                    n_max=args.n_max if n_max is None else n_max,
+                    rel_tol=args.rel_tol, max_level=args.max_level)
 
 
 def _emit_csv(args, header, rows, bits):
@@ -146,14 +148,14 @@ def _emit_csv(args, header, rows, bits):
         sys.stdout.write(text)
 
 
-def _params_block(args, params, ctx, extra=None):
+def _params_block(args, params, extra=None):
     block = {
-        "alpha": report.numstr(params.alpha, ctx.bits),
-        "k2": report.numstr(params.k2, ctx.bits),
+        "alpha": report.numstr(params.alpha, params.precision_bits),
+        "k2": report.numstr(params.k2, params.precision_bits),
         "n_max": args.n_max,
-        "bits": ctx.bits,
-        "rel_tol": repr(ctx.rel_tol),
-        "max_level": ctx.max_level,
+        "bits": params.precision_bits,
+        "rel_tol": repr(params.rel_tol),
+        "max_level": params.max_level,
         "seed": args.seed,
     }
     if extra:
@@ -161,11 +163,12 @@ def _params_block(args, params, ctx, extra=None):
     return block
 
 
-def _emit_params_report(args, params, ctx, extra):
+def _emit_params_report(args, params, extra):
     """With --out-json, a report that carries only the parameters block."""
     if args.out_json:
-        block = _params_block(args, params, ctx, extra)
-        report.emit_report([], verify.summarize([]), args.out_json, block, ctx.bits)
+        block = _params_block(args, params, extra)
+        report.emit_report([], verify.summarize([]), args.out_json, block,
+                           params.precision_bits)
 
 
 def _cmd_moments(args):
@@ -173,38 +176,40 @@ def _cmd_moments(args):
     if args.n_max < 0:
         raise ParameterError("moments need --n-max >= 0")
     # validate asks n_max >= 1, which no moment reads
-    params = validate(args.alpha, args.k2, t, precision_bits=args.bits,
-                      n_max=max(1, args.n_max))
-    ctx = PrecisionContext(bits=args.bits, rel_tol=args.rel_tol, max_level=args.max_level)
-    rows = [(j, moment(j, params, ctx)) for j in range(args.n_max + 1)]
-    _emit_csv(args, ["j", "mu_j"], rows, ctx.bits)
-    _emit_params_report(args, params, ctx, {"t": report.numstr(t, ctx.bits)})
+    params = _params(args, t, n_max=max(1, args.n_max))
+    bits = params.precision_bits
+    rows = [(j, moment(j, params)) for j in range(args.n_max + 1)]
+    _emit_csv(args, ["j", "mu_j"], rows, bits)
+    _emit_params_report(args, params, {"t": report.numstr(t, bits)})
     return 0
 
 
 def _cmd_recurrence(args):
     t = _single_t(args)
-    params, ctx = _params_ctx(args, t)
-    state = orthopoly.build(params, ctx)
+    params = _params(args, t)
+    bits = params.precision_bits
+    state = orthopoly.build(params)
     rows = [(n, state.h[n], state.beta[n], state.p_sub[n]) for n in range(params.n_max + 1)]
-    _emit_csv(args, ["n", "h_n", "beta_n", "p_n"], rows, ctx.bits)
-    _emit_params_report(args, params, ctx, {"t": report.numstr(t, ctx.bits)})
+    _emit_csv(args, ["n", "h_n", "beta_n", "p_n"], rows, bits)
+    _emit_params_report(args, params, {"t": report.numstr(t, bits)})
     return 0
 
 
 def _cmd_ladder(args):
     t = _single_t(args)
-    params, ctx = _params_ctx(args, t)
-    _, lad = ladder_mod.state_at(params, ctx, t)
+    params = _params(args, t)
+    bits = params.precision_bits
+    _, lad = ladder_mod.state_at(params, t)
     rows = [(n, lad.R[n], lad.r[n], lad.a[n], lad.b[n]) for n in range(params.n_max + 1)]
-    _emit_csv(args, ["n", "R_n", "r_n", "a_n", "b_n"], rows, ctx.bits)
-    _emit_params_report(args, params, ctx, {"t": report.numstr(t, ctx.bits)})
+    _emit_csv(args, ["n", "R_n", "r_n", "a_n", "b_n"], rows, bits)
+    _emit_params_report(args, params, {"t": report.numstr(t, bits)})
     return 0
 
 
 def _cmd_verify(args):
     t_grid = _t_grid(args)
-    params, ctx = _params_ctx(args, t_grid[0])
+    params = _params(args, t_grid[0])
+    bits = params.precision_bits
     if params.k2 == 0 and args.suite in ("diagnostic", "all"):
         names = ", ".join(i.value for i in verify.REQUIRES_NONZERO_K2)
         raise SingularParams(
@@ -216,20 +221,19 @@ def _cmd_verify(args):
     if args.z_count < 1:
         raise ParameterError(f"--z-count must be >= 1, got {args.z_count}")
     z_samples = verify.sample_points(params, args.z_count, args.seed)
-    reports = verify.check_suite(params, ctx, n_set, t_grid,
-                                 z_samples=z_samples, suite=args.suite)
+    reports = verify.check_suite(params, n_set, t_grid, z_samples=z_samples, suite=args.suite)
     summary = verify.summarize(reports)
     extra = {
-        "t_grid": [report.numstr(tv, ctx.bits) for tv in t_grid],
+        "t_grid": [report.numstr(tv, bits) for tv in t_grid],
         "suite": args.suite,
         "z_count": args.z_count,
     }
-    block = _params_block(args, params, ctx, extra)
+    block = _params_block(args, params, extra)
     if args.out_json:
-        report.emit_report(reports, summary, args.out_json, block, ctx.bits)
+        report.emit_report(reports, summary, args.out_json, block, bits)
     if args.out_csv:
         with open(args.out_csv, "w", encoding="utf-8") as fh:
-            report.checks_csv(reports, ctx.bits, fh)
+            report.checks_csv(reports, bits, fh)
     ok = summary["required_pass"]
     written = {r.id for r in reports}
     rowless = [i.value for i in verify.suite_ids(args.suite) if i not in written]
@@ -245,7 +249,8 @@ def _cmd_ode(args):
         raise ParameterError(f"--samples must be >= 2, got {args.samples}")
     if not 0 < args.ode_tol < float("inf"):  # false for nan too
         raise ParameterError(f"--ode-tol must be finite and positive, got {args.ode_tol}")
-    params, ctx = _params_ctx(args, mp.mpf(args.t0))
+    params = _params(args, mp.mpf(args.t0))
+    bits = params.precision_bits
     with mp.workprec(params.work_bits):
         t0 = mp.mpf(args.t0)
         t1 = mp.mpf(args.t1)
@@ -254,7 +259,7 @@ def _cmd_ode(args):
         if hi - lo <= 4 * h:  # the samples keep two stencil steps h from each end
             raise ParameterError(f"|t1 - t0| = {mp.nstr(hi - lo, 6)} must exceed 4h = "
                                  f"{mp.nstr(4 * h, 6)}, h = 1e-6 * max(t, 1) the stencil step")
-        init = ode_mod.riccati_initial(params, args.n, t0, ctx)
+        init = ode_mod.riccati_initial(params, args.n, t0)
         traj = ode_mod.integrate_riccati(params, args.n, t0, t1, init, args.ode_tol)
         lo_s, hi_s = lo + 2 * h, hi - 2 * h
         count = args.samples
@@ -268,10 +273,10 @@ def _cmd_ode(args):
             phi = phi_of(R, s)
             pv_res = _pv_residual_from_dense(traj, params, args.n, tv, s, phi)
             rows.append((tv, R, r, beta, phi, pv_res))
-    _emit_csv(args, report.TRAJECTORY_HEADER, rows, ctx.bits)
-    extra = {"t0": report.numstr(t0, ctx.bits), "t1": report.numstr(t1, ctx.bits),
+    _emit_csv(args, report.TRAJECTORY_HEADER, rows, bits)
+    extra = {"t0": report.numstr(t0, bits), "t1": report.numstr(t1, bits),
              "n": args.n, "ode_tol": repr(args.ode_tol)}
-    _emit_params_report(args, params, ctx, extra)
+    _emit_params_report(args, params, extra)
     return 0
 
 
@@ -284,19 +289,20 @@ def _pv_residual_from_dense(traj, params, n, t, s, phi):
 
 def _cmd_pv_residual(args):
     t_grid = _t_grid(args)
-    params, ctx = _params_ctx(args, t_grid[0])
+    params = _params(args, t_grid[0])
+    bits = params.precision_bits
     rows = []
     s = s_of(args.n, params)
     with mp.workprec(params.work_bits):
         for tv in t_grid:
             # check refuses (k2 = 0, t too small for the stencil) before any build
-            res = verify.check(verify.IdentityId.PV_PHI, params, ctx, args.n, tv).residual
-            ortho, lad = ladder_mod.state_at(params, ctx, tv)
+            res = verify.check(verify.IdentityId.PV_PHI, params, args.n, tv).residual
+            ortho, lad = ladder_mod.state_at(params, tv)
             phi = phi_of(lad.R[args.n], s)
             rows.append((tv, lad.R[args.n], lad.r[args.n], ortho.beta[args.n], phi, res))
-    _emit_csv(args, report.TRAJECTORY_HEADER, rows, ctx.bits)
-    extra = {"t_grid": [report.numstr(tv, ctx.bits) for tv in t_grid], "n": args.n}
-    _emit_params_report(args, params, ctx, extra)
+    _emit_csv(args, report.TRAJECTORY_HEADER, rows, bits)
+    extra = {"t_grid": [report.numstr(tv, bits) for tv in t_grid], "n": args.n}
+    _emit_params_report(args, params, extra)
     return 0
 
 

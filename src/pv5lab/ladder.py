@@ -44,7 +44,8 @@ its ``PointValues``.
 ladder-ineligible parameters before any quadrature; the caches of
 ``orthopoly.build`` and ``compute`` share the states between its callers.
 Every function handed a built state works at the precision of its weight
-table, whose context also fixes each integral's tolerance and level cap.
+table, whose ``ModelParams`` also fix each integral's tolerance and level
+cap.
 """
 
 from __future__ import annotations
@@ -60,7 +61,6 @@ from .equations import s_of
 from .errors import LadderIneligible
 from .model import ModelParams, _pole_basis, _v_prime_from, v_prime
 from .orthopoly import OrthoState, monic_values
-from .quadrature import PrecisionContext
 
 
 @dataclass(eq=False)
@@ -116,14 +116,14 @@ def compute(state: OrthoState) -> LadderState:
     return _compute_cached(state)
 
 
-def state_at(params: ModelParams, ctx: PrecisionContext, t):
+def state_at(params: ModelParams, t):
     """(OrthoState, LadderState) of ``params`` at t, read at the working
     precision; raises LadderIneligible before any quadrature where the
     ladder integrals do not exist."""
     with mp.workprec(params.work_bits):
         params = dataclasses.replace(params, t=mp.mpf(t))
         require_eligible(params)
-        ortho = orthopoly.build(params, ctx)
+        ortho = orthopoly.build(params)
     return ortho, compute(ortho)
 
 

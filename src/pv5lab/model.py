@@ -39,16 +39,22 @@ from .errors import (
 #: extra mantissa bits carried by every internal computation
 GUARD_BITS = 64
 
+#: coarsest quadrature level at which an integral value is first formed
+MIN_LEVEL = 3
+
 
 @dataclass(frozen=True)
 class ModelParams:
-    """One weight instance: (alpha, k2, t) plus working precision and degree cap."""
+    """One run: the weight (alpha, k2, t), the degree cap, and the working
+    precision with the quadrature's target relative error and level cap."""
 
     alpha: object  # mp.mpf
     k2: object  # mp.mpf
     t: object  # mp.mpf
     precision_bits: int
     n_max: int
+    rel_tol: float
+    max_level: int
 
     @property
     def work_bits(self) -> int:
@@ -68,15 +74,19 @@ class ModelParams:
     def __repr__(self):  # keep mpf noise out of test output
         return (
             f"ModelParams(alpha={mp.nstr(self.alpha, 12)}, k2={mp.nstr(self.k2, 12)}, "
-            f"t={mp.nstr(self.t, 12)}, bits={self.precision_bits}, n_max={self.n_max})"
+            f"t={mp.nstr(self.t, 12)}, bits={self.precision_bits}, n_max={self.n_max}, "
+            f"rel_tol={self.rel_tol!r}, max_level={self.max_level})"
         )
 
 
-def validate(alpha, k2, t, precision_bits=256, n_max=12) -> ModelParams:
+def validate(alpha, k2, t, precision_bits=256, n_max=12, rel_tol=1e-40,
+             max_level=12) -> ModelParams:
     """Validate raw inputs and return frozen ``ModelParams``.
 
     alpha = 0 is accepted (moment-only use; the params are flagged
-    ladder-ineligible), alpha < 0 is rejected.  Nothing is clamped.
+    ladder-ineligible), alpha < 0 is rejected.  max_level lies in
+    [MIN_LEVEL + 1, 16], and rel_tol is positive and at least
+    2^(-precision_bits+16).  Nothing is clamped.
     """
     if not isinstance(precision_bits, int) or precision_bits < 64:
         raise ParameterError(f"precision_bits must be an integer >= 64, got {precision_bits!r}")
@@ -94,7 +104,15 @@ def validate(alpha, k2, t, precision_bits=256, n_max=12) -> ModelParams:
             raise K2OutOfRange(f"k2 must be finite and < 1, got {k2}")
         if not mp.isfinite(t) or t < 0:
             raise NegativeT(f"t must be finite and >= 0, got {t}")
-    return ModelParams(alpha=alpha, k2=k2, t=t, precision_bits=precision_bits, n_max=n_max)
+    if not MIN_LEVEL + 1 <= max_level <= 16:
+        raise ParameterError(f"max_level must be in [{MIN_LEVEL + 1}, 16], got {max_level!r}")
+    if not rel_tol > 0:
+        raise ParameterError("rel_tol must be positive")
+    if rel_tol < 2.0 ** (-precision_bits + 16):
+        raise ParameterError(
+            f"rel_tol={rel_tol} below the floor 2^(-bits+16) for bits={precision_bits}")
+    return ModelParams(alpha=alpha, k2=k2, t=t, precision_bits=precision_bits, n_max=n_max,
+                       rel_tol=rel_tol, max_level=max_level)
 
 
 def gap_edge(params: ModelParams):

@@ -50,7 +50,6 @@ from .equations import phi_of, pv_rhs, ric_bigr_rhs, ric_r_rhs, s_of
 from .errors import ParameterError, PoleHit, SingularParams, StepUnderflow
 from .fixedpoint import fixed_type, record
 from .model import ModelParams
-from .quadrature import PrecisionContext
 from .verify import central_differences, stencil_step
 
 # Cash-Karp 5(4) tableau (numerator, denominator pairs kept exact)
@@ -497,15 +496,15 @@ def _require_seed(params: ModelParams, n: int, t0):
     _require_dynamic(params, n, mp.mpf(t0))
 
 
-def riccati_initial(params: ModelParams, n: int, t0, ctx: PrecisionContext):
+def riccati_initial(params: ModelParams, n: int, t0):
     """(R_n, r_n) at t0 from quadrature, for n in 1..n_max; refused where
     ``integrate_riccati`` would refuse them."""
     _require_seed(params, n, t0)
-    _, lad = ladder_mod.state_at(params, ctx, t0)
+    _, lad = ladder_mod.state_at(params, t0)
     return lad.R[n], lad.r[n]
 
 
-def pv_initial(params: ModelParams, n: int, t0, ctx: PrecisionContext):
+def pv_initial(params: ModelParams, n: int, t0):
     """(Phi_n, Phi_n') at t0, n in 1..n_max: quadrature value plus a stencil
     derivative; refused where ``integrate_pv`` would refuse them."""
     _require_seed(params, n, t0)
@@ -513,13 +512,12 @@ def pv_initial(params: ModelParams, n: int, t0, ctx: PrecisionContext):
         t0 = mp.mpf(t0)
         s = s_of(n, params)
         h = stencil_step(t0)
-        lo, phi0, hi = (phi_of(ladder_mod.state_at(params, ctx, tv)[1].R[n], s)
+        lo, phi0, hi = (phi_of(ladder_mod.state_at(params, tv)[1].R[n], s)
                         for tv in (t0 - h, t0, t0 + h))
         return phi0, central_differences(lo, phi0, hi, h)[0]
 
 
-def crosscheck(trajectory: Trajectory, params: ModelParams, ctx: PrecisionContext,
-               sample_ts):
+def crosscheck(trajectory: Trajectory, params: ModelParams, sample_ts):
     """Max normalized deviation between dense output and fresh quadrature.
 
     For a coupled-pair trajectory both components are compared; for a
@@ -533,7 +531,7 @@ def crosscheck(trajectory: Trajectory, params: ModelParams, ctx: PrecisionContex
         for ts in sample_ts:
             ts = mp.mpf(ts)
             dense = trajectory.sample(ts)
-            _, lad = ladder_mod.state_at(params, ctx, ts)
+            _, lad = ladder_mod.state_at(params, ts)
             if kind == "riccati":
                 targets = (lad.R[n], lad.r[n])
                 got = dense

@@ -9,7 +9,8 @@ squared norms h_n = <P_n, P_n> come from quadrature, beta_n = h_n/h_{n-1},
 and the sub-leading coefficients p(n) (coefficient of z^{n-2} in P_n)
 follow the exact recursion p(n+1) = p(n) - beta_n with p(0) = p(1) = 0.
 The refinement level is raised until the whole h-array is stable to the
-context's relative tolerance between consecutive doublings.
+run's relative tolerance (``ModelParams.rel_tol``) between consecutive
+doublings.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from dataclasses import dataclass, field
 from mpmath import mp
 
 from .errors import NoConvergence, ParameterError, PrecisionExhausted
-from .model import ModelParams
-from .quadrature import MIN_LEVEL, PrecisionContext, WeightTable
+from .model import MIN_LEVEL, ModelParams
+from .quadrature import WeightTable
 
 
 @dataclass(eq=False)
@@ -68,15 +69,15 @@ def _stieltjes_pass(table: WeightTable, level: int, n_max: int):
 
 
 @functools.lru_cache(maxsize=6)
-def _build_cached(params: ModelParams, ctx: PrecisionContext) -> OrthoState:
-    with mp.workprec(ctx.work_bits):
-        table = WeightTable(params, ctx)
+def _build_cached(params: ModelParams) -> OrthoState:
+    with mp.workprec(params.work_bits):
+        table = WeightTable(params)
         table.ensure_levels(MIN_LEVEL)
-        rel = mp.mpf(ctx.rel_tol)
+        rel = mp.mpf(params.rel_tol)
         prev_h = None
         h = beta = None
         worst = None
-        for level in range(MIN_LEVEL, ctx.max_level + 1):
+        for level in range(MIN_LEVEL, params.max_level + 1):
             table.ensure_levels(level)
             h, beta = _stieltjes_pass(table, level, params.n_max)
             if prev_h is not None:
@@ -86,7 +87,7 @@ def _build_cached(params: ModelParams, ctx: PrecisionContext) -> OrthoState:
             prev_h = h
         else:
             raise NoConvergence(
-                f"recurrence build not stable at level {ctx.max_level} "
+                f"recurrence build not stable at level {params.max_level} "
                 f"(worst relative change {mp.nstr(worst, 6)})",
                 value=None, error=worst)
         p_sub = [mp.mpf(0), mp.mpf(0)]
@@ -103,24 +104,12 @@ def _build_cached(params: ModelParams, ctx: PrecisionContext) -> OrthoState:
         )
 
 
-def build(params: ModelParams, ctx: PrecisionContext) -> OrthoState:
+def build(params: ModelParams) -> OrthoState:
     """Stieltjes procedure for (h_n, beta_n, p(n)) up to params.n_max.
 
-    Results are cached per (params, ctx); states are immutable and safe
-    to share.  A pair of two precisions is refused before any quadrature
-    (``require_one_precision``).
+    Results are cached per params; states are immutable and safe to share.
     """
-    require_one_precision(params, ctx)
-    return _build_cached(params, ctx)
-
-
-def require_one_precision(params: ModelParams, ctx: PrecisionContext):
-    """ParameterError unless ``params.precision_bits == ctx.bits``: a state's
-    point values work at the one and its table integrals at the other."""
-    if params.precision_bits != ctx.bits:
-        raise ParameterError(
-            f"params.precision_bits = {params.precision_bits} differs from "
-            f"ctx.bits = {ctx.bits}; a state has one precision")
+    return _build_cached(params)
 
 
 def monic_values(state: OrthoState, z):

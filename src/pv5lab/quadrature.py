@@ -42,7 +42,6 @@ precision so a mapped node can never collapse onto an endpoint.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import add, floordiv, lshift, mul, neg, rshift, sub
 from typing import NamedTuple
@@ -51,42 +50,14 @@ from mpmath import mp
 from mpmath.libmp import mpf_cosh_sinh, round_nearest
 
 from .errors import NoConvergence, ParameterError, PrecisionExhausted
-from .model import (GUARD_BITS, ModelParams, _gap, _v_prime_from, _z2_minus_k2,
+from .model import (MIN_LEVEL, ModelParams, _gap, _v_prime_from, _z2_minus_k2,
                     pole_guard, support, v_second, weight)
-
-#: coarsest level at which an integral value is first formed
-MIN_LEVEL = 3
 
 #: node generation stops this many bits short of the working precision
 _EDGE_MARGIN_BITS = 32
 
 #: fraction bits of the fixed-point arrays beyond the working precision
 FIXED_GUARD_BITS = 64
-
-
-@dataclass(frozen=True)
-class PrecisionContext:
-    """Working mantissa bits, target relative error, and refinement cap."""
-
-    bits: int = 256
-    rel_tol: float = 1e-40
-    max_level: int = 12
-
-    def __post_init__(self):
-        if not isinstance(self.bits, int) or self.bits < 64 or self.bits > 4096:
-            raise ParameterError(f"bits must be an integer in [64, 4096], got {self.bits!r}")
-        if not MIN_LEVEL + 1 <= self.max_level <= 16:
-            raise ParameterError(f"max_level must be in [{MIN_LEVEL + 1}, 16], got {self.max_level!r}")
-        if not self.rel_tol > 0:
-            raise ParameterError("rel_tol must be positive")
-        if self.rel_tol < 2.0 ** (-self.bits + 16):
-            raise ParameterError(
-                f"rel_tol={self.rel_tol} below the floor 2^(-bits+16) for bits={self.bits}"
-            )
-
-    @property
-    def work_bits(self) -> int:
-        return self.bits + GUARD_BITS
 
 
 class IntegralResult(NamedTuple):
@@ -146,9 +117,9 @@ def integration_intervals(params: ModelParams):
     return support(params)
 
 
-def _interval_series(f, a, b, ctx: PrecisionContext, scale=None):
+def _interval_series(f, a, b, params: ModelParams, scale=None):
     """Tanh-sinh level series for one interval; returns IntegralResult."""
-    with mp.workprec(ctx.work_bits):
+    with mp.workprec(params.work_bits):
         a = mp.mpf(a)
         b = mp.mpf(b)
         if a == b:
@@ -158,12 +129,12 @@ def _interval_series(f, a, b, ctx: PrecisionContext, scale=None):
         half = (b - a) / 2
         block_sums = []
         abs_mass = mp.mpf(0)
-        floor_eps = mp.mpf(2) ** (-(ctx.work_bits - 8))
+        floor_eps = mp.mpf(2) ** (-(params.work_bits - 8))
         prev = None
         value = err = mp.mpf(0)
-        for level in range(0, ctx.max_level + 1):
+        for level in range(0, params.max_level + 1):
             s = mp.mpf(0)
-            for x, _omx, _opx, w in _ts_block(ctx.work_bits, level):
+            for x, _omx, _opx, w in _ts_block(params.work_bits, level):
                 if x == 0:
                     fv = w * f(mid)
                 else:
@@ -178,27 +149,28 @@ def _interval_series(f, a, b, ctx: PrecisionContext, scale=None):
             if prev is not None:
                 floor = floor_eps * abs_mass * half * step
                 err = max(abs(value - prev), floor)
-                target = mp.mpf(ctx.rel_tol) * max(abs(value), mp.mpf(scale or 0))
+                target = mp.mpf(params.rel_tol) * max(abs(value), mp.mpf(scale or 0))
                 if err <= max(target, floor):
                     return IntegralResult(value, err, True, level)
             prev = value
-        return IntegralResult(value, err, False, ctx.max_level)
+        return IntegralResult(value, err, False, params.max_level)
 
 
-def integrate(f, intervals, ctx: PrecisionContext, scale=None) -> IntegralResult:
+def integrate(f, intervals, params: ModelParams, scale=None) -> IntegralResult:
     """Integrate ``f`` over an iterable of (lo, hi) intervals, such as
-    ``model.support``.
+    ``model.support``, at the working precision, target relative error and
+    level cap of ``params``.
 
     Never raises on slow convergence: the result carries ``converged`` and
     the summed per-interval error estimates, and callers decide.
     """
-    with mp.workprec(ctx.work_bits):
+    with mp.workprec(params.work_bits):
         total = mp.mpf(0)
         err = mp.mpf(0)
         converged = True
         top = MIN_LEVEL
         for a, b in intervals:
-            res = _interval_series(f, a, b, ctx, scale=scale)
+            res = _interval_series(f, a, b, params, scale=scale)
             total += res.value
             err += res.error
             converged = converged and res.converged
@@ -206,18 +178,18 @@ def integrate(f, intervals, ctx: PrecisionContext, scale=None) -> IntegralResult
         return IntegralResult(total, err, converged, top)
 
 
-def moment(j: int, params: ModelParams, ctx: PrecisionContext):
+def moment(j: int, params: ModelParams):
     """mu_j = integral of z^j w(z); odd j returns exact 0 without integration."""
     if not isinstance(j, int) or j < 0:
         raise ParameterError(f"moment order must be an integer >= 0, got {j!r}")
     if j % 2 == 1:
         return mp.mpf(0)
-    with mp.workprec(ctx.work_bits):
+    with mp.workprec(params.work_bits):
         if j == 0:
             f = lambda z: weight(z, params)
         else:
             f = lambda z: z ** j * weight(z, params)
-        res = integrate(f, integration_intervals(params), ctx)
+        res = integrate(f, integration_intervals(params), params)
         if not res.converged:
             raise NoConvergence(
                 f"moment {j} did not converge: estimate {mp.nstr(res.error, 6)}",
@@ -365,7 +337,8 @@ def _mirror_halves(p, q):
 
 
 class WeightTable:
-    """Cached per-level node data for one (params, ctx) pair.
+    """Cached per-level node data for one ``ModelParams``, whose rel_tol and
+    max_level fix every integral's tolerance and level cap.
 
     The table stores one mirror half of the symmetric node set: the nodes
     y >= 0.  On the gap (-1, -rk) u (rk, 1), and on (-1, 0) u (0, 1) for
@@ -445,12 +418,11 @@ class WeightTable:
     dropped; ``integrate`` and ``moment`` keep the full rule.
     """
 
-    def __init__(self, params: ModelParams, ctx: PrecisionContext):
+    def __init__(self, params: ModelParams):
         self.params = params
-        self.ctx = ctx
-        self.work_bits = ctx.work_bits
-        self.frac_bits = ctx.work_bits + FIXED_GUARD_BITS
-        with mp.workprec(ctx.work_bits):
+        self.work_bits = params.work_bits
+        self.frac_bits = params.work_bits + FIXED_GUARD_BITS
+        with mp.workprec(params.work_bits):
             self.intervals = integration_intervals(params)
         self.y = []
         self.cw = []
@@ -741,7 +713,7 @@ class WeightTable:
         """
         with mp.workprec(self.work_bits):
             floor_eps = mp.mpf(2) ** (-(self.work_bits - 8))
-            rel = mp.mpf(self.ctx.rel_tol)
+            rel = mp.mpf(self.params.rel_tol)
             self.ensure_levels(MIN_LEVEL + 1)
             terms = _level_terms(factors, self.nlevels - 1)
             while True:
@@ -751,7 +723,7 @@ class WeightTable:
                 err = max(abs(value - self._value(terms[:-1], top - 1)[0]), floor)
                 if err <= max(rel * max(abs(value), mp.mpf(scale or 0)), floor):
                     return IntegralResult(value, err, True, top)
-                if top >= self.ctx.max_level:
+                if top >= self.params.max_level:
                     raise NoConvergence(
                         f"table integral did not converge at level {top} "
                         f"(estimate {mp.nstr(err, 6)})", value=value, error=err)

@@ -40,14 +40,12 @@ from dataclasses import dataclass
 from mpmath import mp
 
 from . import ladder as ladder_mod
-from . import orthopoly
 from .equations import beta_expr, factor_pair, ode_rn, phi_of, pv_rhs
 from .equations import ric_bigr_rhs as _ric_bigr_rhs
 from .equations import ric_r_rhs as _ric_r_rhs
 from .equations import s_of as _s_of
-from .errors import NegativeT, ParameterError, SingularParams
+from .errors import NegativeT, NumericalError, ParameterError, PoleError, SingularParams
 from .model import ModelParams, gap_edge
-from .quadrature import PrecisionContext
 
 
 class Tier(enum.Enum):
@@ -111,11 +109,17 @@ def sample_points(params: ModelParams, count: int = 20, seed: int = 0):
 # ----------------------------------------------------------------------
 # shared state cache
 
+#: the numerical failures a check row records (status='error'); any other
+#: exception propagates
+_ROW_ERRORS = (NumericalError, PoleError)
+
+
 def _attempt(fn, *args):
-    """fn(*args), or the exception it raised, kept for the rows that read it."""
+    """fn(*args), or the numerical failure it raised, kept for the rows that
+    read it."""
     try:
         return fn(*args)
-    except Exception as exc:
+    except _ROW_ERRORS as exc:
         return exc
 
 
@@ -150,9 +154,8 @@ class Evaluator:
     ``top`` = min(n_max, max(n_set) + 1), the highest a row at a degree of
     ``n_set`` reads (n_max when no ``n_set`` is given)."""
 
-    def __init__(self, params: ModelParams, ctx: PrecisionContext, n_set=()):
+    def __init__(self, params: ModelParams, n_set=()):
         self.params = params
-        self.ctx = ctx
         self.top = min(params.n_max, max(n_set, default=params.n_max) + 1)
         self._states = {}
         self._sweeps = {}
@@ -161,7 +164,7 @@ class Evaluator:
         with mp.workprec(self.params.work_bits):
             t = mp.mpf(t)
         if t not in self._states:
-            self._states[t] = ladder_mod.state_at(self.params, self.ctx, t)
+            self._states[t] = ladder_mod.state_at(self.params, t)
         return self._states[t]
 
     def stencil(self, t):
@@ -540,11 +543,11 @@ REGISTRY = {IdentityId(name): d for name, d in _CHECKS.items()}
 REQUIRES_NONZERO_K2 = tuple(i for i, d in REGISTRY.items() if d.needs_k2)
 
 
-def _required_tol(identity: IdentityId, ctx: PrecisionContext):
+def _required_tol(identity: IdentityId, params: ModelParams):
     d = REGISTRY[identity]
     if d.required_tol is not None:
         return mp.mpf(d.required_tol)
-    return 10 * mp.mpf(ctx.rel_tol)  # the recurrence bookkeeping checks
+    return 10 * mp.mpf(params.rel_tol)  # the recurrence bookkeeping checks
 
 
 def _run_one(ev: Evaluator, identity: IdentityId, n: int, t, z):
@@ -561,7 +564,7 @@ def _run_one(ev: Evaluator, identity: IdentityId, n: int, t, z):
         residual = out
     passed = None
     if d.tier is Tier.REQUIRED:
-        passed = bool(residual <= _required_tol(identity, ev.ctx))
+        passed = bool(residual <= _required_tol(identity, ev.params))
         if d.stencil and ratio is not None:
             passed = passed and _BAND[0] <= ratio <= _BAND[1]
     return IdentityReport(id=identity, tier=d.tier, n=n, t=t, z=z,
@@ -622,8 +625,7 @@ def _admitted(identity: IdentityId, params: ModelParams, n: int, t, z=None):
     return t
 
 
-def check(identity: IdentityId, params: ModelParams, ctx: PrecisionContext,
-          n: int, t, z=None) -> IdentityReport:
+def check(identity: IdentityId, params: ModelParams, n: int, t, z=None) -> IdentityReport:
     """Evaluate one identity at (n, t[, z]) with a fresh ``Evaluator``.
 
     Raises NegativeT for t < 0, LadderIneligible where the ladder
@@ -637,28 +639,25 @@ def check(identity: IdentityId, params: ModelParams, ctx: PrecisionContext,
     with mp.workprec(params.work_bits):
         z = mp.mpf(z) if d.needs_z and z is not None else None
         t = _admitted(identity, params, n, t, z)
-        return _run_one(Evaluator(params, ctx, (n,)), identity, n, t, z)
+        return _run_one(Evaluator(params, (n,)), identity, n, t, z)
 
 
-def check_suite(params: ModelParams, ctx: PrecisionContext, n_set, t_grid,
-                z_samples=None, suite: str = "all"):
+def check_suite(params: ModelParams, n_set, t_grid, z_samples=None, suite: str = "all"):
     """Cartesian product of the suite's checks; deterministic (id, n, t, z) order.
 
     A t grid that reaches t < 0 raises NegativeT, one with a point where
     the ladder integrals do not exist (alpha = 0, or t = 0 with k2 >= 0)
-    raises LadderIneligible, and params and ctx of two precisions raise
-    ParameterError (``orthopoly.require_one_precision``), before any check
-    runs.
+    raises LadderIneligible, before any check runs.
     Each (identity, n, t, z) is admitted by the rule ``check`` applies
     (``_refusal``): a degree outside the identity's range writes no row,
     and any other refusal writes a SKIPPED row carrying its message.  On a
     single-point t_grid that covers every t-derivative check.  z-sampled
     identities run at each of ``z_samples`` (default ``sample_points``),
-    so an empty list leaves them out.  Per-check numerical errors are
-    collected as rows with status='error', never fatal.
+    so an empty list leaves them out.  Per-check numerical errors
+    (``NumericalError``, ``PoleError``) are collected as rows with
+    status='error', never fatal; any other exception propagates.
     """
     ids = suite_ids(suite)
-    orthopoly.require_one_precision(params, ctx)
     with mp.workprec(params.work_bits):
         t_grid = _times(params, t_grid)
         if z_samples is None:
@@ -667,7 +666,7 @@ def check_suite(params: ModelParams, ctx: PrecisionContext, n_set, t_grid,
             z_samples = tuple(mp.mpf(z) for z in z_samples)
         n_set = tuple(sorted(set(int(n) for n in n_set)))
         single_t = len(t_grid) < 2
-        ev = Evaluator(params, ctx, n_set)
+        ev = Evaluator(params, n_set)
         reports = []
         for identity in ids:
             d = REGISTRY[identity]
@@ -684,14 +683,14 @@ def check_suite(params: ModelParams, ctx: PrecisionContext, n_set, t_grid,
                             continue
                         try:
                             reports.append(_run_one(ev, identity, n, t, z))
-                        except Exception as exc:  # collected, not fatal
+                        except _ROW_ERRORS as exc:  # collected, not fatal
                             reports.append(IdentityReport(
                                 id=identity, tier=d.tier, n=n, t=t, z=z,
                                 status="error", message=f"{type(exc).__name__}: {exc}"))
         return reports
 
 
-def factor_split(params: ModelParams, ctx: PrecisionContext, n: int, t):
+def factor_split(params: ModelParams, n: int, t):
     """Both bracketed factors of the product equation at (n, t).
 
     The derivation keeps the first (Riccati) factor as the vanishing one;
@@ -701,7 +700,7 @@ def factor_split(params: ModelParams, ctx: PrecisionContext, n: int, t):
     """
     with mp.workprec(params.work_bits):
         t = _admitted(IdentityId.FACTOR_PROD, params, n, t)
-        ev = Evaluator(params, ctx)
+        ev = Evaluator(params)
         return _factor_values(ev, ev.states(t)[1], n, t)
 
 

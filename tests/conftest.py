@@ -30,23 +30,13 @@ _CRIT_RE = re.compile(r"test_c(\d+)[a-z]?_")
 
 
 @pytest.fixture(scope="session")
-def ctx_default():
-    return pv5lab.PrecisionContext(bits=256, rel_tol=1e-40, max_level=12)
-
-
-@pytest.fixture(scope="session")
-def ctx_fast():
-    return pv5lab.PrecisionContext(bits=192, rel_tol=1e-30, max_level=12)
-
-
-@pytest.fixture(scope="session")
 def gap_params():
-    return pv5lab.validate(1, 0.25, 0.5, 192, 6)
+    return pv5lab.validate(1, 0.25, 0.5, 192, 6, rel_tol=1e-30)
 
 
 @pytest.fixture(scope="session")
-def gap_state(gap_params, ctx_fast):
-    return pv5lab.build(gap_params, ctx_fast)
+def gap_state(gap_params):
+    return pv5lab.build(gap_params)
 
 
 @pytest.fixture(scope="session")
@@ -57,12 +47,12 @@ def gap_ladder(gap_state):
 @pytest.fixture(scope="session")
 def jacobi_params():
     # pure (1-z^2) weight: classical control case
-    return pv5lab.validate(1, -1, 0, 192, 6)
+    return pv5lab.validate(1, -1, 0, 192, 6, rel_tol=1e-30)
 
 
 @pytest.fixture(scope="session")
-def jacobi_state(jacobi_params, ctx_fast):
-    return pv5lab.build(jacobi_params, ctx_fast)
+def jacobi_state(jacobi_params):
+    return pv5lab.build(jacobi_params)
 
 
 @pytest.fixture(scope="session")

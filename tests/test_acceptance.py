@@ -30,9 +30,6 @@ from pv5lab.verify import (REGISTRY, Evaluator, IdentityId, central_differences,
 
 I = IdentityId
 
-CTX = pv5lab.PrecisionContext(bits=256, rel_tol=1e-40, max_level=12)
-
-
 def residual_by_id(reports):
     out = {}
     for r in reports:
@@ -49,7 +46,7 @@ def test_c1_classical_limit_oracle():
     start = time.monotonic()
     for alpha in ("0.5", "1", "2"):
         p = pv5lab.validate(alpha, -1, 0, 256, 10)
-        st = pv5lab.build(p, CTX)
+        st = pv5lab.build(p)
         a = mp.mpf(alpha)
         for n in range(1, 11):
             oracle = n * (n + 2 * a) / ((2 * n + 2 * a + 1) * (2 * n + 2 * a - 1))
@@ -63,7 +60,7 @@ def test_c1_classical_limit_oracle():
 
 @pytest.fixture(scope="module")
 def c2_state():
-    return pv5lab.build(pv5lab.validate(1, 0.25, 0.5, 256, 12), CTX)
+    return pv5lab.build(pv5lab.validate(1, 0.25, 0.5, 256, 12))
 
 
 def test_c2_orthogonality_all_pairs(c2_state):
@@ -87,7 +84,7 @@ def c34_reports():
         zs = pv5lab.sample_points(params, count=20, seed=0)
         assert len(zs) == 20
         out[k2] = pv5lab.check_suite(
-            params, CTX, range(9), ["0.5"], z_samples=zs, suite="required")
+            params, range(9), ["0.5"], z_samples=zs, suite="required")
     return out
 
 
@@ -112,7 +109,7 @@ def test_c4_rational_form_validation(c34_reports):
 
 def test_c4_large_z_sum_rule():
     params = pv5lab.validate(1, 0.25, 0.5, 256, 9)
-    ortho = pv5lab.build(params, CTX)
+    ortho = pv5lab.build(params)
     lad = pv5lab.compute(ortho)
     for n in (1, 3, 7):
         s = 2 * n + 2 * params.alpha + 1
@@ -129,7 +126,7 @@ def test_c4_large_z_sum_rule():
 
 def test_c5_derivative_identities():
     params = pv5lab.validate(1, 0.25, 0.5, 256, 7)
-    reports = pv5lab.check_suite(params, CTX, range(7), ["0.3", "0.6"],
+    reports = pv5lab.check_suite(params, range(7), ["0.3", "0.6"],
                                  z_samples=[], suite="required")
     rows = residual_by_id(reports)
     for ident in (I.DLNH, I.DBETA, I.DP):
@@ -148,7 +145,7 @@ def test_c5_derivative_identities():
 
 
 def test_c6_sum_rules(c2_state):
-    tol = 10 * mp.mpf(CTX.rel_tol)
+    tol = 10 * mp.mpf(c2_state.params.rel_tol)
     for n in range(1, 13):
         two_route = abs(c2_state.beta[n] - (c2_state.p_sub[n] - c2_state.p_sub[n + 1]))
         assert two_route <= tol * c2_state.beta[n], n
@@ -166,7 +163,7 @@ K2_SEQUENCE = ("0.09", "0.04", "0.01")  # ordered toward the k2 -> 0 limit
 def _stencil_phi(params, n, t):
     """Phi_n and its step-h second difference Phi_n'' at t, as PV_PHI forms
     them; the stencil states are the ones the check just built (cached)."""
-    ev = Evaluator(params, CTX)
+    ev = Evaluator(params)
     with mp.workprec(params.work_bits):
         t = mp.mpf(t)
         st = ev.stencil(t)
@@ -186,18 +183,18 @@ def c7_data(tmp_path_factory):
         params = pv5lab.validate(1, k2, 0.5, 256, 4)
         for n in (1, 2, 3):
             for ident in (I.YJ4, I.PV_PHI):
-                rep = pv5lab.check(ident, params, CTX, n, "0.5")
+                rep = pv5lab.check(ident, params, n, "0.5")
                 reports.append(rep)
                 residuals[(ident, k2, n)] = rep.residual
             phi_data[(k2, n)] = _stencil_phi(params, n, "0.5")
     elapsed = time.monotonic() - start
     path = tmp_path_factory.mktemp("c7") / "k2_trend_report.json"
     params_block = {"alpha": "1.0", "k2_sequence": list(K2_SEQUENCE),
-                    "t": "0.5", "n_set": [1, 2, 3], "bits": CTX.bits,
-                    "rel_tol": repr(CTX.rel_tol), "max_level": CTX.max_level,
+                    "t": "0.5", "n_set": [1, 2, 3], "bits": params.precision_bits,
+                    "rel_tol": repr(params.rel_tol), "max_level": params.max_level,
                     "seed": 0}
     report_mod.emit_report(reports, pv5lab.summarize(reports), path,
-                           params_block, CTX.bits)
+                           params_block, params.precision_bits)
     return residuals, elapsed, path, phi_data
 
 
@@ -274,9 +271,8 @@ def test_c8a_integrator_order_on_harmonic_oscillator():
 
 
 def test_c8b_riccati_roundtrip():
-    ctx = pv5lab.PrecisionContext(bits=256, rel_tol=1e-40, max_level=12)
     params = pv5lab.validate(1, 0.04, 0.5, 256, 4)
-    init = pv5lab.riccati_initial(params, 2, "0.5", ctx)
+    init = pv5lab.riccati_initial(params, 2, "0.5")
     tol = mp.mpf("1e-12")
     fwd = pv5lab.integrate_riccati(params, 2, "0.5", "0.52", init, tol)
     back = pv5lab.integrate_riccati(params, 2, "0.52", "0.5", fwd.values[-1], tol)
@@ -311,19 +307,18 @@ def test_c8c_riccati_vs_quadrature_small_k2_trend():
     quadrature R_n over t0 and t0 + h, h being the verify stencil step; its
     O(h) error is far below the O(k2) terms it enters.
     """
-    ctx = pv5lab.PrecisionContext(bits=256, rel_tol=1e-40, max_level=12)
     span = ("0.5", "0.51")
     n = 2
     devs, gaps = {}, {}
     for k2 in ("0.04", "0.01"):
         params = pv5lab.validate(1, k2, 0.5, 256, 4)
-        init = pv5lab.riccati_initial(params, n, span[0], ctx)
+        init = pv5lab.riccati_initial(params, n, span[0])
         traj = pv5lab.integrate_riccati(params, n, span[0], span[1], init, 1e-12)
-        devs[k2] = pv5lab.crosscheck(traj, params, ctx, [span[1]])
+        devs[k2] = pv5lab.crosscheck(traj, params, [span[1]])
         with mp.workprec(params.work_bits):
             t0 = mp.mpf(span[0])
             h = stencil_step(t0)
-            R_quad = (pv5lab.riccati_initial(params, n, t0 + h, ctx)[0] - init[0]) / h
+            R_quad = (pv5lab.riccati_initial(params, n, t0 + h)[0] - init[0]) / h
             R_pair = riccati_rhs(params, n)(t0, init)[0]
         R, r = init
         k = params.k2
@@ -389,10 +384,9 @@ SPEC_LISTED_IDS = (
 
 
 def test_c10_diagnostic_completeness():
-    params = pv5lab.validate(1, 0.25, 0.5, 192, 4)
-    ctx = pv5lab.PrecisionContext(bits=192, rel_tol=1e-28, max_level=12)
+    params = pv5lab.validate(1, 0.25, 0.5, 192, 4, rel_tol=1e-28)
     zs = pv5lab.sample_points(params, count=3, seed=1)
-    reports = pv5lab.check_suite(params, ctx, [1, 2], ["0.4", "0.6"],
+    reports = pv5lab.check_suite(params, [1, 2], ["0.4", "0.6"],
                                  z_samples=zs, suite="all")
     seen = {}
     for r in reports:

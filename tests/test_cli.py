@@ -240,6 +240,22 @@ def test_verify_refuses_ladder_ineligible_params(capsys, monkeypatch):
         assert "ladder quantities need alpha > 0, and k2 < 0 at t = 0" in err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (("--bits", "128", "--rel-tol", "1e-80"),
+     "rel_tol=1e-80 below the floor 2^(-bits+16) for bits=128"),
+    (("--max-level", "40",), "max_level must be in [4, 16], got 40"),
+    (("--bits", "32",), "precision_bits must be an integer >= 64, got 32"),
+], ids=["rel-tol", "max-level", "bits"])
+def test_precision_flags_are_refused_before_quadrature(flags, message, capsys, monkeypatch):
+    # validate checks --bits, --rel-tol and --max-level together
+    _no_quadrature(monkeypatch)
+    code, out, err = _run(capsys, "ladder", "--alpha", "1", "--k2", "0.25", "--t", "0.5",
+                          "--n-max", "4", *flags)
+    assert code == 2
+    assert out == ""
+    assert err == f"pv5lab: configuration error: {message}\n"
+
+
 def test_ladder_and_ode_refuse_ladder_ineligible_params_before_quadrature(capsys, monkeypatch):
     # ladder.state_at used to build the weight table and the Stieltjes
     # passes before ladder.compute refused alpha = 0

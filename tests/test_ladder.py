@@ -25,13 +25,13 @@ def test_positivity_invariants(gap_ladder):
     assert all(v > 0 for v in gap_ladder.a)
 
 
-def test_ladder_ineligible_cases(ctx_fast):
-    p = pv5lab.validate(0, 0.25, 0.5, 192, 4)  # alpha = 0
+def test_ladder_ineligible_cases():
+    p = pv5lab.validate(0, 0.25, 0.5, 192, 4, rel_tol=1e-30)  # alpha = 0
     with pytest.raises(LadderIneligible):
-        pv5lab.compute(pv5lab.build(p, ctx_fast))
-    p = pv5lab.validate(1, 0.25, 0, 192, 4)  # t = 0 with k2 > 0
+        pv5lab.compute(pv5lab.build(p))
+    p = pv5lab.validate(1, 0.25, 0, 192, 4, rel_tol=1e-30)  # t = 0 with k2 > 0
     with pytest.raises(LadderIneligible):
-        pv5lab.compute(pv5lab.build(p, ctx_fast))
+        pv5lab.compute(pv5lab.build(p))
 
 
 def test_a_rational_classical_point(jacobi_state, jacobi_ladder):
@@ -116,9 +116,8 @@ def test_compute_is_cached(gap_state):
 
 @pytest.fixture(scope="module")
 def k2_zero_ladder():
-    params = pv5lab.validate(1, 0, 0.5, 128, 2)
-    ctx = pv5lab.PrecisionContext(bits=128, rel_tol=1e-25, max_level=12)
-    state = pv5lab.build(params, ctx)
+    params = pv5lab.validate(1, 0, 0.5, 128, 2, rel_tol=1e-25)
+    state = pv5lab.build(params)
     return state, pv5lab.compute(state)
 
 

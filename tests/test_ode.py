@@ -19,18 +19,13 @@ def harmonic(t, y):
 
 
 @pytest.fixture(scope="module")
-def octx():
-    return pv5lab.PrecisionContext(bits=192, rel_tol=1e-30, max_level=12)
-
-
-@pytest.fixture(scope="module")
 def oparams():
-    return pv5lab.validate(1, 0.04, 0.5, 192, 4)
+    return pv5lab.validate(1, 0.04, 0.5, 192, 4, rel_tol=1e-30)
 
 
 @pytest.fixture(scope="module")
-def ricc_init(oparams, octx):
-    return pv5lab.riccati_initial(oparams, 2, "0.5", octx)
+def ricc_init(oparams):
+    return pv5lab.riccati_initial(oparams, 2, "0.5")
 
 
 def test_zero_length_interval():
@@ -67,7 +62,7 @@ def test_trajectory_invariants_and_dense_output():
         traj.sample("2.5")
 
 
-def test_riccati_roundtrip_within_ten_tol(oparams, octx, ricc_init):
+def test_riccati_roundtrip_within_ten_tol(oparams, ricc_init):
     tol = mp.mpf(1e-12)
     fwd = pv5lab.integrate_riccati(oparams, 2, "0.5", "0.52", ricc_init, tol)
     back = pv5lab.integrate_riccati(oparams, 2, "0.52", "0.5", fwd.values[-1], tol)
@@ -75,7 +70,7 @@ def test_riccati_roundtrip_within_ten_tol(oparams, octx, ricc_init):
     assert dev < 10 * tol
 
 
-def test_riccati_tol_monotonicity(oparams, octx, ricc_init):
+def test_riccati_tol_monotonicity(oparams, ricc_init):
     # halving the tolerance cannot make the endpoint worse by contract
     devs = {}
     ref = pv5lab.integrate_riccati(oparams, 2, "0.5", "0.52", ricc_init, 1e-20)
@@ -91,7 +86,7 @@ def test_riccati_long_span_hits_singularity(oparams, ricc_init):
         pv5lab.integrate_riccati(oparams, 2, "0.5", "1.0", ricc_init, 1e-12)
 
 
-def test_riccati_guards(oparams, octx):
+def test_riccati_guards(oparams):
     with pytest.raises(SingularParams):
         pv5lab.integrate_riccati(pv5lab.validate(1, 0, 0.5, 192, 4), 2,
                                  "0.5", "0.6", (1, 1), 1e-10)
@@ -101,22 +96,22 @@ def test_riccati_guards(oparams, octx):
         pv5lab.integrate_riccati(oparams, 2, 0, "0.6", (1, 1), 1e-10)
 
 
-def test_crosscheck_at_seed_point_is_zero(oparams, octx, ricc_init):
+def test_crosscheck_at_seed_point_is_zero(oparams, ricc_init):
     traj = pv5lab.integrate_riccati(oparams, 2, "0.5", "0.51", ricc_init, 1e-12)
-    dev = pv5lab.crosscheck(traj, oparams, octx, ["0.5"])
+    dev = pv5lab.crosscheck(traj, oparams, ["0.5"])
     assert dev < mp.mpf("1e-25")
 
 
-def test_crosscheck_records_model_deviation(oparams, octx, ricc_init):
+def test_crosscheck_records_model_deviation(oparams, ricc_init):
     # the published pair does not track the quadrature functions; the
     # deviation is recorded, not asserted small
     traj = pv5lab.integrate_riccati(oparams, 2, "0.5", "0.51", ricc_init, 1e-12)
-    dev = pv5lab.crosscheck(traj, oparams, octx, ["0.505", "0.51"])
+    dev = pv5lab.crosscheck(traj, oparams, ["0.505", "0.51"])
     assert mp.isfinite(dev)
 
 
-def test_pv_initial_and_pole_hit(oparams, octx):
-    phi0, phip0 = pv5lab.pv_initial(oparams, 2, "0.5", octx)
+def test_pv_initial_and_pole_hit(oparams):
+    phi0, phip0 = pv5lab.pv_initial(oparams, 2, "0.5")
     assert phi0 > 1
     with pytest.raises(PoleHit):
         pv5lab.integrate_pv(oparams, 2, "0.5", "1.0", (phi0, phip0), 1e-12)
@@ -127,10 +122,10 @@ def test_pv_initial_guard_distance(oparams):
         pv5lab.integrate_pv(oparams, 2, "0.5", "0.6", (mp.mpf("1.0000000001"), 0), 1e-10)
 
 
-def test_pv_short_span_crosscheck(oparams, octx):
-    init = pv5lab.pv_initial(oparams, 2, "0.5", octx)
+def test_pv_short_span_crosscheck(oparams):
+    init = pv5lab.pv_initial(oparams, 2, "0.5")
     traj = pv5lab.integrate_pv(oparams, 2, "0.5", "0.51", init, 1e-12)
-    dev = pv5lab.crosscheck(traj, oparams, octx, ["0.51"])
+    dev = pv5lab.crosscheck(traj, oparams, ["0.51"])
     assert mp.isfinite(dev)
 
 
@@ -400,19 +395,19 @@ def test_interval_below_one_unit_raises_step_underflow():
         pv5lab.integrate_ivp(harmonic, 0, mp.mpf(2) ** -330, (1, 0), 1e-12, bits=192)
 
 
-def test_state_at_shares_one_state(oparams, octx):
+def test_state_at_shares_one_state(oparams):
     from pv5lab.ladder import state_at
     from pv5lab.verify import Evaluator
 
-    ortho, lad = state_at(oparams, octx, "0.5")
+    ortho, lad = state_at(oparams, "0.5")
     with mp.workprec(oparams.work_bits):
-        again = state_at(oparams, octx, mp.mpf("0.5"))
+        again = state_at(oparams, mp.mpf("0.5"))
     assert again[0] is ortho and again[1] is lad
-    assert Evaluator(oparams, octx).states("0.5")[1] is lad
-    R, r = pv5lab.riccati_initial(oparams, 2, "0.5", octx)
+    assert Evaluator(oparams).states("0.5")[1] is lad
+    R, r = pv5lab.riccati_initial(oparams, 2, "0.5")
     assert R is lad.R[2] and r is lad.r[2]
     traj = pv5lab.integrate_riccati(oparams, 2, "0.5", "0.51", (R, r), 1e-12)
-    assert pv5lab.crosscheck(traj, oparams, octx, ["0.5"]) == 0
+    assert pv5lab.crosscheck(traj, oparams, ["0.5"]) == 0
 
 
 def test_integer_fifth_root_is_the_exact_floor():
@@ -507,7 +502,7 @@ def test_integrate_ivp_refuses_non_finite_or_non_positive_tolerance():
             pv5lab.integrate_ivp(harmonic, 0, 1, (1, 0), tol, bits=192)
 
 
-def test_initial_data_refuses_degrees_outside_n_max(oparams, octx, monkeypatch):
+def test_initial_data_refuses_degrees_outside_n_max(oparams, monkeypatch):
     # a degree above n_max used to fill a table and fail on a tuple index;
     # n = -1 silently returned the degree-n_max pair
     def no_quadrature(*args):
@@ -517,7 +512,7 @@ def test_initial_data_refuses_degrees_outside_n_max(oparams, octx, monkeypatch):
     for initial in (pv5lab.riccati_initial, pv5lab.pv_initial):
         for n in (-1, 0, oparams.n_max + 1):
             with pytest.raises(ParameterError, match=r"1\.\.n_max = 1\.\.4"):
-                initial(oparams, n, "0.5", octx)
+                initial(oparams, n, "0.5")
 
 
 def _int_digest(traj):
@@ -532,8 +527,7 @@ def test_integrator_ints_are_pinned():
     # --t0 0.5 --t1 0.54 --ode-tol 1e-18 --bits 256``) and a backward run:
     # a change to the step's arithmetic must leave every int where it is
     params = pv5lab.validate("1", "0.04", mp.mpf("0.5"), precision_bits=256, n_max=2)
-    ctx = pv5lab.PrecisionContext(bits=256, rel_tol=1e-40, max_level=12)
-    init = pv5lab.riccati_initial(params, 2, "0.5", ctx)
+    init = pv5lab.riccati_initial(params, 2, "0.5")
     traj = pv5lab.integrate_riccati(params, 2, "0.5", "0.54", init, 1e-18)
     assert _int_digest(traj) == (
         "e128e2368d6fa20673c44ecb625a610f85b10a56e9dfa4643dc9eb800a7b846e",

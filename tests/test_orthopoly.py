@@ -15,22 +15,22 @@ def classical_beta(n, alpha):
 
 
 @pytest.mark.parametrize("alpha", ["0.5", "1", "2"])
-def test_classical_limit_oracle(alpha, ctx_fast):
-    p = pv5lab.validate(alpha, -1, 0, 192, 6)
-    st = pv5lab.build(p, ctx_fast)
+def test_classical_limit_oracle(alpha):
+    p = pv5lab.validate(alpha, -1, 0, 192, 6, rel_tol=1e-30)
+    st = pv5lab.build(p)
     for n in range(1, 7):
         assert abs(st.beta[n] - classical_beta(n, alpha)) < mp.mpf("1e-30")
 
 
-def test_legendre_betas(ctx_fast):
+def test_legendre_betas():
     # alpha = 0: beta_1 = 1/3, beta_2 = 4/15
-    st = pv5lab.build(pv5lab.validate(0, -1, 0, 192, 4), ctx_fast)
+    st = pv5lab.build(pv5lab.validate(0, -1, 0, 192, 4, rel_tol=1e-30))
     assert abs(st.beta[1] - mp.mpf(1) / 3) < mp.mpf("1e-30")
     assert abs(st.beta[2] - mp.mpf(4) / 15) < mp.mpf("1e-30")
 
 
-def test_h0_equals_mu0_cross_route(gap_state, gap_params, ctx_fast):
-    mu0 = pv5lab.moment(0, gap_params, ctx_fast)
+def test_h0_equals_mu0_cross_route(gap_state, gap_params):
+    mu0 = pv5lab.moment(0, gap_params)
     assert abs(gap_state.h[0] - mu0) < mp.mpf("1e-28") * mu0
 
 
@@ -86,8 +86,8 @@ def test_orthogonality_rejects_equal_degrees(gap_state):
         pv5lab.orthogonality_residual(gap_state, 2, 2)
 
 
-def test_beta_two_routes_and_telescoping(gap_state, ctx_fast):
-    tol = 10 * mp.mpf(ctx_fast.rel_tol)
+def test_beta_two_routes_and_telescoping(gap_state):
+    tol = 10 * mp.mpf(gap_state.params.rel_tol)
     for n in range(1, gap_state.n_max + 1):
         two_route = abs(gap_state.beta[n]
                         - (gap_state.p_sub[n] - gap_state.p_sub[n + 1]))
@@ -111,13 +111,12 @@ def test_p_sub_matches_direct_coefficient_extraction(gap_state):
 
 
 def test_build_no_convergence_at_low_cap():
-    p = pv5lab.validate(1, 0.25, 0.5, 256, 4)
-    ctx = pv5lab.PrecisionContext(bits=256, rel_tol=1e-40, max_level=4)
+    p = pv5lab.validate(1, 0.25, 0.5, 256, 4, max_level=4)
     with pytest.raises(NoConvergence):
-        pv5lab.build(p, ctx)
+        pv5lab.build(p)
 
 
-def test_build_is_cached(gap_params, ctx_fast):
-    a = pv5lab.build(gap_params, ctx_fast)
-    b = pv5lab.build(gap_params, ctx_fast)
+def test_build_is_cached(gap_params):
+    a = pv5lab.build(gap_params)
+    b = pv5lab.build(gap_params)
     assert a is b

@@ -15,34 +15,35 @@ from pv5lab.quadrature import (IntArray, WeightTable, _dot, _fixed, _level_terms
 
 
 def test_context_validation():
-    with pytest.raises(ParameterError):
-        pv5lab.PrecisionContext(bits=32)
-    with pytest.raises(ParameterError):
-        pv5lab.PrecisionContext(bits=256, max_level=40)
-    with pytest.raises(ParameterError):
-        pv5lab.PrecisionContext(bits=64, rel_tol=1e-40)  # below 2^(-bits+16)
-    with pytest.raises(ParameterError):
-        pv5lab.PrecisionContext(bits=256, rel_tol=0.0)
+    with pytest.raises(ParameterError, match="precision_bits"):
+        pv5lab.validate(1, 0.25, 0.5, precision_bits=32)
+    with pytest.raises(ParameterError, match="max_level"):
+        pv5lab.validate(1, 0.25, 0.5, precision_bits=256, max_level=40)
+    with pytest.raises(ParameterError, match="below the floor"):
+        pv5lab.validate(1, 0.25, 0.5, precision_bits=64, rel_tol=1e-40)
+    with pytest.raises(ParameterError, match="rel_tol must be positive"):
+        pv5lab.validate(1, 0.25, 0.5, precision_bits=256, rel_tol=0.0)
 
 
-def test_constant_over_full_interval(ctx_fast):
-    sup = pv5lab.support(pv5lab.validate(0, -1, 0, 192, 4))
-    res = pv5lab.integrate(lambda z: mp.mpf(1), sup, ctx_fast)
+def test_constant_over_full_interval():
+    p = pv5lab.validate(0, -1, 0, 192, 4, rel_tol=1e-30)
+    sup = pv5lab.support(p)
+    res = pv5lab.integrate(lambda z: mp.mpf(1), sup, p)
     assert res.converged
     assert abs(res.value - 2) < mp.mpf("1e-30")
 
 
-def test_odd_integrand_cancels(gap_params, ctx_fast):
+def test_odd_integrand_cancels(gap_params):
     sup = pv5lab.support(gap_params)
-    res = pv5lab.integrate(lambda z: z * pv5lab.weight(z, gap_params), sup, ctx_fast)
+    res = pv5lab.integrate(lambda z: z * pv5lab.weight(z, gap_params), sup, gap_params)
     assert res.converged
     assert abs(res.value) < mp.mpf("1e-40")
 
 
-def test_weight_mass_cross_rule(gap_params, ctx_fast):
+def test_weight_mass_cross_rule(gap_params):
     """Tanh-sinh against mpmath's Gauss-Legendre rule (independent code path)."""
     sup = pv5lab.support(gap_params)
-    res = pv5lab.integrate(lambda z: pv5lab.weight(z, gap_params), sup, ctx_fast)
+    res = pv5lab.integrate(lambda z: pv5lab.weight(z, gap_params), sup, gap_params)
     assert res.converged and res.value > 0
     # 160 bits carry the oracle well past the 1e-30 bounds (its estimate is
     # near 1e-56); at the 256 working bits it took a third of Tier-1
@@ -55,63 +56,63 @@ def test_weight_mass_cross_rule(gap_params, ctx_fast):
     assert oracle_error <= mp.mpf("1e-40") * oracle
     assert abs(res.value - oracle) < mp.mpf("1e-30") * oracle
     # the weight table's integer-kernel route to the same mass
-    table = WeightTable(gap_params, ctx_fast)
+    table = WeightTable(gap_params)
     table.ensure_levels(4)
     mass = table.raw_integral([table.cw])
     assert mass.converged
     assert abs(mass.value - oracle) < mp.mpf("1e-30") * oracle
 
 
-def test_moment_trivial_values(ctx_fast):
-    p0 = pv5lab.validate(0, -1, 0, 192, 4)
-    assert abs(pv5lab.moment(0, p0, ctx_fast) - 2) < mp.mpf("1e-30")
-    assert abs(pv5lab.moment(2, p0, ctx_fast) - mp.mpf(2) / 3) < mp.mpf("1e-30")
-    p1 = pv5lab.validate(1, -1, 0, 192, 4)
-    assert abs(pv5lab.moment(0, p1, ctx_fast) - mp.mpf(4) / 3) < mp.mpf("1e-30")
+def test_moment_trivial_values():
+    p0 = pv5lab.validate(0, -1, 0, 192, 4, rel_tol=1e-30)
+    assert abs(pv5lab.moment(0, p0) - 2) < mp.mpf("1e-30")
+    assert abs(pv5lab.moment(2, p0) - mp.mpf(2) / 3) < mp.mpf("1e-30")
+    p1 = pv5lab.validate(1, -1, 0, 192, 4, rel_tol=1e-30)
+    assert abs(pv5lab.moment(0, p1) - mp.mpf(4) / 3) < mp.mpf("1e-30")
 
 
-def test_odd_moment_is_exact_zero(gap_params, ctx_fast):
-    assert pv5lab.moment(3, gap_params, ctx_fast) == 0
-    assert pv5lab.moment(1, gap_params, ctx_fast) == 0
+def test_odd_moment_is_exact_zero(gap_params):
+    assert pv5lab.moment(3, gap_params) == 0
+    assert pv5lab.moment(1, gap_params) == 0
 
 
-def test_moment_rejects_bad_order(gap_params, ctx_fast):
+def test_moment_rejects_bad_order(gap_params):
     with pytest.raises(ParameterError):
-        pv5lab.moment(-1, gap_params, ctx_fast)
+        pv5lab.moment(-1, gap_params)
 
 
-def test_even_symmetry_of_two_interval_integral(gap_params, ctx_fast):
+def test_even_symmetry_of_two_interval_integral(gap_params):
     """Integral over both intervals equals twice the right interval for even f."""
     f = lambda z: pv5lab.weight(z, gap_params) / (1 + z * z)
     sup = pv5lab.support(gap_params)
-    full = pv5lab.integrate(f, sup, ctx_fast)
-    right = pv5lab.integrate(f, [sup[1]], ctx_fast)
+    full = pv5lab.integrate(f, sup, gap_params)
+    right = pv5lab.integrate(f, [sup[1]], gap_params)
     assert full.converged and right.converged
     assert abs(full.value - 2 * right.value) <= mp.mpf(10) * (full.error + 2 * right.error)
 
 
-def test_interval_additivity(ctx_fast):
-    p = pv5lab.validate(1, -0.5, 0.5, 192, 4)
+def test_interval_additivity():
+    p = pv5lab.validate(1, -0.5, 0.5, 192, 4, rel_tol=1e-30)
     f = lambda z: pv5lab.weight(z, p)
-    whole = pv5lab.integrate(f, [(mp.mpf(-1), mp.mpf(1))], ctx_fast)
+    whole = pv5lab.integrate(f, [(mp.mpf(-1), mp.mpf(1))], p)
     split = pv5lab.integrate(f, [(mp.mpf(-1), mp.mpf("0.3")),
-                                 (mp.mpf("0.3"), mp.mpf(1))], ctx_fast)
+                                 (mp.mpf("0.3"), mp.mpf(1))], p)
     assert abs(whole.value - split.value) <= mp.mpf(10) * (whole.error + split.error)
 
 
-def test_error_estimate_honesty(ctx_fast):
+def test_error_estimate_honesty():
     # closed form: integral of z^2 (1-z^2) over [-1,1] = 4/15
-    p = pv5lab.validate(1, -1, 0, 192, 4)
+    p = pv5lab.validate(1, -1, 0, 192, 4, rel_tol=1e-30)
     res = pv5lab.integrate(lambda z: z * z * pv5lab.weight(z, p),
-                           pv5lab.support(p), ctx_fast)
+                           pv5lab.support(p), p)
     true_err = abs(res.value - mp.mpf(4) / 15)
     assert true_err <= 10 * res.error
 
 
 def test_no_convergence_flag():
-    ctx = pv5lab.PrecisionContext(bits=64, rel_tol=1e-12, max_level=4)
+    p = pv5lab.validate(0, -1, 0, 64, 4, rel_tol=1e-12, max_level=4)
     res = pv5lab.integrate(lambda z: mp.sqrt(abs(z - mp.mpf("0.337"))),
-                           [(mp.mpf(-1), mp.mpf(1))], ctx)
+                           [(mp.mpf(-1), mp.mpf(1))], p)
     assert not res.converged
     assert res.error > mp.mpf("1e-12")
 
@@ -125,9 +126,9 @@ def test_integration_intervals_split_at_zero_for_k2_zero():
     assert len(pv5lab.support(p)) == 1
 
 
-def test_zero_length_interval(ctx_fast):
-    res = pv5lab.integrate(lambda z: mp.mpf(1),
-                           [(mp.mpf("0.3"), mp.mpf("0.3"))], ctx_fast)
+def test_zero_length_interval():
+    res = pv5lab.integrate(lambda z: mp.mpf(1), [(mp.mpf("0.3"), mp.mpf("0.3"))],
+                           pv5lab.validate(0, -1, 0, 192, 4, rel_tol=1e-30))
     assert res.converged and res.value == 0
 
 
@@ -203,8 +204,8 @@ def test_dot_kernel_fixed_point_and_zero_cases():
     assert _dot([zeros, ys]) == (0, None, 0)
 
 
-def test_raw_integral_error_covers_kernel_bound(gap_params, ctx_fast):
-    table = WeightTable(gap_params, ctx_fast)
+def test_raw_integral_error_covers_kernel_bound(gap_params):
+    table = WeightTable(gap_params)
     table.ensure_levels(5)
     factors = [table.cw, table.y, table.y, table.inv_zk2]
     res = table.raw_integral(factors)
@@ -219,13 +220,12 @@ def test_raw_integral_error_covers_kernel_bound(gap_params, ctx_fast):
     ref = pv5lab.integrate(
         lambda z: z * z * pv5lab.weight(z, gap_params)
         / ((z - mp.sqrt(gap_params.k2)) * (z + mp.sqrt(gap_params.k2))),
-        pv5lab.support(gap_params), ctx_fast)
+        pv5lab.support(gap_params), gap_params)
     assert abs(res.value - ref.value) <= 10 * (res.error + ref.error)
 
 
 def test_raw_integral_raises_at_the_level_cap():
-    ctx = pv5lab.PrecisionContext(bits=256, rel_tol=1e-40, max_level=4)
-    table = WeightTable(pv5lab.validate(1, 0.25, 0.5, 256, 4), ctx)
+    table = WeightTable(pv5lab.validate(1, 0.25, 0.5, 256, 4, max_level=4))
     table.ensure_levels(4)
     with pytest.raises(NoConvergence) as exc:
         table.raw_integral([table.cw])
@@ -236,11 +236,11 @@ def test_raw_integral_raises_at_the_level_cap():
     assert table.nlevels == 5
 
 
-def test_raw_integral_refines_to_the_same_bits(gap_params, ctx_fast):
+def test_raw_integral_refines_to_the_same_bits(gap_params):
     """An integral that adds levels inside ``raw_integral`` reads the same
     value and error as on a table filled to that level beforehand."""
     def integral(filled):
-        table = WeightTable(gap_params, ctx_fast)
+        table = WeightTable(gap_params)
         table.ensure_levels(filled)
         factors = [table.cw, table.y, table.y, table.inv_zk2]
         res = table.raw_integral(factors)
@@ -252,10 +252,10 @@ def test_raw_integral_refines_to_the_same_bits(gap_params, ctx_fast):
     assert integral(refined.levels) == refined
 
 
-def test_table_divided_differences_match_model(gap_params, ctx_fast):
+def test_table_divided_differences_match_model(gap_params):
     """The integer mirror parts (dd(z, y) +- dd(z, -y)) / 2 of the divided
     differences against model.dd_quotient in mpf."""
-    table = WeightTable(gap_params, ctx_fast)
+    table = WeightTable(gap_params)
     table.ensure_levels(3)
     z = mp.mpf("0.7")
     with mp.workprec(gap_params.work_bits):
@@ -271,25 +271,25 @@ def test_table_divided_differences_match_model(gap_params, ctx_fast):
                         continue
                     ref = (pv5lab.dd_quotient(z, y, gap_params)
                            + sign * pv5lab.dd_quotient(z, -y, gap_params)) / 2
-                    assert abs(dd - ref) <= mp.mpf(2) ** (-(ctx_fast.work_bits - 40)) * (1 + abs(ref))
+                    assert abs(dd - ref) <= mp.mpf(2) ** (-(gap_params.work_bits - 40)) * (1 + abs(ref))
                     checked += 1
     assert checked > 20
 
 
 @pytest.mark.parametrize("t", ["0", "0.5"])
-def test_table_zk2_is_y2_minus_k2(t, ctx_fast):
+def test_table_zk2_is_y2_minus_k2(t):
     """The stored 1/(y^2 - k2) at k2 > 0, relative to the exact value, on
     one interval [-1, 1] (t = 0) and on the two intervals of an open gap
     (t > 0)."""
-    params = pv5lab.validate(1, 0.25, t, 192, 4)
-    table = WeightTable(params, ctx_fast)
+    params = pv5lab.validate(1, 0.25, t, 192, 4, rel_tol=1e-30)
+    table = WeightTable(params)
     table.ensure_levels(4)
     checked = 0
     with mp.workprec(2 * table.frac_bits):
         for lv in range(table.nlevels):
             for y, inv in zip(_mpf_values(table.y[lv]), _mpf_values(table.inv_zk2[lv])):
                 ref = 1 / (y * y - params.k2)
-                assert abs(inv - ref) <= mp.mpf(2) ** (-(ctx_fast.work_bits - 8)) * abs(ref), (
+                assert abs(inv - ref) <= mp.mpf(2) ** (-(params.work_bits - 8)) * abs(ref), (
                     f"1/zk2 = {mp.nstr(inv, 12)} at y = {mp.nstr(y, 12)}, "
                     f"1/(y^2 - k2) = {mp.nstr(ref, 12)}")
                 checked += 1
@@ -300,9 +300,8 @@ def test_table_builds_where_zk2_vanishes_at_a_node():
     """At k2 = 0, t = 0 the centre node y = 0 of [-1, 1] has y^2 - k2 = 0.
     The table still builds, with that one reciprocal stored as 0: the
     recurrence does not read it, and no ladder integral exists there."""
-    params = pv5lab.validate(1, 0, 0, 128, 2)
-    ctx = pv5lab.PrecisionContext(bits=128, rel_tol=1e-20, max_level=12)
-    state = pv5lab.build(params, ctx)
+    params = pv5lab.validate(1, 0, 0, 128, 2, rel_tol=1e-20)
+    state = pv5lab.build(params)
     zeros = [(lv, i) for lv, block in enumerate(state.table.inv_zk2)
              for i, m in enumerate(block.man) if m == 0]
     assert zeros == [(0, 0)] and state.table.y[0].man[0] == 0
@@ -311,7 +310,7 @@ def test_table_builds_where_zk2_vanishes_at_a_node():
         pv5lab.compute(state)
 
 
-def test_frozen_table_grows_every_derived_array_in_step(gap_params, gap_state, ctx_fast):
+def test_frozen_table_grows_every_derived_array_in_step(gap_params, gap_state):
     """A table frozen at level L and extended to L+1 holds, level by level,
     the same derived arrays as a table filled to L+1 before it was frozen."""
     z = mp.mpf("0.7")
@@ -325,12 +324,12 @@ def test_frozen_table_grows_every_derived_array_in_step(gap_params, gap_state, c
                 "rows": [[table.row(n, lv) for n in range(gap_params.n_max + 1)]
                          for lv in range(table.nlevels)]}
 
-    grown = WeightTable(gap_params, ctx_fast)
+    grown = WeightTable(gap_params)
     grown.ensure_levels(4)
     grown.freeze(gap_state.beta)
     before = derived(grown)
     grown.ensure_levels(5)
-    fresh = WeightTable(gap_params, ctx_fast)
+    fresh = WeightTable(gap_params)
     fresh.ensure_levels(5)
     fresh.freeze(gap_state.beta)
     after, ref = derived(grown), derived(fresh)
@@ -358,9 +357,8 @@ def test_half_table_matches_full_support_route(alpha, k2, t):
     engine over the full support, within the sum of both reported errors:
     the mass, h_n, the ladder integrals of R_n, a_n, r_n, b_n, and those of
     A_n(z), B_n(z) at two z."""
-    params = pv5lab.validate(alpha, k2, t, 128, 3)
-    ctx = pv5lab.PrecisionContext(bits=128, rel_tol=1e-20, max_level=12)
-    state = pv5lab.build(params, ctx)
+    params = pv5lab.validate(alpha, k2, t, 128, 3, rel_tol=1e-20)
+    state = pv5lab.build(params)
     table = state.table
     sup = integration_intervals(params)
     ladder = params.ladder_eligible
@@ -412,7 +410,7 @@ def test_half_table_matches_full_support_route(alpha, k2, t):
                                             lambda y, n=n, dd=dd: dd(y) * P(n, y) * P(n - 1, y))
         for name, (factors, f) in checks.items():
             half = table.raw_integral(factors, scale=state.h[0])
-            full = pv5lab.integrate(lambda y: f(y) * w(y), sup, ctx,
+            full = pv5lab.integrate(lambda y: f(y) * w(y), sup, params,
                                     scale=state.h[0])
             assert half.converged and full.converged, name
             assert abs(half.value - full.value) <= half.error + full.error, (
@@ -459,12 +457,12 @@ _UNCUT = {
 
 
 @pytest.mark.parametrize("k2,t", list(_UNCUT))
-def test_edge_cut_keeps_the_uncut_values(k2, t, ctx_default):
+def test_edge_cut_keeps_the_uncut_values(k2, t):
     """h and beta equal the uncut rule's at the working precision.  At k2
     0.95, t 50, h_0 is about 1.3e-443, so a cut at an absolute weight would
     empty the table; the cut is relative to the interval's centre."""
     params = pv5lab.validate(1, k2, t, 256, 3)
-    state = pv5lab.build(params, ctx_default)
+    state = pv5lab.build(params)
     assert state.table.cut_nodes > 0
     with mp.workprec(params.work_bits):
         h = [mp.nstr(+v, 100) for v in state.h]
@@ -473,9 +471,9 @@ def test_edge_cut_keeps_the_uncut_values(k2, t, ctx_default):
 
 
 @pytest.mark.parametrize("k2,t", [("-0.5", "0.5"), ("0.25", "0")])
-def test_edge_cut_drops_nothing_without_an_edge(k2, t, ctx_fast):
+def test_edge_cut_drops_nothing_without_an_edge(k2, t):
     """k2 < 0 and t = 0 integrate over [-1, 1], with no vanishing edge."""
-    table = WeightTable(pv5lab.validate(1, k2, t, 192, 4), ctx_fast)
+    table = WeightTable(pv5lab.validate(1, k2, t, 192, 4, rel_tol=1e-30))
     table.ensure_levels(6)
     assert table.cut_nodes == 0 and table.cut_bound == 0
     assert table.node_count() == _half_rule_count(table, 6)
@@ -483,12 +481,12 @@ def test_edge_cut_drops_nothing_without_an_edge(k2, t, ctx_fast):
 
 @pytest.mark.parametrize("k2,t", [("0.25", "1e-3"), ("0.25", "0.5"), ("0.25", "50"),
                                   ("0", "0.5")])
-def test_edge_cut_stays_below_the_floor(k2, t, ctx_fast):
+def test_edge_cut_stays_below_the_floor(k2, t):
     """Every level keeps nodes, the stored and dropped nodes make up the
     uncut rule, and the dropped terms together, at their recorded bound
     relative to the centre node's coefficient (a term of sum cw), lie below
     the absolute floor 2^-(work_bits-8) sum cw of ``raw_integral``."""
-    table = WeightTable(pv5lab.validate(1, k2, t, 192, 4), ctx_fast)
+    table = WeightTable(pv5lab.validate(1, k2, t, 192, 4, rel_tol=1e-30))
     table.ensure_levels(7)
     assert all(block.man for block in table.y)
     assert table.cut_nodes > 0

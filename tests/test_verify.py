@@ -45,103 +45,98 @@ def test_identity_ids_are_the_registry_rows():
 
 @pytest.fixture(scope="module")
 def vp():
-    return pv5lab.validate(1, 0.25, 0.5, 192, 5)
+    return pv5lab.validate(1, 0.25, 0.5, 192, 5, rel_tol=1e-30)
 
 
-@pytest.fixture(scope="module")
-def vctx():
-    return pv5lab.PrecisionContext(bits=192, rel_tol=1e-30, max_level=12)
-
-
-def test_required_functional_checks_pass(vp, vctx):
+def test_required_functional_checks_pass(vp):
     for ident in (I.S1_FUNC, I.S2_FUNC, I.S2P_FUNC):
-        rep = pv5lab.check(ident, vp, vctx, 2, "0.5", z="0.8")
+        rep = pv5lab.check(ident, vp, 2, "0.5", z="0.8")
         assert rep.passed and rep.residual < mp.mpf("1e-15")
     # reference point comfortably beats the acceptance threshold
-    rep = pv5lab.check(I.S1_FUNC, vp, vctx, 3, "0.5", z="0.8")
+    rep = pv5lab.check(I.S1_FUNC, vp, 3, "0.5", z="0.8")
     assert rep.residual < mp.mpf("1e-20")
 
 
-def test_required_form_checks_pass(vp, vctx):
+def test_required_form_checks_pass(vp):
     for ident in (I.A_FORM, I.B_FORM, I.LOWER_FUNC, I.RAISE_FUNC):
-        rep = pv5lab.check(ident, vp, vctx, 3, "0.5", z="-0.71")
+        rep = pv5lab.check(ident, vp, 3, "0.5", z="-0.71")
         assert rep.passed and rep.residual < mp.mpf("1e-20")
 
 
-def test_required_bookkeeping_checks_pass(vp, vctx):
+def test_required_bookkeeping_checks_pass(vp):
     for ident in (I.BETA_ROUTES, I.TELE_BETA):
-        rep = pv5lab.check(ident, vp, vctx, 4, "0.5")
+        rep = pv5lab.check(ident, vp, 4, "0.5")
         assert rep.passed
 
 
-def test_derivative_checks_second_order(vp, vctx):
+def test_derivative_checks_second_order(vp):
     for ident in (I.DLNH, I.DBETA, I.DP):
-        rep = pv5lab.check(ident, vp, vctx, 2, "0.5")
+        rep = pv5lab.check(ident, vp, 2, "0.5")
         assert rep.passed
         assert rep.residual < mp.mpf("1e-10")
         assert 3 <= rep.halving_ratio <= 5
 
 
-def test_exact_diagnostics_at_quadrature_floor(vp, vctx):
+def test_exact_diagnostics_at_quadrature_floor(vp):
     for ident in EXACT_DIAGNOSTICS:
-        rep = pv5lab.check(ident, vp, vctx, 2, "0.5")
+        rep = pv5lab.check(ident, vp, 2, "0.5")
         assert rep.passed is None  # diagnostics are never asserted
         assert rep.residual < mp.mpf("1e-25"), ident
 
 
-def test_yj4_residual_finite_and_order_k2(vp, vctx):
-    rep = pv5lab.check(I.YJ4, vp, vctx, 1, "0.5")
+def test_yj4_residual_finite_and_order_k2(vp):
+    rep = pv5lab.check(I.YJ4, vp, 1, "0.5")
     assert mp.isfinite(rep.residual)
     assert mp.mpf("1e-4") < rep.residual < mp.mpf(1)  # O(k2) defect at k2=0.25
 
 
-def test_yj4_exact_at_t_zero(vctx):
-    p = pv5lab.validate(1, -1, 0, 192, 4)
-    rep = pv5lab.check(I.YJ4, p, vctx, 1, 0)
+def test_yj4_exact_at_t_zero():
+    p = pv5lab.validate(1, -1, 0, 192, 4, rel_tol=1e-30)
+    rep = pv5lab.check(I.YJ4, p, 1, 0)
     assert rep.residual < mp.mpf("1e-25")
 
 
-def test_index_error_where_previous_degree_needed(vp, vctx):
+def test_index_error_where_previous_degree_needed(vp):
     with pytest.raises(IndexError):
-        pv5lab.check(I.C_S2_B, vp, vctx, 0, "0.5")
+        pv5lab.check(I.C_S2_B, vp, 0, "0.5")
     with pytest.raises(IndexError):
-        pv5lab.check(I.S1_FUNC, vp, vctx, vp.n_max, "0.5", z="0.8")  # needs n+1
+        pv5lab.check(I.S1_FUNC, vp, vp.n_max, "0.5", z="0.8")  # needs n+1
 
 
-def test_singular_params_for_k2_zero(vctx):
-    p = pv5lab.validate(1, 0, 0.5, 192, 4)
+def test_singular_params_for_k2_zero():
+    p = pv5lab.validate(1, 0, 0.5, 192, 4, rel_tol=1e-30)
     for ident in (I.PV_PHI, I.BETA_EXPR, I.Q2, I.RIC_R):
         with pytest.raises(SingularParams):
-            pv5lab.check(ident, p, vctx, 1, "0.5")
+            pv5lab.check(ident, p, 1, "0.5")
 
 
-def test_z_required_for_functional_checks(vp, vctx):
+def test_z_required_for_functional_checks(vp):
     with pytest.raises(ParameterError):
-        pv5lab.check(I.S1_FUNC, vp, vctx, 2, "0.5")
+        pv5lab.check(I.S1_FUNC, vp, 2, "0.5")
 
 
-def test_mutex_witness_is_order_one(vp, vctx):
+def test_mutex_witness_is_order_one(vp):
     # the two groupings jointly force (b_n+alpha)(b_n-n) = 0; measurably false
-    rep = pv5lab.check(I.MUTEX_WITNESS, vp, vctx, 2, "0.5")
+    rep = pv5lab.check(I.MUTEX_WITNESS, vp, 2, "0.5")
     assert rep.residual > mp.mpf("0.1")
 
 
-def test_factor_split_values_and_product(vp, vctx):
-    f1, f2 = pv5lab.factor_split(vp, vctx, 2, "0.5")
+def test_factor_split_values_and_product(vp):
+    f1, f2 = pv5lab.factor_split(vp, 2, "0.5")
     assert mp.isfinite(f1) and mp.isfinite(f2)
-    rep = pv5lab.check(I.FACTOR_PROD, vp, vctx, 2, "0.5")
+    rep = pv5lab.check(I.FACTOR_PROD, vp, 2, "0.5")
     # the product residual must be the normalized product of the same factors
     prod = f1 * f2
     assert abs(rep.residual - abs(prod) / (1 + abs(prod))) < mp.mpf("1e-12")
 
 
-def test_factor_split_guards(vp, vctx):
+def test_factor_split_guards(vp):
     with pytest.raises(SingularParams):
-        pv5lab.factor_split(pv5lab.validate(1, 0, 0.5, 192, 4), vctx, 2, "0.5")
+        pv5lab.factor_split(pv5lab.validate(1, 0, 0.5, 192, 4, rel_tol=1e-30), 2, "0.5")
     with pytest.raises(IndexError):
-        pv5lab.factor_split(vp, vctx, 0, "0.5")
+        pv5lab.factor_split(vp, 0, "0.5")
     with pytest.raises(ParameterError):
-        pv5lab.factor_split(vp, vctx, 2, 0)
+        pv5lab.factor_split(vp, 2, 0)
 
 
 def test_sample_points_deterministic_and_margined(vp):
@@ -156,12 +151,12 @@ def test_sample_points_deterministic_and_margined(vp):
     assert sample_points(vp, count=20, seed=4) != a
 
 
-def test_suite_empty_n_set(vp, vctx):
-    assert pv5lab.check_suite(vp, vctx, [], ["0.5"]) == []
+def test_suite_empty_n_set(vp):
+    assert pv5lab.check_suite(vp, [], ["0.5"]) == []
 
 
-def test_suite_single_t_skips_stencil_checks(vp, vctx):
-    reports = pv5lab.check_suite(vp, vctx, [2], ["0.5"], z_samples=["0.8"],
+def test_suite_single_t_skips_stencil_checks(vp):
+    reports = pv5lab.check_suite(vp, [2], ["0.5"], z_samples=["0.8"],
                                  suite="all")
     by_id = {}
     for r in reports:
@@ -172,8 +167,8 @@ def test_suite_single_t_skips_stencil_checks(vp, vctx):
         assert all(r.status == "ok" for r in by_id[ident])
 
 
-def test_suite_two_t_runs_stencil_checks(vp, vctx):
-    reports = pv5lab.check_suite(vp, vctx, [1], ["0.4", "0.6"],
+def test_suite_two_t_runs_stencil_checks(vp):
+    reports = pv5lab.check_suite(vp, [1], ["0.4", "0.6"],
                                  z_samples=["0.8"], suite="required")
     stencil_rows = [r for r in reports if r.id is I.DLNH]
     assert len(stencil_rows) == 2
@@ -184,10 +179,10 @@ def test_suite_two_t_runs_stencil_checks(vp, vctx):
         assert r.status == "ok" and r.passed, (r.id, str(r.t), r.message)
 
 
-def test_suite_ordering_is_deterministic(vp, vctx):
+def test_suite_ordering_is_deterministic(vp):
     kw = dict(z_samples=["-0.2", "0.8"], suite="all")
-    r1 = pv5lab.check_suite(vp, vctx, [1, 2], ["0.5"], **kw)
-    r2 = pv5lab.check_suite(vp, vctx, [2, 1], ["0.5"], **kw)
+    r1 = pv5lab.check_suite(vp, [1, 2], ["0.5"], **kw)
+    r2 = pv5lab.check_suite(vp, [2, 1], ["0.5"], **kw)
     key = [(r.id.value, r.n, str(r.t), str(r.z)) for r in r1]
     assert key == [(r.id.value, r.n, str(r.t), str(r.z)) for r in r2]
     # registry order, then n, then t, then z
@@ -196,18 +191,18 @@ def test_suite_ordering_is_deterministic(vp, vctx):
     assert ids == sorted(ids, key=lambda i: order[i])
 
 
-def test_suite_filters_by_tier(vp, vctx):
-    req = pv5lab.check_suite(vp, vctx, [1], ["0.5"], z_samples=["0.8"],
+def test_suite_filters_by_tier(vp):
+    req = pv5lab.check_suite(vp, [1], ["0.5"], z_samples=["0.8"],
                              suite="required")
     assert all(r.tier is Tier.REQUIRED for r in req)
-    diag = pv5lab.check_suite(vp, vctx, [1], ["0.5"], z_samples=["0.8"],
+    diag = pv5lab.check_suite(vp, [1], ["0.5"], z_samples=["0.8"],
                               suite="diagnostic")
     assert all(r.tier is Tier.DIAGNOSTIC for r in diag)
 
 
-def test_suite_k2_zero_marks_skipped(vctx):
-    p = pv5lab.validate(1, 0, 0.5, 192, 3)
-    reports = pv5lab.check_suite(p, vctx, [1], ["0.4", "0.6"], z_samples=["0.8"],
+def test_suite_k2_zero_marks_skipped():
+    p = pv5lab.validate(1, 0, 0.5, 192, 3, rel_tol=1e-30)
+    reports = pv5lab.check_suite(p, [1], ["0.4", "0.6"], z_samples=["0.8"],
                                  suite="diagnostic")
     rows = {r.id: r for r in reports if r.n == 1 and str(r.t).startswith("0.4")}
     assert rows[I.Q2].status == "skipped"
@@ -215,12 +210,12 @@ def test_suite_k2_zero_marks_skipped(vctx):
     assert rows[I.Q1].status == "ok"
 
 
-def test_pair_elimination_consistent_with_second_order_equation(vp, vctx):
+def test_pair_elimination_consistent_with_second_order_equation(vp):
     """Eliminating r_n from the coupled pair numerically must agree with the
     second-order R_n equation's residual within two orders of magnitude."""
     from pv5lab.verify import Evaluator, _nres, _ric_r_rhs, _s_of, stencil_step
 
-    ev = Evaluator(vp, vctx)
+    ev = Evaluator(vp)
     with mp.workprec(vp.work_bits):
         t = mp.mpf("0.5")
         st = ev.stencil(t)
@@ -240,13 +235,13 @@ def test_pair_elimination_consistent_with_second_order_equation(vp, vctx):
             r_prime = (r_elim(1) - r_elim(-1)) / h
             elim_res = _nres(2 * k2 * t * r_prime,
                              _ric_r_rhs(vp, n, t, r_elim(0), R[0]))
-            ode_res = pv5lab.check(I.ODE_RN, vp, vctx, n, t).residual
+            ode_res = pv5lab.check(I.ODE_RN, vp, n, t).residual
             ratio = elim_res / ode_res
             assert mp.mpf("0.01") <= ratio <= mp.mpf(100), (n, mp.nstr(ratio, 5))
 
 
-def test_summarize_required_pass(vp, vctx):
-    reports = pv5lab.check_suite(vp, vctx, [1, 2], ["0.5"], z_samples=["0.8"],
+def test_summarize_required_pass(vp):
+    reports = pv5lab.check_suite(vp, [1, 2], ["0.5"], z_samples=["0.8"],
                                  suite="required")
     summary = pv5lab.summarize(reports)
     assert summary["required_pass"] is True
@@ -256,22 +251,21 @@ def test_summarize_required_pass(vp, vctx):
 def test_factor_split_refuses_a_stencil_below_t_zero():
     """factor_split is admitted as check(FACTOR_PROD) is: at t <= 2h the
     stencil t - h would reach below 0, so both refuse."""
-    params = pv5lab.validate(1, -0.5, 0.5, 128, 2)
-    ctx = pv5lab.PrecisionContext(bits=128, rel_tol=1e-18, max_level=12)
-    for refuse in (lambda: pv5lab.factor_split(params, ctx, 2, "5e-7"),
-                   lambda: pv5lab.check(I.FACTOR_PROD, params, ctx, 2, "5e-7")):
+    params = pv5lab.validate(1, -0.5, 0.5, 128, 2, rel_tol=1e-18)
+    for refuse in (lambda: pv5lab.factor_split(params, 2, "5e-7"),
+                   lambda: pv5lab.check(I.FACTOR_PROD, params, 2, "5e-7")):
         with pytest.raises(ParameterError, match="t-stencil"):
             refuse()
 
 
-def test_suite_refuses_a_t_grid_below_zero(vp, vctx):
+def test_suite_refuses_a_t_grid_below_zero(vp):
     # one negative point refuses the whole grid before any check runs
     with pytest.raises(ParameterError, match="t must be >= 0"):
-        pv5lab.check_suite(vp, vctx, [1], ["0.5", "-0.5"], z_samples=["0.8"],
+        pv5lab.check_suite(vp, [1], ["0.5", "-0.5"], z_samples=["0.8"],
                            suite="required")
 
 
-def test_suite_refuses_ladder_ineligible_params(vctx, monkeypatch):
+def test_suite_refuses_ladder_ineligible_params(monkeypatch):
     """alpha = 0, or a t = 0 with k2 >= 0, has no ladder integrals:
     check_suite and check raise LadderIneligible before any table is built,
     instead of writing an ERROR row per check."""
@@ -282,55 +276,55 @@ def test_suite_refuses_ladder_ineligible_params(vctx, monkeypatch):
     for (alpha, k2), grid, bad_t in (((0, "0.25"), ["0.5"], "0.5"),
                                      ((1, "0.25"), ["0.5", "0"], "0"),
                                      ((1, "0"), ["0", "0.5"], "0")):
-        params = pv5lab.validate(alpha, k2, 0.5, 192, 2)
+        params = pv5lab.validate(alpha, k2, 0.5, 192, 2, rel_tol=1e-30)
         with pytest.raises(LadderIneligible):
-            pv5lab.check_suite(params, vctx, [1], grid, z_samples=["0.8"],
+            pv5lab.check_suite(params, [1], grid, z_samples=["0.8"],
                                suite="required")
         with pytest.raises(LadderIneligible):
-            pv5lab.check(I.Q1, params, vctx, 1, bad_t)
+            pv5lab.check(I.Q1, params, 1, bad_t)
 
 
 class _NoStates:
     """An Evaluator stand-in for stub bodies, which read no state."""
 
-    def __init__(self, ctx):
-        self.ctx = ctx
+    def __init__(self, params):
+        self.params = params
 
     def states(self, t):
         return None, None
 
 
-def _stub_row(monkeypatch, ctx, identity, out):
+def _stub_row(monkeypatch, params, identity, out):
     """The row _run_one writes for ``identity`` when its body returns ``out``."""
     stub = dataclasses.replace(REGISTRY[identity], fn=lambda *args: out)
     monkeypatch.setitem(REGISTRY, identity, stub)
-    return _run_one(_NoStates(ctx), identity, 1, mp.mpf("0.5"), None)
+    return _run_one(_NoStates(params), identity, 1, mp.mpf("0.5"), None)
 
 
-def test_run_one_owns_the_pass_rule(monkeypatch, vctx):
+def test_run_one_owns_the_pass_rule(monkeypatch, vp):
     """_run_one alone forms the residuals, the halving ratio and the pass
     rule, from the (lhs, rhs) pairs a stencil body returns."""
     tiny = mp.mpf("1e-12")  # residual tiny / (1 + tiny), within DLNH's 1e-10
-    clean = _stub_row(monkeypatch, vctx, I.DLNH, [(tiny, 0), (tiny / 4, 0)])
+    clean = _stub_row(monkeypatch, vp, I.DLNH, [(tiny, 0), (tiny / 4, 0)])
     assert clean.passed is True and 3.9 < clean.halving_ratio < 4.1
     assert clean.residual == tiny / (1 + tiny)
     # within tolerance, but a ratio outside [3, 5] fails a REQUIRED stencil row
     for quarter in (tiny / 2, tiny / 8):
-        row = _stub_row(monkeypatch, vctx, I.DLNH, [(tiny, 0), (quarter, 0)])
+        row = _stub_row(monkeypatch, vp, I.DLNH, [(tiny, 0), (quarter, 0)])
         assert row.residual < mp.mpf("1e-10") and row.passed is False
     # a DIAGNOSTIC stencil row keeps passed = None, whatever its ratio
-    row = _stub_row(monkeypatch, vctx, I.RIC_R, [(tiny, 0), (tiny / 2, 0)])
+    row = _stub_row(monkeypatch, vp, I.RIC_R, [(tiny, 0), (tiny / 2, 0)])
     assert row.passed is None and 1.9 < row.halving_ratio < 2.1
     # FACTOR_PROD is differenced at step h only: no ratio
-    row = _stub_row(monkeypatch, vctx, I.FACTOR_PROD, [(tiny, 0)])
+    row = _stub_row(monkeypatch, vp, I.FACTOR_PROD, [(tiny, 0)])
     assert row.halving_ratio is None and row.residual == tiny / (1 + tiny)
     # a zero residual at h/2 reports no ratio, and the tolerance alone decides
-    row = _stub_row(monkeypatch, vctx, I.DLNH, [(tiny, 0), (mp.mpf(1), mp.mpf(1))])
+    row = _stub_row(monkeypatch, vp, I.DLNH, [(tiny, 0), (mp.mpf(1), mp.mpf(1))])
     assert row.halving_ratio is None and row.passed is True
     # a body off the stencil returns its residual, which the row keeps as is;
     # its tolerance (LOWER_FUNC: 1e-20) alone decides
     for residual, passed in ((mp.mpf("1e-25"), True), (tiny, False)):
-        row = _stub_row(monkeypatch, vctx, I.LOWER_FUNC, residual)
+        row = _stub_row(monkeypatch, vp, I.LOWER_FUNC, residual)
         assert row.residual is residual and row.halving_ratio is None
         assert row.passed is passed
 
@@ -338,9 +332,8 @@ def test_run_one_owns_the_pass_rule(monkeypatch, vctx):
 @pytest.mark.parametrize("k2", ["0.25", "-0.5", "0.09"])
 def test_sweep_holds_the_public_values_bit_for_bit(k2):
     """A ZSweep reads the same bits as the public routes to each value."""
-    params = pv5lab.validate(1, k2, "0.5", 128, 4)
-    ctx = pv5lab.PrecisionContext(bits=128, rel_tol=1e-18, max_level=12)
-    ev = Evaluator(params, ctx)
+    params = pv5lab.validate(1, k2, "0.5", 128, 4, rel_tol=1e-18)
+    ev = Evaluator(params)
     with mp.workprec(params.work_bits):
         t = mp.mpf("0.5")
         for z in (mp.mpf("0.8"), mp.mpf("-0.4")):
@@ -356,7 +349,7 @@ def test_sweep_holds_the_public_values_bit_for_bit(k2):
                     assert got._mpf_ == want._mpf_, (k2, z, n)
 
 
-def test_integral_failure_errors_only_the_rows_that_read_its_degree(vp, vctx, monkeypatch):
+def test_integral_failure_errors_only_the_rows_that_read_its_degree(vp, monkeypatch):
     """A NoConvergence of A_2(z) is kept by the sweep: the rows that read
     A_2 at that z are ERROR rows, every other row runs."""
     real = ladder.A_integral
@@ -369,7 +362,7 @@ def test_integral_failure_errors_only_the_rows_that_read_its_degree(vp, vctx, mo
         return real(n, z, ortho, vpz)
 
     monkeypatch.setattr(ladder, "A_integral", failing)
-    reports = pv5lab.check_suite(vp, vctx, range(vp.n_max + 1), ["0.5"],
+    reports = pv5lab.check_suite(vp, range(vp.n_max + 1), ["0.5"],
                                  z_samples=["0.8", "-0.7"], suite="required")
     reads_a2 = {I.S1_FUNC: {2}, I.S2_FUNC: {1, 3}, I.A_FORM: {2},
                 I.S2P_FUNC: set(range(2, vp.n_max + 1))}
@@ -378,6 +371,21 @@ def test_integral_failure_errors_only_the_rows_that_read_its_degree(vp, vctx, mo
     assert all(r.z == bad and r.message == "NoConvergence: patched failure"
                for r in reports if r.status == "error")
     assert all(r.status == "ok" for r in reports if r.z is not None and r.z != bad)
+
+
+@pytest.mark.parametrize("target", ["state_at", "A_integral"])
+@pytest.mark.parametrize("error", [ParameterError("patched configuration error"),
+                                   TypeError("patched programming error")],
+                         ids=["ParameterError", "TypeError"])
+def test_suite_raises_what_is_not_a_numerical_error(vp, monkeypatch, error, target):
+    """Only NumericalError and PoleError become ERROR rows: any other
+    exception from a state build or a z sweep's integral leaves check_suite."""
+    def failing(*args):
+        raise error
+
+    monkeypatch.setattr(ladder, target, failing)
+    with pytest.raises(type(error), match="patched"):
+        pv5lab.check_suite(vp, [1, 2], ["0.5"], z_samples=["0.8"], suite="required")
 
 
 def test_no_dd_entry_outlives_its_sweep(monkeypatch):
@@ -394,37 +402,14 @@ def test_no_dd_entry_outlives_its_sweep(monkeypatch):
         return [k for k in table._derived if k[0].__name__ in ("_dd_mirror", "_dd_part")]
 
     monkeypatch.setattr(WeightTable, "__init__", recording)
-    params = pv5lab.validate(1, "0.25", "0.5", 128, 3)
-    # a context of this test alone, so the table is built here
-    ctx = pv5lab.PrecisionContext(bits=128, rel_tol=1e-18, max_level=11)
-    reports = pv5lab.check_suite(params, ctx, [1, 2], ["0.5"], z_samples=["0.8", "-0.7"],
+    # params of this test alone (max_level 11), so the table is built here
+    params = pv5lab.validate(1, "0.25", "0.5", 128, 3, rel_tol=1e-18, max_level=11)
+    reports = pv5lab.check_suite(params, [1, 2], ["0.5"], z_samples=["0.8", "-0.7"],
                                  suite="required")
     assert all(r.status != "error" for r in reports)
     (table,) = tables
     assert dd_keys(table) == []
     for z in ("0.9", "-0.6", "0.75"):
-        assert pv5lab.check(I.A_FORM, params, ctx, 2, "0.5", z=z).passed
+        assert pv5lab.check(I.A_FORM, params, 2, "0.5", z=z).passed
         assert dd_keys(table) == []
     assert len(tables) == 1
-
-
-def test_a_state_has_one_precision(monkeypatch):
-    """Point values work at params' bits and table integrals at ctx's, so a
-    pair whose bits differ is refused before any quadrature; at 128/256
-    bits A_FORM used to read 1.5e-58 where 256/256 reads 4.8e-87."""
-    def no_quadrature(*args):
-        raise AssertionError("a weight table was built")
-
-    monkeypatch.setattr(pv5lab.orthopoly, "WeightTable", no_quadrature)
-    params = pv5lab.validate(1, 0.25, 0.5, 128, 4)
-    ctx = pv5lab.PrecisionContext(bits=256, rel_tol=1e-40)
-    calls = (lambda: pv5lab.check(I.A_FORM, params, ctx, 2, 0.5, z=0.8),
-             lambda: pv5lab.check_suite(params, ctx, [2], ["0.5"], z_samples=["0.8"],
-                                        suite="required"),
-             lambda: ladder.state_at(params, ctx, "0.5"),
-             lambda: pv5lab.riccati_initial(params, 2, "0.5", ctx),
-             lambda: pv5lab.pv_initial(params, 2, "0.5", ctx),
-             lambda: pv5lab.build(params, ctx))
-    for call in calls:
-        with pytest.raises(ParameterError, match="a state has one precision"):
-            call()
