@@ -23,6 +23,7 @@ once here (``_pole_basis``); ``ladder`` and the weight tables call them.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 
 from mpmath import mp
@@ -84,9 +85,9 @@ def validate(alpha, k2, t, precision_bits=256, n_max=12, rel_tol=1e-40,
     """Validate raw inputs and return frozen ``ModelParams``.
 
     alpha = 0 is accepted (moment-only use; the params are flagged
-    ladder-ineligible), alpha < 0 is rejected.  max_level lies in
-    [MIN_LEVEL + 1, 16], and rel_tol is positive and at least
-    2^(-precision_bits+16).  Nothing is clamped.
+    ladder-ineligible), alpha < 0 is rejected.  max_level is an int in
+    [MIN_LEVEL + 1, 16], and rel_tol a real number below 1 and at least
+    2^(-precision_bits+16); a bool is neither.  Nothing is clamped.
     """
     if not isinstance(precision_bits, int) or precision_bits < 64:
         raise ParameterError(f"precision_bits must be an integer >= 64, got {precision_bits!r}")
@@ -104,10 +105,13 @@ def validate(alpha, k2, t, precision_bits=256, n_max=12, rel_tol=1e-40,
             raise K2OutOfRange(f"k2 must be finite and < 1, got {k2}")
         if not mp.isfinite(t) or t < 0:
             raise NegativeT(f"t must be finite and >= 0, got {t}")
-    if not MIN_LEVEL + 1 <= max_level <= 16:
+    if type(max_level) is not int or not MIN_LEVEL + 1 <= max_level <= 16:
         raise ParameterError(f"max_level must be in [{MIN_LEVEL + 1}, 16], got {max_level!r}")
-    if not rel_tol > 0:
+    real = isinstance(rel_tol, numbers.Real) and type(rel_tol) is not bool
+    if real and not rel_tol > 0:
         raise ParameterError("rel_tol must be positive")
+    if not (real and rel_tol < 1):
+        raise ParameterError(f"rel_tol must be a real number below 1, got {rel_tol!r}")
     if rel_tol < 2.0 ** (-precision_bits + 16):
         raise ParameterError(
             f"rel_tol={rel_tol} below the floor 2^(-bits+16) for bits={precision_bits}")

@@ -32,7 +32,12 @@ they are read.
 
 Initial data is always seeded from quadrature (there are no free constants
 anywhere in the pipeline); singular approaches halt with ``PoleHit`` rather
-than being regularized.
+than being regularized.  Each system declares its singular values once, as
+(value, radius) pairs for its first component: R_n = 0 for the coupled
+pair, Phi_n in {0, 1} for the Painleve V form.  ``integrate_ivp`` floors
+them onto its scale and compares ints at the initial point and at each
+accepted point; a right-hand side that divides by zero at a stage is a
+``PoleHit`` too.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ from . import ladder as ladder_mod
 from .equations import phi_of, pv_rhs, ric_bigr_rhs, ric_r_rhs, s_of
 from .errors import ParameterError, PoleHit, SingularParams, StepUnderflow
 from .fixedpoint import fixed_type, record
-from .model import ModelParams
+from .model import GUARD_BITS, ModelParams
 from .verify import central_differences, stencil_step
 
 # Cash-Karp 5(4) tableau (numerator, denominator pairs kept exact)
@@ -214,7 +219,8 @@ class Trajectory:
     points its bisection visits and the step that encloses its t.
     ``start = (index, t, y)`` is the initial point as given, in mpf; it
     reads back as given, not as its ints.
-    ``meta`` records n, params and integrator statistics.
+    ``meta`` records the integrator statistics and, for the two systems,
+    n, params and kind ("riccati" or "pv").
     """
 
     def __init__(self, ts, ys, fs, frac, prec, start, meta):
@@ -283,7 +289,11 @@ class Trajectory:
         )
 
 
-def integrate_ivp(f, t0, t1, y0, tol, bits=256, guard=None, max_steps=200000):
+#: accepted plus rejected steps after which an integration gives up
+MAX_STEPS = 200000
+
+
+def integrate_ivp(f, t0, t1, y0, tol, bits=256, poles=()):
     """Adaptive Cash-Karp 5(4) integration of y' = f(t, y).
 
     A step is accepted when each component's embedded error estimate is at
@@ -296,21 +306,27 @@ def integrate_ivp(f, t0, t1, y0, tol, bits=256, guard=None, max_steps=200000):
 
     Each step is one call of a function generated from the tableau
     (``_step_maker``); the loop keeps the clamp to t1, the floor check,
-    the accept test, the guard and the next step.  ``f`` is first called
-    once on recording numbers (``fixedpoint.record``) and, if that
+    the accept test, the pole test and the next step.  ``f`` is first
+    called once on recording numbers (``fixedpoint.record``) and, if that
     succeeds, the step runs the recorded program on ints.  Otherwise ``f``
     is called at every stage with t and y as ``fixed_type(bits)`` numbers
     and may return those, ints or anything mpf accepts.  Both paths run
-    the same step and give the same bits.  ``guard(t, y)`` sees each
-    accepted point as mpf and may raise ``PoleHit`` to stop near singular
-    values.  A step that floors to zero units of the scale, or a nonzero
-    t1 - t0 that does, raises ``StepUnderflow``.  Returns a
+    the same step and give the same bits.
+
+    ``poles`` are the singular values of the first component, as
+    (value, radius) pairs; each is floored onto the scale once, and
+    ``PoleHit`` is raised at the initial point, before any right-hand side
+    is evaluated, or at the first accepted point where
+    |y_0 - value| <= radius on the ints.  A right-hand side that divides
+    by zero raises ``PoleHit`` naming the stage's t.  A step that floors to
+    zero units of the scale, or a nonzero t1 - t0 that does, raises
+    ``StepUnderflow``, as do ``MAX_STEPS`` steps.  Returns a
     ``Trajectory``; backward runs (t1 < t0) are stored ascending.
-    Statistics: steps, rejected, min_step, rhs_evals (right-hand sides
-    evaluated, counted at each call, the recording call not counted) and
-    rhs_path ("recorded" or "generic").
+    Statistics: steps, rejected, rhs_evals (right-hand sides evaluated,
+    counted at each call, the recording call not counted) and rhs_path
+    ("recorded" or "generic").
     """
-    with mp.workprec(bits + 64):
+    with mp.workprec(bits + GUARD_BITS):
         t0 = mp.mpf(t0)
         t1 = mp.mpf(t1)
         y0 = tuple(mp.mpf(v) for v in y0)
@@ -324,10 +340,23 @@ def integrate_ivp(f, t0, t1, y0, tol, bits=256, guard=None, max_steps=200000):
         end = _mantissa(t1, Fixed)
         y = [_mantissa(v, Fixed) for v in y0]
         span = end - t
+
+        def show(v, digits=8):
+            return mp.nstr(_to_mpf(v, frac, prec), digits)
+
         if span == 0 and t1 != t0:
             raise StepUnderflow(
                 f"t1 - t0 = {mp.nstr(t1 - t0, 6)} is below one unit of the "
                 f"scale 2^-{frac}")
+        poles = [(_mantissa(v, Fixed), _mantissa(r, Fixed)) for v, r in poles]
+
+        def check_poles(t, first):
+            for value, radius in poles:
+                if abs(first - value) <= radius:
+                    raise PoleHit(f"y_0 = {show(first)} within {show(radius, 6)} of the "
+                                  f"singular value {show(value)} at t={show(t)}")
+
+        check_poles(t, y[0])
         program = record(f, Fixed, len(y0))
         path = "generic" if program is None else "recorded"
         if program is None:
@@ -337,10 +366,10 @@ def integrate_ivp(f, t0, t1, y0, tol, bits=256, guard=None, max_steps=200000):
         def rhs(t, y):
             nonlocal evals
             evals += 1
-            return program(t, y)
-
-        def to_mpf(v):
-            return _to_mpf(v, frac, prec)
+            try:
+                return program(t, y)
+            except ZeroDivisionError:
+                raise PoleHit(f"the right-hand side divides by zero at t={show(t)}") from None
 
         evals = 0
         fcur = rhs(t, y)
@@ -354,39 +383,34 @@ def integrate_ivp(f, t0, t1, y0, tol, bits=256, guard=None, max_steps=200000):
         h = span // 64
         h_floor = max(abs(span) >> (bits // 2), 1)
         steps = rejected = 0
-        min_step = abs(span)
         direction = 1 if span > 0 else -1
         while (end - t) * direction > 0:
             if abs(h) > abs(end - t):
                 h = end - t
             if abs(h) < h_floor:
-                raise StepUnderflow(
-                    f"step {mp.nstr(to_mpf(abs(h)), 6)} below floor "
-                    f"{mp.nstr(to_mpf(h_floor), 6)} at t={mp.nstr(to_mpf(t), 8)}")
+                raise StepUnderflow(f"step {show(abs(h), 6)} below floor "
+                                    f"{show(h_floor, 6)} at t={show(t)}")
             y5, errs, bounds = step(t, h, y, fcur)
             e, b = _worst(errs, bounds)
             if e <= b:
                 t += h
                 y = y5
-                if guard is not None:
-                    guard(to_mpf(t), tuple(map(to_mpf, y)))
+                check_poles(t, y[0])
                 fcur = rhs(t, y)
                 ts.append(t)
                 ys.append(y)
                 fs.append(fcur)
                 steps += 1
-                min_step = min(min_step, abs(h))
             else:
                 rejected += 1
             h = _next_step(h, e, b)
-            if steps + rejected > max_steps:
-                raise StepUnderflow(f"step budget {max_steps} exhausted")
+            if steps + rejected > MAX_STEPS:
+                raise StepUnderflow(f"step budget {MAX_STEPS} exhausted")
         start = (0, t0, y0)
         if direction < 0:
             ts, ys, fs = ts[::-1], ys[::-1], fs[::-1]
             start = (len(ts) - 1, t0, y0)
-        meta = {"steps": steps, "rejected": rejected, "min_step": to_mpf(min_step),
-                "tol": tol, "rhs_evals": evals, "rhs_path": path}
+        meta = {"steps": steps, "rejected": rejected, "rhs_evals": evals, "rhs_path": path}
         return Trajectory(ts, ys, fs, frac, prec, start, meta=meta)
 
 
@@ -434,28 +458,23 @@ def riccati_rhs(params: ModelParams, n: int):
     return f
 
 
+#: the radius around each singular value, read at the working precision;
+#: the coupled pair scales it by 1 + |R_n(t0)|
+_RADIUS = "1e-8"
+
+
 def integrate_riccati(params: ModelParams, n: int, t0, t1, init, tol) -> Trajectory:
-    """Integrate the coupled pair from quadrature-style initial data (R, r)."""
-    _require_dynamic(params, n, mp.mpf(t0))
-    with mp.workprec(params.work_bits):
-        R0 = mp.mpf(init[0])
-        r0 = mp.mpf(init[1])
-        if not all(mp.isfinite(v) for v in (R0, r0)):
-            raise ParameterError("initial data must be finite")
-        pole_scale = mp.mpf("1e-8") * (1 + abs(R0))
+    """Integrate the coupled pair from quadrature-style initial data (R, r).
 
-        def guard(t, y):
-            if abs(y[0]) < pole_scale:
-                raise PoleHit(f"R_n reached {mp.nstr(y[0], 6)} at t={mp.nstr(t, 8)}")
-
-        traj = integrate_ivp(riccati_rhs(params, n), t0, t1, (R0, r0), tol,
-                             bits=params.precision_bits, guard=guard)
-        traj.meta.update({"n": n, "params": params, "kind": "riccati"})
-        return traj
+    The pair divides by R_n: singular at R_n = 0, within 1e-8 (1 + |R_n(t0)|).
+    """
+    return _integrate("riccati", riccati_rhs,
+                      lambda R0: ((0, mp.mpf(_RADIUS) * (1 + abs(R0))),),
+                      params, n, t0, t1, init, tol)
 
 
 def pv_ode_rhs(params: ModelParams, n: int):
-    """State (Phi, Phi'); singularities at Phi in {0, 1} are the caller's guard.
+    """State (Phi, Phi'); ``integrate_pv`` declares its singular values.
 
     Constants as in ``riccati_rhs``.
     """
@@ -469,23 +488,26 @@ def pv_ode_rhs(params: ModelParams, n: int):
 
 
 def integrate_pv(params: ModelParams, n: int, t0, t1, init, tol) -> Trajectory:
-    """Integrate the Painleve V form from initial data (Phi, Phi')."""
+    """Integrate the Painleve V form from initial data (Phi, Phi').
+
+    Singular at Phi_n in {0, 1}, within 1e-8.
+    """
+    return _integrate("pv", pv_ode_rhs, lambda phi0: ((0, _RADIUS), (1, _RADIUS)),
+                      params, n, t0, t1, init, tol)
+
+
+def _integrate(kind, rhs_of, poles_of, params: ModelParams, n: int, t0, t1, init, tol):
+    """The body of both systems: ``rhs_of(params, n)`` integrated from init,
+    which must be finite, with the singular values ``poles_of(y_0(t0))``."""
     _require_dynamic(params, n, mp.mpf(t0))
     with mp.workprec(params.work_bits):
-        phi0 = mp.mpf(init[0])
-        phip0 = mp.mpf(init[1])
-        guard_dist = mp.mpf("1e-8")
-        if abs(phi0) <= guard_dist or abs(phi0 - 1) <= guard_dist:
-            raise PoleHit("initial Phi within the guard distance of {0, 1}")
-
-        def guard(t, y):
-            if abs(y[0]) <= guard_dist or abs(y[0] - 1) <= guard_dist:
-                raise PoleHit(f"Phi reached {mp.nstr(y[0], 8)} at t={mp.nstr(t, 8)}")
-
-        traj = integrate_ivp(pv_ode_rhs(params, n), t0, t1, (phi0, phip0), tol,
-                             bits=params.precision_bits, guard=guard)
-        traj.meta.update({"n": n, "params": params, "kind": "pv"})
-        return traj
+        y0 = tuple(map(mp.mpf, init))
+        if not all(map(mp.isfinite, y0)):
+            raise ParameterError("initial data must be finite")
+        traj = integrate_ivp(rhs_of(params, n), t0, t1, y0, tol,
+                             bits=params.precision_bits, poles=poles_of(y0[0]))
+    traj.meta.update({"n": n, "params": params, "kind": kind})
+    return traj
 
 
 def _require_seed(params: ModelParams, n: int, t0):
@@ -517,15 +539,15 @@ def pv_initial(params: ModelParams, n: int, t0):
         return phi0, central_differences(lo, phi0, hi, h)[0]
 
 
-def crosscheck(trajectory: Trajectory, params: ModelParams, sample_ts):
+def crosscheck(trajectory: Trajectory, sample_ts):
     """Max normalized deviation between dense output and fresh quadrature.
 
-    For a coupled-pair trajectory both components are compared; for a
-    Painleve trajectory only Phi (the derivative has no direct quadrature
-    analogue and is seeded by finite differences).
+    n, params and the system come from ``trajectory.meta``.  For a
+    coupled-pair trajectory both components are compared; for a Painleve
+    trajectory only Phi (the derivative has no direct quadrature analogue
+    and is seeded by finite differences).
     """
-    n = trajectory.meta["n"]
-    kind = trajectory.meta.get("kind", "riccati")
+    n, params, kind = (trajectory.meta[k] for k in ("n", "params", "kind"))
     worst = mp.mpf(0)
     with mp.workprec(params.work_bits):
         for ts in sample_ts:

@@ -314,7 +314,7 @@ def test_c8c_riccati_vs_quadrature_small_k2_trend():
         params = pv5lab.validate(1, k2, 0.5, 256, 4)
         init = pv5lab.riccati_initial(params, n, span[0])
         traj = pv5lab.integrate_riccati(params, n, span[0], span[1], init, 1e-12)
-        devs[k2] = pv5lab.crosscheck(traj, params, [span[1]])
+        devs[k2] = pv5lab.crosscheck(traj, [span[1]])
         with mp.workprec(params.work_bits):
             t0 = mp.mpf(span[0])
             h = stencil_step(t0)

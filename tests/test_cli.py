@@ -256,6 +256,17 @@ def test_precision_flags_are_refused_before_quadrature(flags, message, capsys, m
     assert err == f"pv5lab: configuration error: {message}\n"
 
 
+def test_infinite_rel_tol_is_refused_before_quadrature(capsys, monkeypatch):
+    # it used to exit 0 with 38 digits, of which only about 15 agreed with
+    # the --rel-tol 1e-20 run
+    _no_quadrature(monkeypatch)
+    code, out, err = _run(capsys, "ladder", "--alpha", "1", "--k2", "0.25", "--t", "0.5",
+                          "--n-max", "2", "--bits", "128", "--rel-tol", "inf")
+    assert code == 2
+    assert out == ""
+    assert err == "pv5lab: configuration error: rel_tol must be a real number below 1, got inf\n"
+
+
 def test_ladder_and_ode_refuse_ladder_ineligible_params_before_quadrature(capsys, monkeypatch):
     # ladder.state_at used to build the weight table and the Stieltjes
     # passes before ladder.compute refused alpha = 0

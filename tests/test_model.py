@@ -52,6 +52,22 @@ def test_validate_rejects_bad_meta():
         pv5lab.validate(1, 0.25, 0.5, 256, 0)
 
 
+@pytest.mark.parametrize("run, message", [
+    ({"max_level": 5.5}, r"max_level must be in \[4, 16\], got 5.5"),
+    ({"rel_tol": True}, "rel_tol must be a real number below 1, got True"),
+    ({"rel_tol": "1e-20"}, "rel_tol must be a real number below 1, got '1e-20'"),
+    ({"rel_tol": float("inf")}, "rel_tol must be a real number below 1, got inf"),
+    ({"rel_tol": 1.0}, "rel_tol must be a real number below 1, got 1.0"),
+], ids=["max_level-float", "rel_tol-bool", "rel_tol-str", "rel_tol-inf",
+        "rel_tol-one"])
+def test_validate_refuses_run_values_it_cannot_honour(run, message):
+    # max_level 5.5 used to pass and fail later in range(); rel_tol True and
+    # inf were taken as 1.0 and inf, which no integral can meet
+    values = {"rel_tol": 1e-20, "max_level": 5, **run}
+    with pytest.raises(ParameterError, match=message):
+        pv5lab.validate(1, 0.25, 0.5, 128, 2, **values)
+
+
 def test_support_two_intervals_with_gap():
     p = pv5lab.validate(1, 0.25, 0.5, 192, 4)
     sup = pv5lab.support(p)

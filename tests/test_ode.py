@@ -98,7 +98,7 @@ def test_riccati_guards(oparams):
 
 def test_crosscheck_at_seed_point_is_zero(oparams, ricc_init):
     traj = pv5lab.integrate_riccati(oparams, 2, "0.5", "0.51", ricc_init, 1e-12)
-    dev = pv5lab.crosscheck(traj, oparams, ["0.5"])
+    dev = pv5lab.crosscheck(traj, ["0.5"])
     assert dev < mp.mpf("1e-25")
 
 
@@ -106,7 +106,7 @@ def test_crosscheck_records_model_deviation(oparams, ricc_init):
     # the published pair does not track the quadrature functions; the
     # deviation is recorded, not asserted small
     traj = pv5lab.integrate_riccati(oparams, 2, "0.5", "0.51", ricc_init, 1e-12)
-    dev = pv5lab.crosscheck(traj, oparams, ["0.505", "0.51"])
+    dev = pv5lab.crosscheck(traj, ["0.505", "0.51"])
     assert mp.isfinite(dev)
 
 
@@ -125,8 +125,83 @@ def test_pv_initial_guard_distance(oparams):
 def test_pv_short_span_crosscheck(oparams):
     init = pv5lab.pv_initial(oparams, 2, "0.5")
     traj = pv5lab.integrate_pv(oparams, 2, "0.5", "0.51", init, 1e-12)
-    dev = pv5lab.crosscheck(traj, oparams, ["0.51"])
+    dev = pv5lab.crosscheck(traj, ["0.51"])
     assert mp.isfinite(dev)
+
+
+# ----------------------------------------------------------------------
+# declared singular values and division by zero
+
+def _no_right_hand_side(params, n):
+    def f(t, y):
+        raise AssertionError("a right-hand side was evaluated")
+    return f
+
+
+def test_riccati_from_zero_r_stops_before_any_right_hand_side(oparams, monkeypatch):
+    # the pair divides by R_n; R_n(t0) = 0 used to raise ZeroDivisionError
+    with pytest.raises(PoleHit, match="singular value 0.0 at t=0.5"):
+        pv5lab.integrate_riccati(oparams, 2, "0.5", "0.52", (0, 1), 1e-12)
+    monkeypatch.setattr(pv5lab.ode, "riccati_rhs", _no_right_hand_side)
+    with pytest.raises(PoleHit):
+        pv5lab.integrate_riccati(oparams, 2, "0.5", "0.52", (0, 1), 1e-12)
+
+
+@pytest.mark.parametrize("system, rhs, first", [
+    ("integrate_riccati", "riccati_rhs", "5e-9"),
+    ("integrate_riccati", "riccati_rhs", "-1e-8"),
+    ("integrate_pv", "pv_ode_rhs", "-5e-9"),
+    ("integrate_pv", "pv_ode_rhs", "1.000000005"),
+])
+def test_initial_point_inside_a_declared_radius_raises(system, rhs, first, oparams,
+                                                       monkeypatch):
+    monkeypatch.setattr(pv5lab.ode, rhs, _no_right_hand_side)
+    with pytest.raises(PoleHit, match="at t=0.5"):
+        getattr(pv5lab, system)(oparams, 2, "0.5", "0.6", (mp.mpf(first), 0), 1e-10)
+
+
+@pytest.mark.parametrize("first", ["nan", "inf", "-inf"])
+def test_pv_refuses_non_finite_initial_data(first, oparams):
+    # the non-finite Phi used to reach the integrator and come back as PoleHit
+    with pytest.raises(ParameterError, match="initial data must be finite"):
+        pv5lab.integrate_pv(oparams, 2, "0.5", "0.6", (mp.mpf(first), 0), 1e-10)
+    with pytest.raises(ParameterError, match="initial data must be finite"):
+        pv5lab.integrate_pv(oparams, 2, "0.5", "0.6", (2, mp.mpf(first)), 1e-10)
+
+
+def test_poles_are_tested_on_ints_at_each_accepted_point():
+    # y' = -1 from y = 1 meets the band |y - 0| <= 1/4 first at t >= 3/4
+    with pytest.raises(PoleHit, match="singular value 0.0 at t=") as hit:
+        pv5lab.integrate_ivp(lambda t, y: (-1,), 0, 2, (1,), 1e-12, bits=192,
+                             poles=((0, "0.25"),))
+    t = mp.mpf(str(hit.value).rsplit("t=", 1)[1])
+    assert mp.mpf("0.75") <= t < 1
+    # the band is closed: the initial point on its edge raises
+    with pytest.raises(PoleHit, match="at t=0"):
+        pv5lab.integrate_ivp(harmonic, 0, 1, (1, 0), 1e-12, bits=192, poles=((0, 1),))
+    # values never met leave every int where it was
+    free = pv5lab.integrate_ivp(harmonic, 0, 1, (1, 0), 1e-12, bits=192)
+    guarded = pv5lab.integrate_ivp(harmonic, 0, 1, (1, 0), 1e-12, bits=192,
+                                   poles=((0, "0.5"), (2, "0.5")))
+    assert (guarded.ts, guarded.ys, guarded.fs) == (free.ts, free.ys, free.fs)
+
+
+def test_division_by_zero_in_a_recorded_right_hand_side_is_a_pole_hit():
+    def f(t, y):
+        return (1 / (y[0] - 1),)
+
+    assert record(f, fixed_type(192), 1) is not None
+    with pytest.raises(PoleHit, match="divides by zero at t=0"):
+        pv5lab.integrate_ivp(f, 0, 1, (1,), 1e-12, bits=192)
+
+
+def test_division_by_zero_in_a_generic_right_hand_side_is_a_pole_hit():
+    def f(t, y):
+        return (mp.mpf(1) / (y[0] - 1),)
+
+    assert record(f, fixed_type(192), 1) is None
+    with pytest.raises(PoleHit, match="divides by zero at t=0"):
+        pv5lab.integrate_ivp(f, 0, 1, (1,), 1e-12, bits=192)
 
 
 # ----------------------------------------------------------------------
@@ -385,8 +460,7 @@ def test_trajectory_reads_back_start_and_accepted_points():
 def test_step_flooring_to_zero_raises_step_underflow():
     # a span of 32 units of the scale 2^-320: the first step, span // 64, is 0
     with pytest.raises(StepUnderflow, match="below floor"):
-        pv5lab.integrate_ivp(harmonic, 0, mp.mpf(2) ** -315, (1, 0), 1e-12, bits=192,
-                             max_steps=2000)
+        pv5lab.integrate_ivp(harmonic, 0, mp.mpf(2) ** -315, (1, 0), 1e-12, bits=192)
 
 
 def test_interval_below_one_unit_raises_step_underflow():
@@ -407,7 +481,7 @@ def test_state_at_shares_one_state(oparams):
     R, r = pv5lab.riccati_initial(oparams, 2, "0.5")
     assert R is lad.R[2] and r is lad.r[2]
     traj = pv5lab.integrate_riccati(oparams, 2, "0.5", "0.51", (R, r), 1e-12)
-    assert pv5lab.crosscheck(traj, oparams, ["0.5"]) == 0
+    assert pv5lab.crosscheck(traj, ["0.5"]) == 0
 
 
 def test_integer_fifth_root_is_the_exact_floor():
