@@ -301,8 +301,10 @@ def integrate_ivp(f, t0, t1, y0, tol, bits=256, poles=()):
     next step, after an accepted or a rejected one, is h times
     0.9 (bound/err)^(1/5) for the worst component, clamped to [1/5, 5].
     This step control is exact integer arithmetic (``_next_step``), so
-    identical inputs give bit-identical trajectories on every host.  ``tol``
-    must be finite and positive, or ``ParameterError`` is raised.
+    identical inputs give bit-identical trajectories on every host.
+    ``ParameterError`` is raised, before any right-hand side is evaluated,
+    unless ``bits`` is an int >= 64, ``tol`` is finite and positive, and
+    t0, t1 and y0 are finite.
 
     Each step is one call of a function generated from the tableau
     (``_step_maker``); the loop keeps the clamp to t1, the floor check,
@@ -326,6 +328,8 @@ def integrate_ivp(f, t0, t1, y0, tol, bits=256, poles=()):
     counted at each call, the recording call not counted) and rhs_path
     ("recorded" or "generic").
     """
+    if not isinstance(bits, int) or bits < 64:
+        raise ParameterError(f"bits must be an integer >= 64, got {bits!r}")
     with mp.workprec(bits + GUARD_BITS):
         t0 = mp.mpf(t0)
         t1 = mp.mpf(t1)
@@ -333,6 +337,8 @@ def integrate_ivp(f, t0, t1, y0, tol, bits=256, poles=()):
         tol = mp.mpf(tol)
         if not (mp.isfinite(tol) and tol > 0):
             raise ParameterError(f"tol must be finite and positive, got {tol}")
+        if not all(map(mp.isfinite, (t0, t1, *y0))):
+            raise ParameterError("t0, t1 and the initial data must be finite")
         Fixed = fixed_type(bits)
         frac = Fixed.FRAC
         prec = mp.prec
@@ -497,13 +503,12 @@ def integrate_pv(params: ModelParams, n: int, t0, t1, init, tol) -> Trajectory:
 
 
 def _integrate(kind, rhs_of, poles_of, params: ModelParams, n: int, t0, t1, init, tol):
-    """The body of both systems: ``rhs_of(params, n)`` integrated from init,
-    which must be finite, with the singular values ``poles_of(y_0(t0))``."""
+    """The body of both systems: ``rhs_of(params, n)`` integrated from init
+    with the singular values ``poles_of(y_0(t0))``; ``integrate_ivp``
+    refuses init unless it is finite."""
     _require_dynamic(params, n, mp.mpf(t0))
     with mp.workprec(params.work_bits):
         y0 = tuple(map(mp.mpf, init))
-        if not all(map(mp.isfinite, y0)):
-            raise ParameterError("initial data must be finite")
         traj = integrate_ivp(rhs_of(params, n), t0, t1, y0, tol,
                              bits=params.precision_bits, poles=poles_of(y0[0]))
     traj.meta.update({"n": n, "params": params, "kind": kind})

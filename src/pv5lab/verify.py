@@ -8,10 +8,16 @@ its residual is recorded, never asserted pointwise.  The only diagnostic
 assertions are trends toward the k2 -> 0 limit, and those live in the
 acceptance suite.
 
-Body contract: ``_run_one`` reads the (ortho, ladder) states at t once and
-calls the check's body as fn(ev, ortho, lad, n, t, z); a z-sampled body
-reads everything else from ``ev.sweep(t, z)``, which holds the point values
-and the A/B integrals of that z, each taken once.  A body returns its
+Body contract: an ``Evaluator`` holds the states and z sweeps of one t.
+``_run_one`` reads the (ortho, ladder) states at ev.t once and calls the
+check's body as fn(ev, ortho, lad, n, t, z); a z-sampled body reads
+everything else from ``ev.sweep(z)``, which holds the point values and the
+A/B integrals of that z, each taken once, and a t-stencil body reads
+``ev.stencil()``.  A state build or sweep that failed is kept by the
+Evaluator and raised by every read, so it is attempted once per t and each
+row that reads it is an ERROR row.  ``check_suite`` makes one Evaluator per
+grid t, releases it once that t's rows are written, and concatenates the
+rows of each (identity, n) into (id, n, t, z) order.  A body returns its
 residual, normalized |LHS - RHS| / (1 + max(|LHS|, |RHS|)) unless it
 documents its own scale (functional ladder relations use the largest
 participating term; the recurrence-route checks are relative to beta).
@@ -107,7 +113,7 @@ def sample_points(params: ModelParams, count: int = 20, seed: int = 0):
 
 
 # ----------------------------------------------------------------------
-# shared state cache
+# the states and sweeps of one t
 
 #: the numerical failures a check row records (status='error'); any other
 #: exception propagates
@@ -125,7 +131,8 @@ def _attempt(fn, *args):
 
 def _read(value):
     if isinstance(value, Exception):
-        raise value
+        # a fresh traceback per read, so reads do not stack frames on the kept failure
+        raise value.with_traceback(None)
     return value
 
 
@@ -148,41 +155,41 @@ class ZSweep:
 
 
 class Evaluator:
-    """One cache of (ortho, ladder) states per t, from ``ladder.state_at``;
-    a stencil is five lookups into it.  The z-sampled bodies read one
-    ``ZSweep`` per (t, z), made on first read; its integrals run to degree
-    ``top`` = min(n_max, max(n_set) + 1), the highest a row at a degree of
-    ``n_set`` reads (n_max when no ``n_set`` is given)."""
+    """The states and z sweeps of one time t.  ``states(o)`` gives the
+    (ortho, ladder) states at t + o*h/2 from ``ladder.state_at``, and the
+    z-sampled bodies read one ``ZSweep`` per z, whose integrals run to
+    degree ``top`` = min(n_max, max(n_set) + 1), the highest a row at a
+    degree of ``n_set`` reads (n_max when no ``n_set`` is given).  Each is
+    made on first read; a build or sweep that failed keeps its failure, and
+    every read raises it."""
 
-    def __init__(self, params: ModelParams, n_set=()):
+    def __init__(self, params: ModelParams, t, n_set=()):
         self.params = params
+        with mp.workprec(params.work_bits):
+            self.t = mp.mpf(t)
         self.top = min(params.n_max, max(n_set, default=params.n_max) + 1)
         self._states = {}
         self._sweeps = {}
 
-    def states(self, t):
-        with mp.workprec(self.params.work_bits):
-            t = mp.mpf(t)
-        if t not in self._states:
-            self._states[t] = ladder_mod.state_at(self.params, t)
-        return self._states[t]
+    def states(self, o=0):
+        if o not in self._states:
+            with mp.workprec(self.params.work_bits):
+                t = self.t + o * (stencil_step(self.t) / 2)
+            self._states[o] = _attempt(ladder_mod.state_at, self.params, t)
+        return _read(self._states[o])
 
-    def stencil(self, t):
+    def stencil(self):
         """States at t + o*h/2 for o in (-2, -1, 0, 1, 2)."""
-        with mp.workprec(self.params.work_bits):
-            t = mp.mpf(t)
-            h2 = stencil_step(t) / 2
-            return {o: self.states(t + o * h2) for o in (-2, -1, 0, 1, 2)}
+        return {o: self.states(o) for o in (-2, -1, 0, 1, 2)}
 
-    def sweep(self, t, z):
-        """The ``ZSweep`` at (t, z); the failure of its point values, if
-        any, is raised by every read."""
-        if (t, z) not in self._sweeps:
-            self._sweeps[t, z] = _attempt(self._sweep, t, z)
-        return _read(self._sweeps[t, z])
+    def sweep(self, z):
+        """The ``ZSweep`` at z."""
+        if z not in self._sweeps:
+            self._sweeps[z] = _attempt(self._sweep, z)
+        return _read(self._sweeps[z])
 
-    def _sweep(self, t, z):
-        ortho, lad = self.states(t)
+    def _sweep(self, z):
+        ortho, lad = self.states()
         point = ladder_mod.point_values(z, ortho, lad)
         degrees = range(self.top + 1)
         a = tuple(_attempt(ladder_mod.A_integral, n, z, ortho, point.vp) for n in degrees)
@@ -191,11 +198,11 @@ class Evaluator:
         return ZSweep(point, a, b)
 
 
-def _differences(ev, t, get):
+def _differences(ev, get):
     """[(value, first difference, second difference)] of get(ortho, lad) at
-    t over the stencil, at step h and at step h/2."""
-    vals = {o: get(*st) for o, st in ev.stencil(t).items()}
-    h = stencil_step(t)
+    ev.t over the stencil, at step h and at step h/2."""
+    vals = {o: get(*st) for o, st in ev.stencil().items()}
+    h = stencil_step(ev.t)
     return [(vals[0], *central_differences(vals[-o], vals[0], vals[o], step))
             for o, step in ((2, h), (1, h / 2))]
 
@@ -206,21 +213,21 @@ def _differences(ev, t, get):
 # pairs at step h and h/2 (_run_one forms the residuals)
 
 def _chk_s1(ev, ortho, lad, n, t, z):
-    sw = ev.sweep(t, z)
+    sw = ev.sweep(z)
     lhs = sw.b_int(n + 1) + sw.b_int(n)
     rhs = z * sw.a_int(n) - sw.point.vp
     return _nres(lhs, rhs)
 
 
 def _chk_s2(ev, ortho, lad, n, t, z):
-    sw = ev.sweep(t, z)
+    sw = ev.sweep(z)
     lhs = 1 + z * (sw.b_int(n + 1) - sw.b_int(n))
     rhs = ortho.beta[n + 1] * sw.a_int(n + 1) - ortho.beta[n] * sw.a_int(n - 1)
     return _nres(lhs, rhs)
 
 
 def _chk_s2p(ev, ortho, lad, n, t, z):
-    sw = ev.sweep(t, z)
+    sw = ev.sweep(z)
     bn = sw.b_int(n)
     lhs = bn * bn + sw.point.vp * bn + mp.fsum(sw.a_int(j) for j in range(n))
     rhs = ortho.beta[n] * sw.a_int(n) * sw.a_int(n - 1)
@@ -228,21 +235,21 @@ def _chk_s2p(ev, ortho, lad, n, t, z):
 
 
 def _chk_lower(ev, ortho, lad, n, t, z):
-    return ev.sweep(t, z).point.lowering_residual(n)
+    return ev.sweep(z).point.lowering_residual(n)
 
 
 def _chk_raise(ev, ortho, lad, n, t, z):
-    return ev.sweep(t, z).point.raising_residual(n)
+    return ev.sweep(z).point.raising_residual(n)
 
 
 def _chk_a_form(ev, ortho, lad, n, t, z):
-    sw = ev.sweep(t, z)
+    sw = ev.sweep(z)
     ar = sw.point.A[n]
     return abs(ar - sw.a_int(n)) / (1 + abs(ar))
 
 
 def _chk_b_form(ev, ortho, lad, n, t, z):
-    sw = ev.sweep(t, z)
+    sw = ev.sweep(z)
     br = sw.point.B[n]
     return abs(br - sw.b_int(n)) / (1 + abs(br))
 
@@ -259,17 +266,17 @@ def _chk_tele_beta(ev, ortho, lad, n, t, z):
 
 def _chk_dlnh(ev, ortho, lad, n, t, z):
     return [(2 * t * d1, -lad.R[n])
-            for _, d1, _ in _differences(ev, t, lambda o, _: mp.log(o.h[n]))]
+            for _, d1, _ in _differences(ev, lambda o, _: mp.log(o.h[n]))]
 
 
 def _chk_dbeta(ev, ortho, lad, n, t, z):
     rhs = ortho.beta[n] * (lad.R[n - 1] - lad.R[n])
-    return [(2 * t * d1, rhs) for _, d1, _ in _differences(ev, t, lambda o, _: o.beta[n])]
+    return [(2 * t * d1, rhs) for _, d1, _ in _differences(ev, lambda o, _: o.beta[n])]
 
 
 def _chk_dp(ev, ortho, lad, n, t, z):
     rhs = lad.r[n] - ortho.beta[n] * lad.R[n]
-    return [(2 * t * d1, rhs) for _, d1, _ in _differences(ev, t, lambda o, _: o.p_sub[n])]
+    return [(2 * t * d1, rhs) for _, d1, _ in _differences(ev, lambda o, _: o.p_sub[n])]
 
 
 def _chk_c_s1_b(ev, ortho, lad, n, t, z):
@@ -420,29 +427,29 @@ def _chk_beta_expr(ev, ortho, lad, n, t, z):
 def _chk_ric_r(ev, ortho, lad, n, t, z):
     rhs = _ric_r_rhs(ev.params, n, t, lad.r[n], lad.R[n])
     k2t2 = 2 * ev.params.k2 * t
-    return [(k2t2 * d1, rhs) for _, d1, _ in _differences(ev, t, lambda _, lad: lad.r[n])]
+    return [(k2t2 * d1, rhs) for _, d1, _ in _differences(ev, lambda _, lad: lad.r[n])]
 
 
 def _chk_ric_bigr(ev, ortho, lad, n, t, z):
     rhs = _ric_bigr_rhs(ev.params, n, t, lad.r[n], lad.R[n])
     k2t2 = 2 * ev.params.k2 * t
-    return [(k2t2 * d1, rhs) for _, d1, _ in _differences(ev, t, lambda _, lad: lad.R[n])]
+    return [(k2t2 * d1, rhs) for _, d1, _ in _differences(ev, lambda _, lad: lad.R[n])]
 
 
-def _factor_values(ev, lad, n, t):
-    """Both bracketed factors of the product equation, at step h."""
-    (R, d1, _), _ = _differences(ev, t, lambda _, lad: lad.R[n])
-    return factor_pair(ev.params, n, t, R, lad.r[n], d1)
+def _factor_values(ev, lad, n):
+    """Both bracketed factors of the product equation at ev.t, at step h."""
+    (R, d1, _), _ = _differences(ev, lambda _, lad: lad.R[n])
+    return factor_pair(ev.params, n, ev.t, R, lad.r[n], d1)
 
 
 def _chk_factor_prod(ev, ortho, lad, n, t, z):
-    f1, f2 = _factor_values(ev, lad, n, t)
+    f1, f2 = _factor_values(ev, lad, n)
     return [(f1 * f2, mp.mpf(0))]
 
 
 def _chk_ode_rn(ev, ortho, lad, n, t, z):
     return [(ode_rn(ev.params, n, t, R, d1, d2), mp.mpf(0))
-            for R, d1, d2 in _differences(ev, t, lambda _, lad: lad.R[n])]
+            for R, d1, d2 in _differences(ev, lambda _, lad: lad.R[n])]
 
 
 def pv_residual(params, n, t, lo, mid, hi, h):
@@ -454,7 +461,7 @@ def pv_residual(params, n, t, lo, mid, hi, h):
 def _chk_pv_phi(ev, ortho, lad, n, t, z):
     s = _s_of(n, ev.params)
     return [(d2, pv_rhs(ev.params, n, t, phi, d1))
-            for phi, d1, d2 in _differences(ev, t, lambda _, lad: phi_of(lad.R[n], s))]
+            for phi, d1, d2 in _differences(ev, lambda _, lad: phi_of(lad.R[n], s))]
 
 
 # ----------------------------------------------------------------------
@@ -550,11 +557,12 @@ def _required_tol(identity: IdentityId, params: ModelParams):
     return 10 * mp.mpf(params.rel_tol)  # the recurrence bookkeeping checks
 
 
-def _run_one(ev: Evaluator, identity: IdentityId, n: int, t, z):
-    """The row of ``identity`` at (n, t, z): its body gets the states at t,
-    and the residuals, the halving ratio and the pass rule are formed here."""
+def _run_one(ev: Evaluator, identity: IdentityId, n: int, z):
+    """The row of ``identity`` at (n, ev.t, z): its body gets the states at
+    ev.t, and the residuals, the halving ratio and the pass rule are formed
+    here."""
     d = REGISTRY[identity]
-    out = d.fn(ev, *ev.states(t), n, t, z)
+    out = d.fn(ev, *ev.states(), n, ev.t, z)
     ratio = None
     if d.stencil:
         residual, *halved = (_nres(lhs, rhs) for lhs, rhs in out)
@@ -567,7 +575,7 @@ def _run_one(ev: Evaluator, identity: IdentityId, n: int, t, z):
         passed = bool(residual <= _required_tol(identity, ev.params))
         if d.stencil and ratio is not None:
             passed = passed and _BAND[0] <= ratio <= _BAND[1]
-    return IdentityReport(id=identity, tier=d.tier, n=n, t=t, z=z,
+    return IdentityReport(id=identity, tier=d.tier, n=n, t=ev.t, z=z,
                           residual=residual, passed=passed, halving_ratio=ratio)
 
 
@@ -639,7 +647,7 @@ def check(identity: IdentityId, params: ModelParams, n: int, t, z=None) -> Ident
     with mp.workprec(params.work_bits):
         z = mp.mpf(z) if d.needs_z and z is not None else None
         t = _admitted(identity, params, n, t, z)
-        return _run_one(Evaluator(params, (n,)), identity, n, t, z)
+        return _run_one(Evaluator(params, t, (n,)), identity, n, z)
 
 
 def check_suite(params: ModelParams, n_set, t_grid, z_samples=None, suite: str = "all"):
@@ -666,28 +674,29 @@ def check_suite(params: ModelParams, n_set, t_grid, z_samples=None, suite: str =
             z_samples = tuple(mp.mpf(z) for z in z_samples)
         n_set = tuple(sorted(set(int(n) for n in n_set)))
         single_t = len(t_grid) < 2
-        ev = Evaluator(params, n_set)
-        reports = []
-        for identity in ids:
-            d = REGISTRY[identity]
-            for n in n_set:
-                for t in t_grid:
-                    for z in z_samples if d.needs_z else (None,):
-                        refusal = _refusal(identity, params, n, t, z, single_t)
-                        if isinstance(refusal, IndexError):
-                            continue
-                        if refusal is not None:
-                            reports.append(IdentityReport(
-                                id=identity, tier=d.tier, n=n, t=t, z=z,
-                                status="skipped", message=str(refusal)))
-                            continue
-                        try:
-                            reports.append(_run_one(ev, identity, n, t, z))
-                        except _ROW_ERRORS as exc:  # collected, not fatal
-                            reports.append(IdentityReport(
-                                id=identity, tier=d.tier, n=n, t=t, z=z,
-                                status="error", message=f"{type(exc).__name__}: {exc}"))
-        return reports
+        # one bucket per (identity, n), in report order; each t appends its
+        # rows in z order, so the buckets read (id, n, t, z) without a sort
+        buckets = {(identity, n): [] for identity in ids for n in n_set}
+        for t in t_grid:
+            ev = Evaluator(params, t, n_set)  # released once its t is done
+            for (identity, n), rows in buckets.items():
+                d = REGISTRY[identity]
+                for z in z_samples if d.needs_z else (None,):
+                    refusal = _refusal(identity, params, n, t, z, single_t)
+                    if isinstance(refusal, IndexError):
+                        continue
+                    if refusal is not None:
+                        rows.append(IdentityReport(
+                            id=identity, tier=d.tier, n=n, t=t, z=z,
+                            status="skipped", message=str(refusal)))
+                        continue
+                    try:
+                        rows.append(_run_one(ev, identity, n, z))
+                    except _ROW_ERRORS as exc:  # collected, not fatal
+                        rows.append(IdentityReport(
+                            id=identity, tier=d.tier, n=n, t=t, z=z,
+                            status="error", message=f"{type(exc).__name__}: {exc}"))
+        return [row for rows in buckets.values() for row in rows]
 
 
 def factor_split(params: ModelParams, n: int, t):
@@ -700,8 +709,8 @@ def factor_split(params: ModelParams, n: int, t):
     """
     with mp.workprec(params.work_bits):
         t = _admitted(IdentityId.FACTOR_PROD, params, n, t)
-        ev = Evaluator(params)
-        return _factor_values(ev, ev.states(t)[1], n, t)
+        ev = Evaluator(params, t)
+        return _factor_values(ev, ev.states()[1], n)
 
 
 def summarize(reports):

@@ -163,10 +163,9 @@ K2_SEQUENCE = ("0.09", "0.04", "0.01")  # ordered toward the k2 -> 0 limit
 def _stencil_phi(params, n, t):
     """Phi_n and its step-h second difference Phi_n'' at t, as PV_PHI forms
     them; the stencil states are the ones the check just built (cached)."""
-    ev = Evaluator(params)
     with mp.workprec(params.work_bits):
         t = mp.mpf(t)
-        st = ev.stencil(t)
+        st = Evaluator(params, t).stencil()
         s = 2 * n + 2 * params.alpha + 1
         phis = {o: (st[o][1].R[n] + s) / s for o in st}
         _, phi_pp = central_differences(phis[-2], phis[0], phis[2], stencil_step(t))

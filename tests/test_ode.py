@@ -477,7 +477,7 @@ def test_state_at_shares_one_state(oparams):
     with mp.workprec(oparams.work_bits):
         again = state_at(oparams, mp.mpf("0.5"))
     assert again[0] is ortho and again[1] is lad
-    assert Evaluator(oparams).states("0.5")[1] is lad
+    assert Evaluator(oparams, "0.5").states()[1] is lad
     R, r = pv5lab.riccati_initial(oparams, 2, "0.5")
     assert R is lad.R[2] and r is lad.r[2]
     traj = pv5lab.integrate_riccati(oparams, 2, "0.5", "0.51", (R, r), 1e-12)
@@ -574,6 +574,24 @@ def test_integrate_ivp_refuses_non_finite_or_non_positive_tolerance():
     for tol in ("nan", "inf", "-inf", 0, "-1e-12"):
         with pytest.raises(ParameterError, match="tol must be finite and positive"):
             pv5lab.integrate_ivp(harmonic, 0, 1, (1, 0), tol, bits=192)
+
+
+@pytest.mark.parametrize("t0, t1, y0, bits", [
+    ("nan", 1, (1, 0), 192),
+    (0, "inf", (1, 0), 192),
+    (0, 1, ("nan", 0), 192),
+    (0, 1, (1, "-inf"), 192),
+    (0, 1, (1, 0), -300),
+    (0, 1, (1, 0), 100.5),
+    (0, 1, (1, 0), 0),
+    (0, 1, (1, 0), True),
+])
+def test_integrate_ivp_refuses_bad_direct_input(t0, t1, y0, bits):
+    # each is refused as a bad input before any right-hand side runs
+    f = _no_right_hand_side(None, None)
+    with pytest.raises(ParameterError, match="must be finite|bits must be an integer >= 64"):
+        pv5lab.integrate_ivp(f, mp.mpf(t0), mp.mpf(t1), tuple(map(mp.mpf, y0)), 1e-12,
+                             bits=bits)
 
 
 def test_initial_data_refuses_degrees_outside_n_max(oparams, monkeypatch):

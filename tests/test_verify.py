@@ -9,7 +9,8 @@ import pv5lab
 from pv5lab import ladder
 from pv5lab.errors import LadderIneligible, NoConvergence, ParameterError, SingularParams
 from pv5lab.quadrature import WeightTable
-from pv5lab.verify import REGISTRY, Evaluator, IdentityId, Tier, _run_one, sample_points
+from pv5lab.verify import (REGISTRY, Evaluator, IdentityId, Tier, _attempt, _read, _run_one,
+                           sample_points)
 
 I = IdentityId
 
@@ -181,14 +182,84 @@ def test_suite_two_t_runs_stencil_checks(vp):
 
 def test_suite_ordering_is_deterministic(vp):
     kw = dict(z_samples=["-0.2", "0.8"], suite="all")
-    r1 = pv5lab.check_suite(vp, [1, 2], ["0.5"], **kw)
-    r2 = pv5lab.check_suite(vp, [2, 1], ["0.5"], **kw)
-    key = [(r.id.value, r.n, str(r.t), str(r.z)) for r in r1]
-    assert key == [(r.id.value, r.n, str(r.t), str(r.z)) for r in r2]
-    # registry order, then n, then t, then z
-    ids = [r.id for r in r1]
     order = {ident: i for i, ident in enumerate(REGISTRY)}
-    assert ids == sorted(ids, key=lambda i: order[i])
+    for grid in (["0.5"], ["0.4", "0.6"]):
+        r1 = pv5lab.check_suite(vp, [1, 2], grid, **kw)
+        r2 = pv5lab.check_suite(vp, [2, 1], grid, **kw)
+        key = [(r.id.value, r.n, str(r.t), str(r.z)) for r in r1]
+        assert key == [(r.id.value, r.n, str(r.t), str(r.z)) for r in r2]
+        # registry order, then n, then t, then z (the samples are ascending)
+        ids = [r.id for r in r1]
+        assert ids == sorted(ids, key=lambda i: order[i])
+        rank = [(order[r.id], r.n, r.t, 0 if r.z is None else r.z) for r in r1]
+        assert rank == sorted(rank), grid
+
+
+def test_suite_walks_the_grid_one_t_at_a_time(monkeypatch):
+    """check_suite builds the states of one grid t before those of the next:
+    the grid point nearest each state_at call never goes back."""
+    params = pv5lab.validate(1, "0.25", "0.5", 128, 2, rel_tol=1e-18)
+    grid = [mp.mpf(t) for t in ("0.4", "0.5", "0.6")]
+    nearest = []
+    real = ladder.state_at
+
+    def recording(params, t):
+        nearest.append(min(range(len(grid)), key=lambda i: abs(grid[i] - t)))
+        return real(params, t)
+
+    monkeypatch.setattr(ladder, "state_at", recording)
+    reports = pv5lab.check_suite(params, [1], grid, z_samples=["0.8"], suite="all")
+    assert all(r.status == "ok" for r in reports)
+    assert nearest == sorted(nearest) and set(nearest) == {0, 1, 2}
+
+
+def test_a_failed_state_build_is_attempted_once_per_t(monkeypatch):
+    """A state build that does not converge is kept for its t: one weight
+    table is built, and every row that reads the state is an ERROR row
+    carrying the build's message."""
+    params = pv5lab.validate(1, "0.25", "0.5", 128, 3, rel_tol=1e-18, max_level=4)
+    with pytest.raises(NoConvergence) as failure:
+        ladder.state_at(params, "0.5")
+    tables = []
+    init = WeightTable.__init__
+
+    def recording(table, *args, **kwargs):
+        init(table, *args, **kwargs)
+        tables.append(table)
+
+    monkeypatch.setattr(WeightTable, "__init__", recording)
+    kw = dict(z_samples=["0.8", "-0.7"], suite="all")
+    reports = pv5lab.check_suite(params, [1, 2], ["0.5"], **kw)
+    assert len(tables) == 1
+    message = f"NoConvergence: {failure.value}"
+    assert all(r.message == message for r in reports if r.status != "skipped")
+    # the same rows, ERROR where a converged build writes a residual
+    converged = pv5lab.check_suite(dataclasses.replace(params, max_level=6), [1, 2],
+                                   ["0.5"], **kw)
+    assert ([(r.id, r.n, r.t, r.z, r.status == "skipped") for r in reports]
+            == [(r.id, r.n, r.t, r.z, r.status == "skipped") for r in converged])
+    assert any(r.status == "error" for r in reports)
+
+
+def test_a_kept_failure_does_not_grow_its_traceback():
+    """Each read raises the kept failure with a fresh traceback, so the
+    frames of earlier reads do not pile up on it."""
+    def fail():
+        raise NoConvergence("kept")
+
+    def depth(exc):
+        tb, count = exc.__traceback__, 0
+        while tb is not None:
+            tb, count = tb.tb_next, count + 1
+        return count
+
+    kept = _attempt(fail)
+    depths = []
+    for _ in range(2):
+        with pytest.raises(NoConvergence, match="kept"):
+            _read(kept)
+        depths.append(depth(kept))
+    assert depths[0] == depths[1]
 
 
 def test_suite_filters_by_tier(vp):
@@ -215,10 +286,9 @@ def test_pair_elimination_consistent_with_second_order_equation(vp):
     second-order R_n equation's residual within two orders of magnitude."""
     from pv5lab.verify import Evaluator, _nres, _ric_r_rhs, _s_of, stencil_step
 
-    ev = Evaluator(vp)
     with mp.workprec(vp.work_bits):
         t = mp.mpf("0.5")
-        st = ev.stencil(t)
+        st = Evaluator(vp, t).stencil()
         h = stencil_step(t)
         k2, alpha = vp.k2, vp.alpha
         for n in (1, 2):
@@ -287,10 +357,11 @@ def test_suite_refuses_ladder_ineligible_params(monkeypatch):
 class _NoStates:
     """An Evaluator stand-in for stub bodies, which read no state."""
 
-    def __init__(self, params):
+    def __init__(self, params, t):
         self.params = params
+        self.t = t
 
-    def states(self, t):
+    def states(self):
         return None, None
 
 
@@ -298,7 +369,7 @@ def _stub_row(monkeypatch, params, identity, out):
     """The row _run_one writes for ``identity`` when its body returns ``out``."""
     stub = dataclasses.replace(REGISTRY[identity], fn=lambda *args: out)
     monkeypatch.setitem(REGISTRY, identity, stub)
-    return _run_one(_NoStates(params), identity, 1, mp.mpf("0.5"), None)
+    return _run_one(_NoStates(params, mp.mpf("0.5")), identity, 1, None)
 
 
 def test_run_one_owns_the_pass_rule(monkeypatch, vp):
@@ -333,12 +404,11 @@ def test_run_one_owns_the_pass_rule(monkeypatch, vp):
 def test_sweep_holds_the_public_values_bit_for_bit(k2):
     """A ZSweep reads the same bits as the public routes to each value."""
     params = pv5lab.validate(1, k2, "0.5", 128, 4, rel_tol=1e-18)
-    ev = Evaluator(params)
+    ev = Evaluator(params, "0.5")
     with mp.workprec(params.work_bits):
-        t = mp.mpf("0.5")
         for z in (mp.mpf("0.8"), mp.mpf("-0.4")):
-            sw = ev.sweep(t, z)
-            ortho, _ = ev.states(t)
+            sw = ev.sweep(z)
+            ortho, _ = ev.states()
             assert sw.point.vp._mpf_ == pv5lab.v_prime(z, params)._mpf_
             for n in range(params.n_max + 1):
                 pairs = [
