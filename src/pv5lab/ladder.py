@@ -41,8 +41,10 @@ once, for every degree.  The lowering and raising residuals are methods of
 its ``PointValues``.
 
 ``state_at`` is the one way to the states at a time t, and refuses
-ladder-ineligible parameters before any quadrature; the caches of
-``orthopoly.build`` and ``compute`` share the states between its callers.
+ladder-ineligible parameters before any quadrature.  It is the package's
+one state cache: it keeps the last five (OrthoState, LadderState) pairs,
+one t-stencil, and shares them between its callers; ``orthopoly.build``
+and ``compute`` build a new state on every call.
 Every function handed a built state works at the precision of its weight
 table, whose ``ModelParams`` also fix each integral's tolerance and level
 cap.
@@ -59,7 +61,7 @@ from mpmath import mp
 from . import orthopoly
 from .equations import s_of
 from .errors import LadderIneligible
-from .model import ModelParams, _pole_basis, _v_prime_from, v_prime
+from .model import ModelParams, _pole_basis, _v_prime_from
 from .orthopoly import OrthoState, monic_values
 
 
@@ -67,7 +69,6 @@ from .orthopoly import OrthoState, monic_values
 class LadderState:
     """Arrays R, r, a, b for 0 <= n <= n_max at fixed (params, t)."""
 
-    ortho: OrthoState
     R: tuple
     r: tuple
     a: tuple
@@ -81,8 +82,8 @@ def require_eligible(params: ModelParams):
             f"ladder quantities need alpha > 0, and k2 < 0 at t = 0; got {params!r}")
 
 
-@functools.lru_cache(maxsize=8)
-def _compute_cached(state: OrthoState) -> LadderState:
+def compute(state: OrthoState) -> LadderState:
+    """All four ladder sequences of a built state, by quadrature."""
     params = state.params
     require_eligible(params)
     table = state.table
@@ -108,12 +109,7 @@ def _compute_cached(state: OrthoState) -> LadderState:
             r.append(zero if params.t == 0
                      else seq(two_t, [table.adj(n), table.y, table.inv_zk2], h))
             b.append(seq(two_alpha, [table.adj(n), table.y, table.inv_om2], h))
-        return LadderState(ortho=state, R=tuple(R), r=tuple(r), a=tuple(a), b=tuple(b))
-
-
-def compute(state: OrthoState) -> LadderState:
-    """All four ladder sequences by quadrature; cached per state."""
-    return _compute_cached(state)
+        return LadderState(R=tuple(R), r=tuple(r), a=tuple(a), b=tuple(b))
 
 
 def state_at(params: ModelParams, t):
@@ -123,7 +119,15 @@ def state_at(params: ModelParams, t):
     with mp.workprec(params.work_bits):
         params = dataclasses.replace(params, t=mp.mpf(t))
         require_eligible(params)
-        ortho = orthopoly.build(params)
+    return _states(params)
+
+
+# One t-stencil: the only repeated reads are a verify stencil's five states
+# at one (params, t), and pv-residual re-reading the stencil centre that
+# check(PV_PHI) has just built.
+@functools.lru_cache(maxsize=5)
+def _states(params: ModelParams):
+    ortho = orthopoly.build(params)
     return ortho, compute(ortho)
 
 
@@ -139,30 +143,22 @@ def _b_form(n, z, om2, zk2, params, lad):
             + z * lad.r[n] / (zk2 * zk2))
 
 
-def A_integral(n: int, z, ortho: OrthoState, vp=None):
-    """A_n(z) from its defining integral (any real z off the poles of v').
-
-    ``vp`` is v'(z) where the caller already holds it (``PointValues.vp``);
-    otherwise it is computed here, with its pole test."""
+def A_integral(n: int, z, ortho: OrthoState):
+    """A_n(z) from its defining integral (any real z off the poles of v')."""
     table = ortho.table
     with mp.workprec(table.work_bits):
-        z = mp.mpf(z)
-        vpz = v_prime(z, ortho.params) if vp is None else vp
-        even, _ = table.dd(z, vpz)
+        even, _ = table.dd(z)
         h = ortho.h[n]
         return table.raw_integral([table.sq(n), even], scale=h).value / h
 
 
-def B_integral(n: int, z, ortho: OrthoState, vp=None):
-    """B_n(z) from its defining integral; B_0 = 0 (P_{-1} convention).
-    ``vp`` as in ``A_integral``."""
+def B_integral(n: int, z, ortho: OrthoState):
+    """B_n(z) from its defining integral; B_0 = 0 (P_{-1} convention)."""
     table = ortho.table
     with mp.workprec(table.work_bits):
         if n == 0:
             return mp.mpf(0)
-        z = mp.mpf(z)
-        vpz = v_prime(z, ortho.params) if vp is None else vp
-        _, odd = table.dd(z, vpz)
+        _, odd = table.dd(z)
         h = ortho.h[n - 1]
         return table.raw_integral([table.adj(n), odd], scale=h).value / h
 

@@ -15,7 +15,6 @@ doublings.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 from mpmath import mp
@@ -68,8 +67,13 @@ def _stieltjes_pass(table: WeightTable, level: int, n_max: int):
     return h, beta
 
 
-@functools.lru_cache(maxsize=6)
-def _build_cached(params: ModelParams) -> OrthoState:
+def build(params: ModelParams) -> OrthoState:
+    """Stieltjes procedure for (h_n, beta_n, p(n)) up to params.n_max.
+
+    A pass that loses a norm below the level cap is not yet stable: the
+    next level runs afresh.  Each call builds a new state; states are
+    immutable and safe to share (``ladder.state_at`` keeps the recent ones).
+    """
     with mp.workprec(params.work_bits):
         table = WeightTable(params)
         table.ensure_levels(MIN_LEVEL)
@@ -79,16 +83,23 @@ def _build_cached(params: ModelParams) -> OrthoState:
         worst = None
         for level in range(MIN_LEVEL, params.max_level + 1):
             table.ensure_levels(level)
-            h, beta = _stieltjes_pass(table, level, params.n_max)
+            try:
+                h, beta = _stieltjes_pass(table, level, params.n_max)
+            except PrecisionExhausted:
+                if level == params.max_level:
+                    raise
+                prev_h = None
+                continue
             if prev_h is not None:
                 worst = max(abs(a - b) / a for a, b in zip(h, prev_h))
                 if worst <= rel:
                     break
             prev_h = h
         else:
+            change = ("no two consecutive complete passes to compare" if worst is None
+                      else f"worst relative change {mp.nstr(worst, 6)}")
             raise NoConvergence(
-                f"recurrence build not stable at level {params.max_level} "
-                f"(worst relative change {mp.nstr(worst, 6)})",
+                f"recurrence build not stable at level {params.max_level} ({change})",
                 value=None, error=worst)
         p_sub = [mp.mpf(0), mp.mpf(0)]
         for n in range(1, params.n_max + 1):
@@ -102,14 +113,6 @@ def _build_cached(params: ModelParams) -> OrthoState:
             level=table.nlevels - 1,
             table=table,
         )
-
-
-def build(params: ModelParams) -> OrthoState:
-    """Stieltjes procedure for (h_n, beta_n, p(n)) up to params.n_max.
-
-    Results are cached per params; states are immutable and safe to share.
-    """
-    return _build_cached(params)
 
 
 def monic_values(state: OrthoState, z):

@@ -51,7 +51,7 @@ from mpmath.libmp import mpf_cosh_sinh, round_nearest
 
 from .errors import NoConvergence, ParameterError, PrecisionExhausted
 from .model import (MIN_LEVEL, ModelParams, _gap, _v_prime_from, _z2_minus_k2,
-                    pole_guard, support, v_second, weight)
+                    pole_guard, support, v_prime, v_second, weight)
 
 #: node generation stops this many bits short of the working precision
 _EDGE_MARGIN_BITS = 32
@@ -632,7 +632,7 @@ class WeightTable:
                 out.exp[i] = le
         return out
 
-    def _dd_mirror(self, z, vpz, level: int):
+    def _dd_mirror(self, z, level: int):
         """(D+, D-) on one level, D+- = (dd(z, y) +- dd(z, -y)) / 2.
 
         dd(z, -y) is ``_dd_side`` at the mirror nodes -y, where v'(-y) =
@@ -640,30 +640,31 @@ class WeightTable:
         """
         with mp.workprec(self.work_bits):
             reach = _fixed(pole_guard(self.params) * (1 + abs(z)), self.frac_bits)
-            vz = _pack([vpz], self.work_bits)
+            vz = _pack([v_prime(z, self.params)], self.work_bits)
         y, vp = self.y[level], self.vp[level]
         right = self._dd_side(z, vz, reach, y.man, vp)
         left = self._dd_side(z, vz, reach, list(map(neg, y.man)),
                              IntArray(list(map(neg, vp.man)), vp.exp))
         return _mirror_halves(right, left)
 
-    def _dd_part(self, z, vpz, part, level: int):
-        return self._cached(WeightTable._dd_mirror, z, vpz)[level][part]
+    def _dd_part(self, z, part, level: int):
+        return self._cached(WeightTable._dd_mirror, z)[level][part]
 
-    def dd(self, z, vpz):
+    def dd(self, z):
         """(D+, D-): per-level arrays of the even and odd parts in y of the
         divided difference dd(z, y) = (v'(z) - v'(y)) / (z - y), for fixed z.
 
         Over the full support, the integral of dd(z, y) f(y) w(y) is the
         table sum of D+ f for an even f and of D- f for an odd f: so
         A_n(z) takes ``sq(n)`` with D+ and B_n(z) takes ``adj(n)`` with D-.
-        Only the pair is cached.
+        v'(z) comes from ``model.v_prime``, so a z at a pole of v' raises
+        PoleError.  Only the pair is cached.
         """
         with mp.workprec(self.work_bits):
             z = mp.mpf(z)
-        self._cached(WeightTable._dd_mirror, z, vpz)  # made before its parts
-        return (self._cached(WeightTable._dd_part, z, vpz, 0),
-                self._cached(WeightTable._dd_part, z, vpz, 1))
+        self._cached(WeightTable._dd_mirror, z)  # made before its parts
+        return (self._cached(WeightTable._dd_part, z, 0),
+                self._cached(WeightTable._dd_part, z, 1))
 
     def release_dd(self, z):
         """Drop every ``dd`` entry at z from the cache."""

@@ -140,7 +140,7 @@ def _read(value):
 class ZSweep:
     """Everything the z-sampled bodies read at one (t, z): the rational-route
     ``ladder.PointValues`` and the A/B integrals of degrees 0..top, each
-    taken once, against the point's v'(z).  A degree whose integral raised
+    taken once.  A degree whose integral raised
     keeps its exception, and only a read of that degree raises it."""
 
     point: object
@@ -192,8 +192,8 @@ class Evaluator:
         ortho, lad = self.states()
         point = ladder_mod.point_values(z, ortho, lad)
         degrees = range(self.top + 1)
-        a = tuple(_attempt(ladder_mod.A_integral, n, z, ortho, point.vp) for n in degrees)
-        b = tuple(_attempt(ladder_mod.B_integral, n, z, ortho, point.vp) for n in degrees)
+        a = tuple(_attempt(ladder_mod.A_integral, n, z, ortho) for n in degrees)
+        b = tuple(_attempt(ladder_mod.B_integral, n, z, ortho) for n in degrees)
         ortho.table.release_dd(z)  # no later integral reads dd at z
         return ZSweep(point, a, b)
 

@@ -85,6 +85,17 @@ def test_recurrence_and_ladder_tables(capsys, tmp_path):
     assert abs(mp.mpf(rows[1][3]) - 3) < mp.mpf("1e-12")
 
 
+def test_recurrence_refines_past_a_level_that_loses_a_norm(capsys, tmp_path):
+    # the first level loses h_67, and finer levels compute every degree
+    out_csv = tmp_path / "rec90.csv"
+    code, _, err = _run(capsys, "recurrence", "--alpha", "1", "--k2", "-0.5", "--t", "0.1",
+                        "--n-max", "90", "--bits", "256", "--out-csv", str(out_csv))
+    assert code == 0, err
+    rows = list(csv.reader(out_csv.open()))
+    assert [row[0] for row in rows[1:]] == [str(n) for n in range(91)]
+    assert all(mp.mpf(row[1]) > 0 for row in rows[1:])
+
+
 def test_verify_required_suite_exit_zero(capsys, tmp_path):
     out_json = tmp_path / "report.json"
     code, _, err = _run(capsys, "verify", "--alpha", "1", "--k2", "0.25",

@@ -1,11 +1,16 @@
 """Ladder sequences and the two routes to A_n(z), B_n(z)."""
 
+import gc
+import weakref
+
 import pytest
 from mpmath import mp
 
 import pv5lab
 from pv5lab.errors import LadderIneligible, PoleError
+from pv5lab.ladder import state_at
 from pv5lab.model import gap_edge
+from pv5lab.quadrature import WeightTable
 from pv5lab.verify import sample_points
 
 
@@ -108,10 +113,22 @@ def test_lowering_and_raising_relations(n, gap_state, gap_ladder):
         assert point.raising_residual(n) < mp.mpf("1e-25")
 
 
-def test_compute_is_cached(gap_state):
-    a = pv5lab.compute(gap_state)
-    b = pv5lab.compute(gap_state)
-    assert a is b
+def test_state_at_keeps_one_stencil_of_states(monkeypatch):
+    """state_at is the one state cache: after nine distinct t, at most five
+    weight tables (one t-stencil of states) are alive."""
+    alive = weakref.WeakSet()
+    init = WeightTable.__init__
+
+    def recording(table, *args, **kwargs):
+        init(table, *args, **kwargs)
+        alive.add(table)
+
+    monkeypatch.setattr(WeightTable, "__init__", recording)
+    params = pv5lab.validate(1, "0.25", "0.5", 128, 2, rel_tol=1e-18)
+    for k in range(1, 10):
+        state_at(params, mp.mpf(k) / 10)
+    gc.collect()
+    assert 0 < len(alive) <= 5
 
 
 @pytest.fixture(scope="module")

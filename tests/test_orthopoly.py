@@ -4,7 +4,7 @@ import pytest
 from mpmath import mp
 
 import pv5lab
-from pv5lab.errors import NoConvergence, ParameterError
+from pv5lab.errors import NoConvergence, ParameterError, PrecisionExhausted
 
 
 def classical_beta(n, alpha):
@@ -116,7 +116,26 @@ def test_build_no_convergence_at_low_cap():
         pv5lab.build(p)
 
 
-def test_build_is_cached(gap_params):
-    a = pv5lab.build(gap_params)
-    b = pv5lab.build(gap_params)
-    assert a is b
+def test_build_refines_past_a_level_that_loses_a_norm():
+    """Float inputs whose level-3 pass loses h_94: the build goes on to a
+    finer level and agrees with the same inputs at twice the bits."""
+    st = pv5lab.build(pv5lab.validate(1, 0.09, 0.1, 128, 96, rel_tol=1e-30))
+    ref = pv5lab.build(pv5lab.validate(1, 0.09, 0.1, 256, 96, rel_tol=1e-30))
+    assert st.level > 3
+    with mp.workprec(ref.params.work_bits):
+        for got, want in [(st.h, ref.h), (st.beta[1:], ref.beta[1:])]:
+            assert max(abs(a - b) / b for a, b in zip(got, want)) < mp.mpf("1e-30")
+
+
+def test_build_without_two_complete_passes_says_so():
+    # level 3 loses a norm and level 4, the cap, is the only complete pass
+    p = pv5lab.validate(1, -0.5, 0.1, 256, 90, max_level=4)
+    with pytest.raises(NoConvergence, match="no two consecutive complete passes"):
+        pv5lab.build(p)
+
+
+def test_build_loses_a_norm_at_the_cap():
+    p = pv5lab.validate(1, -0.5, 0.1, 128, 100, rel_tol=1e-30, max_level=4)
+    with pytest.raises(PrecisionExhausted,
+                       match=r"^norm h_\d+ = 0\.0 at level 4; no significant digits left$"):
+        pv5lab.build(p)

@@ -259,7 +259,7 @@ def test_table_divided_differences_match_model(gap_params):
     table.ensure_levels(3)
     z = mp.mpf("0.7")
     with mp.workprec(gap_params.work_bits):
-        pair = table.dd(z, pv5lab.v_prime(z, gap_params))
+        pair = table.dd(z)
     rk = mp.sqrt(gap_params.k2)
     checked = 0
     with mp.workprec(2 * table.frac_bits):
@@ -314,13 +314,11 @@ def test_frozen_table_grows_every_derived_array_in_step(gap_params, gap_state):
     """A table frozen at level L and extended to L+1 holds, level by level,
     the same derived arrays as a table filled to L+1 before it was frozen."""
     z = mp.mpf("0.7")
-    with mp.workprec(gap_params.work_bits):
-        vpz = pv5lab.v_prime(z, gap_params)
 
     def derived(table):
         return {"sq": table.sq(3), "adj": table.adj(3), "inv_zk2": table.inv_zk2,
-                "inv_om2": table.inv_om2, "dd_even": table.dd(z, vpz)[0],
-                "dd_odd": table.dd(z, vpz)[1],
+                "inv_om2": table.inv_om2, "dd_even": table.dd(z)[0],
+                "dd_odd": table.dd(z)[1],
                 "rows": [[table.row(n, lv) for n in range(gap_params.n_max + 1)]
                          for lv in range(table.nlevels)]}
 
@@ -397,7 +395,7 @@ def test_half_table_matches_full_support_route(alpha, k2, t):
                                    lambda y, n=n: y * P(n, y) * P(n - 1, y) / basis(y)[1])
         for z in (mp.mpf("0.3"), mp.mpf("-0.7")) if ladder else ():
             vpz = pv5lab.v_prime(z, params)
-            even, odd = table.dd(z, vpz)
+            even, odd = table.dd(z)
 
             def dd(y, z=z, vpz=vpz):
                 return (vpz - _v_prime_from(y, *basis(y), params)) / (z - y)

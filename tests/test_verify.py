@@ -426,10 +426,10 @@ def test_integral_failure_errors_only_the_rows_that_read_its_degree(vp, monkeypa
     with mp.workprec(vp.work_bits):
         bad = mp.mpf("0.8")
 
-    def failing(n, z, ortho, vpz):
+    def failing(n, z, ortho):
         if n == 2 and z == bad:
             raise NoConvergence("patched failure")
-        return real(n, z, ortho, vpz)
+        return real(n, z, ortho)
 
     monkeypatch.setattr(ladder, "A_integral", failing)
     reports = pv5lab.check_suite(vp, range(vp.n_max + 1), ["0.5"],
