@@ -6,8 +6,11 @@ Exit codes: 0 all requested REQUIRED checks pass (or none requested),
 failure (no convergence, precision exhausted, pole hit, step underflow).
 
 Every subcommand but ``ode`` takes ``--t`` (or, for verify and pv-residual,
-a t grid); ``ode`` runs from ``--t0`` to ``--t1``.  Execution is sequential
-and deterministic.
+a t grid); ``ode`` runs from ``--t0`` to ``--t1``.  Output is
+deterministic.  ``verify`` spreads its checks over the usable CPUs, by runs
+of t points on a grid or of z samples at one t, in forked workers that
+end before it returns (``verify.check_suite``); its report is the same on
+any number of CPUs.  Every other command runs in one process.
 """
 
 from __future__ import annotations

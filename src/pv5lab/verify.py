@@ -17,10 +17,14 @@ A/B integrals of that z, each taken once, and a t-stencil body reads
 Evaluator and raised by every read, so it is attempted once per t and each
 row that reads it is an ERROR row.  ``check_suite`` makes one Evaluator per
 grid t, releases it once that t's rows are written, and concatenates the
-rows of each (identity, n) into (id, n, t, z) order.  A body returns its
-residual, normalized |LHS - RHS| / (1 + max(|LHS|, |RHS|)) unless it
-documents its own scale (functional ladder relations use the largest
-participating term; the recurrence-route checks are relative to beta).
+rows of each (identity, n) into (id, n, t, z) order.  Its independent
+units (the t points of a grid, or the z samples at one t) are cut into
+contiguous runs, one per usable CPU, and each run but the first goes to a
+forked worker (``_fork_map``); the rows are those of a one-process run.
+A body returns its residual, normalized |LHS - RHS| / (1 + max(|LHS|,
+|RHS|)) unless it documents its own scale (functional ladder relations use
+the largest participating term; the recurrence-route checks are relative
+to beta).
 A t-stencil body instead returns its (LHS, RHS) pairs, at step h and at
 step h/2 (FACTOR_PROD at step h only); ``_run_one`` alone normalizes them,
 takes the step-halving ratio res(h)/res(h/2) (expected ~4 for clean
@@ -40,7 +44,9 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import os
 import random
+import sys
 from dataclasses import dataclass
 
 from mpmath import mp
@@ -177,6 +183,12 @@ class Evaluator:
                 t = self.t + o * (stencil_step(self.t) / 2)
             self._states[o] = _attempt(ladder_mod.state_at, self.params, t)
         return _read(self._states[o])
+
+    def level(self):
+        """The level count of the weight table at t, or None while its state
+        is unbuilt or failed."""
+        state = self._states.get(0)
+        return state[0].table.nlevels if isinstance(state, tuple) else None
 
     def stencil(self):
         """States at t + o*h/2 for o in (-2, -1, 0, 1, 2)."""
@@ -650,6 +662,153 @@ def check(identity: IdentityId, params: ModelParams, n: int, t, z=None) -> Ident
         return _run_one(Evaluator(params, t, (n,)), identity, n, z)
 
 
+def _rows(params: ModelParams, keys, evaluators, z_samples, single_t: bool, plain=True):
+    """One list of rows per (identity, n) of ``keys``: at each Evaluator's t
+    in turn, a z-sampled identity's rows at each of ``z_samples`` and any
+    other identity's one row (only while ``plain``)."""
+    buckets = {key: [] for key in keys}
+    for ev in evaluators:  # each released once its t's rows are written
+        t = ev.t
+        for (identity, n), rows in buckets.items():
+            d = REGISTRY[identity]
+            for z in z_samples if d.needs_z else (None,) if plain else ():
+                refusal = _refusal(identity, params, n, t, z, single_t)
+                if isinstance(refusal, IndexError):
+                    continue
+                if refusal is not None:
+                    rows.append(IdentityReport(
+                        id=identity, tier=d.tier, n=n, t=t, z=z,
+                        status="skipped", message=str(refusal)))
+                    continue
+                try:
+                    rows.append(_run_one(ev, identity, n, z))
+                except _ROW_ERRORS as exc:  # collected, not fatal
+                    rows.append(IdentityReport(
+                        id=identity, tier=d.tier, n=n, t=t, z=z,
+                        status="error", message=f"{type(exc).__name__}: {exc}"))
+    return buckets
+
+
+def _cpu_count():
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _runs(units):
+    """``units`` cut into contiguous runs whose lengths differ by at most one:
+    one run per usable CPU and at most one per unit, or a single run where
+    this process cannot fork safely (no ``os.fork``, or other threads)."""
+    threading = sys.modules.get("threading")
+    if not hasattr(os, "fork") or (threading is not None and threading.active_count() > 1):
+        count = 1
+    else:
+        count = max(1, min(_cpu_count(), len(units)))
+    size, extra = divmod(len(units), count)
+    ends = [i * size + min(i, extra) for i in range(count + 1)]
+    return [units[a:b] for a, b in zip(ends, ends[1:])]
+
+
+def _work(fn, share, fd):
+    """The body of a forked worker: write the pickled (True, fn(share)), or
+    (False, the exception fn raised), to the pipe end ``fd``, then end the
+    process with its status, running no exit handler and flushing no
+    output inherited from the parent."""
+    import pickle
+
+    status = 1
+    try:
+        try:
+            payload = (True, fn(share))
+        except Exception as exc:  # handed to the parent, which raises it
+            payload = (False, exc)
+        data = pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
+        with os.fdopen(fd, "wb") as pipe:
+            pipe.write(data)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _fork_map(fn, shares):
+    """[fn(share) for share in shares]: the first share in this process,
+    every other in a forked worker whose result comes back pickled over a
+    pipe, so it sees this process's memory as it was at the fork.
+
+    An exception a worker raised is raised here; a worker that ends without
+    a result raises ChildProcessError.  No partial list is returned, and
+    every worker is reaped on every path: one still running when the call
+    fails (this process's own share raised, say) is killed first.
+    """
+    if len(shares) == 1:
+        return [fn(shares[0])]
+    import pickle  # kept off the import path of the commands that never fork
+    import signal
+
+    pending = {}  # pid -> the read end of its pipe, until the worker is reaped
+    try:
+        for share in shares[1:]:
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(read)
+                _work(fn, share, write)  # never returns
+            os.close(write)
+            pending[pid] = os.fdopen(read, "rb")
+        results = [fn(shares[0])]
+        for pid, pipe in list(pending.items()):
+            data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del pending[pid]
+            pipe.close()
+            if code != 0 or not data:
+                raise ChildProcessError(
+                    f"verify worker {pid} ended without a result (exit code {code})")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            results.append(value)
+        return results
+    finally:
+        for pid, pipe in pending.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _z_shares(params: ModelParams, keys, ev, z_samples):
+    """The ``_rows`` of ev.t cut by runs of ``z_samples`` (the first run also
+    writes the rows without z), with the states at ev.t built once, before
+    the fork, so that every worker reads them.
+
+    A z's integrals start from the levels its weight table holds, so a run
+    sees what a one-process run sees only while the runs before it added
+    no level.  From the first run after one that did, the runs are taken
+    again here, in order, on this process's table brought to that level;
+    at the end the table holds the levels a one-process run leaves."""
+    runs = list(enumerate(_runs(z_samples)))
+    if len(runs) > 1:
+        _attempt(ev.states)  # kept by ev when it fails
+    start = ev.level()
+
+    def share(indexed_run):
+        i, run = indexed_run
+        return _rows(params, keys, (ev,), run, True, plain=i == 0), ev.level()
+
+    out = _fork_map(share, runs)
+    if start is not None:
+        table = ev.states()[0].table
+        for i in range(1, len(out)):
+            if out[i - 1][1] != start:
+                table.ensure_levels(out[i - 1][1] - 1)
+                out[i:] = [share(run) for run in runs[i:]]
+                break
+        table.ensure_levels(max(level for _, level in out) - 1)
+    return [rows for rows, _ in out]
+
+
 def check_suite(params: ModelParams, n_set, t_grid, z_samples=None, suite: str = "all"):
     """Cartesian product of the suite's checks; deterministic (id, n, t, z) order.
 
@@ -663,7 +822,15 @@ def check_suite(params: ModelParams, n_set, t_grid, z_samples=None, suite: str =
     identities run at each of ``z_samples`` (default ``sample_points``),
     so an empty list leaves them out.  Per-check numerical errors
     (``NumericalError``, ``PoleError``) are collected as rows with
-    status='error', never fatal; any other exception propagates.
+    status='error', never fatal; any other exception propagates, from a
+    worker too.
+
+    The work is spread over the usable CPUs (``_runs``): a grid of several
+    t by runs of t points, each worker building its own states, and one t
+    whose suite has a z-sampled identity by runs of z samples
+    (``_z_shares``).  Each run keeps one row list per (identity, n), and
+    the lists are concatenated in run order, so the rows are those of a
+    one-process run, in (id, n, t, z) order without a sort.
     """
     ids = suite_ids(suite)
     with mp.workprec(params.work_bits):
@@ -673,30 +840,17 @@ def check_suite(params: ModelParams, n_set, t_grid, z_samples=None, suite: str =
         else:
             z_samples = tuple(mp.mpf(z) for z in z_samples)
         n_set = tuple(sorted(set(int(n) for n in n_set)))
-        single_t = len(t_grid) < 2
-        # one bucket per (identity, n), in report order; each t appends its
-        # rows in z order, so the buckets read (id, n, t, z) without a sort
-        buckets = {(identity, n): [] for identity in ids for n in n_set}
-        for t in t_grid:
-            ev = Evaluator(params, t, n_set)  # released once its t is done
-            for (identity, n), rows in buckets.items():
-                d = REGISTRY[identity]
-                for z in z_samples if d.needs_z else (None,):
-                    refusal = _refusal(identity, params, n, t, z, single_t)
-                    if isinstance(refusal, IndexError):
-                        continue
-                    if refusal is not None:
-                        rows.append(IdentityReport(
-                            id=identity, tier=d.tier, n=n, t=t, z=z,
-                            status="skipped", message=str(refusal)))
-                        continue
-                    try:
-                        rows.append(_run_one(ev, identity, n, z))
-                    except _ROW_ERRORS as exc:  # collected, not fatal
-                        rows.append(IdentityReport(
-                            id=identity, tier=d.tier, n=n, t=t, z=z,
-                            status="error", message=f"{type(exc).__name__}: {exc}"))
-        return [row for rows in buckets.values() for row in rows]
+        keys = [(identity, n) for identity in ids for n in n_set]
+        if len(t_grid) > 1:
+            shares = _fork_map(
+                lambda run: _rows(params, keys, (Evaluator(params, t, n_set) for t in run),
+                                  z_samples, False),
+                _runs(t_grid))
+        else:
+            if not any(REGISTRY[identity].needs_z for identity, _ in keys):
+                z_samples = ()  # nothing to share out
+            shares = _z_shares(params, keys, Evaluator(params, t_grid[0], n_set), z_samples)
+        return [row for key in keys for rows in shares for row in rows[key]]
 
 
 def factor_split(params: ModelParams, n: int, t):

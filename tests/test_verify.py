@@ -1,12 +1,14 @@
 """Identity registry: required checks, diagnostics, suite mechanics."""
 
 import dataclasses
+import os
+import threading
 
 import pytest
 from mpmath import mp
 
 import pv5lab
-from pv5lab import ladder
+from pv5lab import ladder, verify
 from pv5lab.errors import LadderIneligible, NoConvergence, ParameterError, SingularParams
 from pv5lab.quadrature import WeightTable
 from pv5lab.verify import (REGISTRY, Evaluator, IdentityId, Tier, _attempt, _read, _run_one,
@@ -195,42 +197,67 @@ def test_suite_ordering_is_deterministic(vp):
         assert rank == sorted(rank), grid
 
 
-def test_suite_walks_the_grid_one_t_at_a_time(monkeypatch):
-    """check_suite builds the states of one grid t before those of the next:
-    the grid point nearest each state_at call never goes back."""
+def _recorder(path):
+    """Append one line per call to ``path``, from this process and from any
+    worker forked from it: (pid, *values)."""
+    def record(*values):
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(" ".join(str(v) for v in (os.getpid(), *values)) + "\n")
+    return record
+
+
+def _recorded(path):
+    """The lines ``_recorder`` wrote, split into words."""
+    if not path.exists():
+        return []
+    return [line.split() for line in path.read_text(encoding="utf-8").splitlines()]
+
+
+def test_suite_walks_the_grid_one_t_at_a_time(monkeypatch, tmp_path):
+    """check_suite builds the states of one grid t before those of the next,
+    in this process and in each worker: the grid point nearest each
+    state_at call never goes back within one process, and the processes
+    together cover the grid."""
     params = pv5lab.validate(1, "0.25", "0.5", 128, 2, rel_tol=1e-18)
     grid = [mp.mpf(t) for t in ("0.4", "0.5", "0.6")]
-    nearest = []
+    path = tmp_path / "state_at.txt"
+    record = _recorder(path)
     real = ladder.state_at
 
     def recording(params, t):
-        nearest.append(min(range(len(grid)), key=lambda i: abs(grid[i] - t)))
+        record(min(range(len(grid)), key=lambda i: abs(grid[i] - t)))
         return real(params, t)
 
     monkeypatch.setattr(ladder, "state_at", recording)
     reports = pv5lab.check_suite(params, [1], grid, z_samples=["0.8"], suite="all")
     assert all(r.status == "ok" for r in reports)
-    assert nearest == sorted(nearest) and set(nearest) == {0, 1, 2}
+    by_pid = {}
+    for pid, index in _recorded(path):
+        by_pid.setdefault(pid, []).append(int(index))
+    for nearest in by_pid.values():
+        assert nearest == sorted(nearest)
+    assert set().union(*by_pid.values()) == {0, 1, 2}
 
 
-def test_a_failed_state_build_is_attempted_once_per_t(monkeypatch):
+def test_a_failed_state_build_is_attempted_once_per_t(monkeypatch, tmp_path):
     """A state build that does not converge is kept for its t: one weight
     table is built, and every row that reads the state is an ERROR row
     carrying the build's message."""
     params = pv5lab.validate(1, "0.25", "0.5", 128, 3, rel_tol=1e-18, max_level=4)
     with pytest.raises(NoConvergence) as failure:
         ladder.state_at(params, "0.5")
-    tables = []
+    path = tmp_path / "tables.txt"
+    record = _recorder(path)  # counts the tables of every worker too
     init = WeightTable.__init__
 
     def recording(table, *args, **kwargs):
         init(table, *args, **kwargs)
-        tables.append(table)
+        record()
 
     monkeypatch.setattr(WeightTable, "__init__", recording)
     kw = dict(z_samples=["0.8", "-0.7"], suite="all")
     reports = pv5lab.check_suite(params, [1, 2], ["0.5"], **kw)
-    assert len(tables) == 1
+    assert len(_recorded(path)) == 1
     message = f"NoConvergence: {failure.value}"
     assert all(r.message == message for r in reports if r.status != "skipped")
     # the same rows, ERROR where a converged build writes a residual
@@ -449,13 +476,141 @@ def test_integral_failure_errors_only_the_rows_that_read_its_degree(vp, monkeypa
                          ids=["ParameterError", "TypeError"])
 def test_suite_raises_what_is_not_a_numerical_error(vp, monkeypatch, error, target):
     """Only NumericalError and PoleError become ERROR rows: any other
-    exception from a state build or a z sweep's integral leaves check_suite."""
+    exception from a state build or a z sweep's integral leaves check_suite,
+    from a worker too, and no worker is left behind."""
     def failing(*args):
         raise error
 
+    monkeypatch.setattr(verify, "_cpu_count", lambda: 2)
     monkeypatch.setattr(ladder, target, failing)
     with pytest.raises(type(error), match="patched"):
-        pv5lab.check_suite(vp, [1, 2], ["0.5"], z_samples=["0.8"], suite="required")
+        pv5lab.check_suite(vp, [1, 2], ["0.5"], z_samples=["0.8", "-0.7"], suite="required")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("failure", ["exit", "TypeError"])
+def test_a_failing_worker_fails_the_suite(vp, monkeypatch, failure):
+    """A worker that raises at a z this process does not own has its
+    exception raised here; one that dies without a result makes check_suite
+    raise ChildProcessError.  Neither returns partial rows, and no worker
+    is left behind."""
+    real = ladder.A_integral
+    this_process = os.getpid()
+    with mp.workprec(vp.work_bits):
+        theirs = mp.mpf("-0.7")  # the second of two runs: a worker's
+
+    def failing(n, z, ortho):
+        if z == theirs:
+            assert os.getpid() != this_process, "no worker took the second run"
+            if failure == "exit":
+                os._exit(3)
+            raise TypeError("patched worker error")
+        return real(n, z, ortho)
+
+    monkeypatch.setattr(verify, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(ladder, "A_integral", failing)
+    expected = (ChildProcessError, "exit code 3") if failure == "exit" else (
+        TypeError, "patched worker error")
+    with pytest.raises(expected[0], match=expected[1]):
+        pv5lab.check_suite(vp, [1, 2], ["0.5"], z_samples=["0.8", "-0.7"], suite="required")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_units_are_cut_into_one_contiguous_run_per_worker(monkeypatch):
+    """One run per usable CPU and at most one per unit, lengths within one
+    of each other and the longer first; one run in a process that runs
+    other threads or has no os.fork."""
+    monkeypatch.setattr(verify, "_cpu_count", lambda: 2)
+    assert verify._runs(tuple(range(5))) == [(0, 1, 2), (3, 4)]
+    assert verify._runs((7,)) == [(7,)]
+    assert verify._runs(()) == [()]
+    monkeypatch.setattr(verify, "_cpu_count", lambda: 3)
+    assert verify._runs(tuple(range(7))) == [(0, 1, 2), (3, 4), (5, 6)]
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert verify._runs(tuple(range(4))) == [(0, 1, 2, 3)]
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    monkeypatch.delattr(os, "fork")
+    assert verify._runs(tuple(range(4))) == [(0, 1, 2, 3)]
+
+
+def _fields(reports):
+    return [(r.id, r.tier, r.n, r.t, r.z, r.residual, r.passed, r.status, r.message,
+             r.halving_ratio) for r in reports]
+
+
+#: check_suite calls whose rows must not depend on the worker count
+_SPLIT_CASES = {
+    "z-split": ((1, "0.25", "0.5", 128, 3, "1e-18", 12), [1, 2], ["0.5"],
+                ["0.8", "-0.7", "0.3"], "required"),
+    "t-split": ((1, "0.25", "0.5", 128, 2, "1e-18", 12), [1, 2], ["0.4", "0.6"],
+                ["0.8"], "all"),
+    "no-z": ((1, "0.25", "0.5", 128, 3, "1e-18", 12), [1, 2], ["0.5"], [], "all"),
+    "k2-zero-skipped": ((1, "0", "0.5", 128, 3, "1e-18", 12), [1, 2], ["0.5"],
+                        ["0.8", "-0.7"], "all"),
+    "max-level-error": ((1, "0.25", "0.5", 128, 3, "1e-18", 4), [1, 2], ["0.5"],
+                        ["0.8", "-0.7"], "all"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SPLIT_CASES))
+def test_rows_do_not_depend_on_the_worker_count(monkeypatch, case):
+    """The same rows, field for field, from one CPU and from two: split by z
+    samples at one t, split by t points on a grid, with no z samples, with
+    SKIPPED rows (k2 = 0) and with ERROR rows (a state build that fails at
+    max_level 4)."""
+    (alpha, k2, t, bits, n_max, rel_tol, max_level), n_set, grid, zs, suite = \
+        _SPLIT_CASES[case]
+    params = pv5lab.validate(alpha, k2, t, bits, n_max, rel_tol=float(rel_tol),
+                             max_level=max_level)
+    rows = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(verify, "_cpu_count", lambda cpus=cpus: cpus)
+        rows[cpus] = _fields(pv5lab.check_suite(params, n_set, grid, z_samples=zs,
+                                                suite=suite))
+    assert rows[1] == rows[2] and rows[1]
+    statuses = {row[7] for row in rows[1]}
+    if case == "k2-zero-skipped":
+        assert "skipped" in statuses
+    if case == "max-level-error":
+        assert "error" in statuses
+
+
+@pytest.mark.parametrize("extends", [0, 1], ids=["first-run-extends", "worker-extends"])
+def test_rows_stay_in_step_when_a_sweep_adds_a_level(monkeypatch, extends):
+    """A sweep that refines the weight table moves the integrals of every
+    later z to the new level.  With three runs of one z each, the runs after
+    the one that refined are taken again in order, so the rows and the
+    table's final level are those of one process."""
+    params = pv5lab.validate(1, "0.25", "0.5", 128, 3, rel_tol=1e-18)
+    zs = ["0.8", "-0.7", "0.3"]
+    real = ladder.A_integral
+    with mp.workprec(params.work_bits):
+        refining = mp.mpf(zs[extends])
+
+    def refine(n, z, ortho):
+        if n == 0 and z == refining:
+            ortho.table.ensure_levels(ortho.table.nlevels)  # one more level
+        return real(n, z, ortho)
+
+    monkeypatch.setattr(ladder, "A_integral", refine)
+    rows, levels = {}, {}
+    for cpus in (1, 3):
+        monkeypatch.setattr(verify, "_cpu_count", lambda cpus=cpus: cpus)
+        ladder._states.cache_clear()  # each run starts from a fresh table
+        rows[cpus] = _fields(pv5lab.check_suite(params, [1, 2], ["0.5"], z_samples=zs,
+                                                suite="required"))
+        levels[cpus] = ladder.state_at(params, "0.5")[0].table.nlevels
+    ladder._states.cache_clear()
+    assert rows[1] == rows[3]
+    assert levels[1] == levels[3]
 
 
 def test_no_dd_entry_outlives_its_sweep(monkeypatch):
