@@ -11,6 +11,18 @@ deterministic.  ``verify`` spreads its checks over the usable CPUs, by runs
 of t points on a grid or of z samples at one t, in forked workers that
 end before it returns (``verify.check_suite``); its report is the same on
 any number of CPUs.  Every other command runs in one process.
+
+Only ``argparse``, ``sys`` and ``errors`` load with this module, so parsing,
+``--help`` and usage errors (exit 2) load neither mpmath nor any numerical
+module.  Each ``_cmd_*`` imports the modules it runs at its top, before
+any quadrature: ``moments`` loads ``quadrature`` (and ``model``),
+``recurrence`` ``orthopoly``, ``ladder`` ``ladder`` (and ``equations``),
+``verify`` and ``pv-residual`` ``verify``, and ``ode`` ``ode`` and
+``fixedpoint`` but not ``verify``, since the t-stencil formulas it shares
+with ``verify`` live in ``equations``; every one of them loads ``report``,
+last: with ``report`` loaded before ``verify``, a certify run compiled from
+source peaked 0.5 MB higher.  The helpers below import what they use too,
+which then costs a lookup.
 """
 
 from __future__ import annotations
@@ -18,15 +30,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from mpmath import mp
-
-from . import ladder as ladder_mod
-from . import ode as ode_mod
-from . import orthopoly, report, verify
-from .equations import beta_expr, phi_of, s_of
 from .errors import NumericalError, ParameterError, SingularParams
-from .model import GUARD_BITS, validate
-from .quadrature import moment
 
 
 def _common(parser):
@@ -103,6 +107,10 @@ def _t_grid(args):
     Parsed at working precision so a flag like --t 0.4 means 0.4 to the
     full mantissa, not its binary64 rounding.
     """
+    from mpmath import mp
+
+    from .model import GUARD_BITS
+
     grid_flags = (args.t_start, args.t_stop, args.t_count, args.t_spacing)
     if args.t is not None and any(f is not None for f in grid_flags):
         raise ParameterError("give either --t or a --t-start/--t-stop/--t-count/"
@@ -130,6 +138,10 @@ def _t_grid(args):
 
 def _single_t(args):
     """--t at working precision, 0.5 when not given."""
+    from mpmath import mp
+
+    from .model import GUARD_BITS
+
     with mp.workprec(args.bits + GUARD_BITS):
         return mp.mpf(args.t) if args.t is not None else mp.mpf("0.5")
 
@@ -137,12 +149,16 @@ def _single_t(args):
 def _params(args, t, n_max=None):
     """The run's ``ModelParams`` at t from the flags (``n_max`` overrides
     --n-max)."""
+    from .model import validate
+
     return validate(args.alpha, args.k2, t, precision_bits=args.bits,
                     n_max=args.n_max if n_max is None else n_max,
                     rel_tol=args.rel_tol, max_level=args.max_level)
 
 
 def _emit_csv(args, header, rows, bits):
+    from . import report
+
     text = report.csv_text(header, rows, bits)
     if args.out_csv:
         with open(args.out_csv, "w", encoding="utf-8") as fh:
@@ -152,6 +168,8 @@ def _emit_csv(args, header, rows, bits):
 
 
 def _params_block(args, params, extra=None):
+    from . import report
+
     block = {
         "alpha": report.numstr(params.alpha, params.precision_bits),
         "k2": report.numstr(params.k2, params.precision_bits),
@@ -168,13 +186,18 @@ def _params_block(args, params, extra=None):
 
 def _emit_params_report(args, params, extra):
     """With --out-json, a report that carries only the parameters block."""
+    from . import report
+
     if args.out_json:
         block = _params_block(args, params, extra)
-        report.emit_report([], verify.summarize([]), args.out_json, block,
+        report.emit_report([], report.summarize([]), args.out_json, block,
                            params.precision_bits)
 
 
 def _cmd_moments(args):
+    from .quadrature import moment
+    from . import report
+
     t = _single_t(args)
     if args.n_max < 0:
         raise ParameterError("moments need --n-max >= 0")
@@ -188,6 +211,8 @@ def _cmd_moments(args):
 
 
 def _cmd_recurrence(args):
+    from . import orthopoly, report
+
     t = _single_t(args)
     params = _params(args, t)
     bits = params.precision_bits
@@ -199,6 +224,9 @@ def _cmd_recurrence(args):
 
 
 def _cmd_ladder(args):
+    from . import ladder as ladder_mod
+    from . import report
+
     t = _single_t(args)
     params = _params(args, t)
     bits = params.precision_bits
@@ -210,6 +238,9 @@ def _cmd_ladder(args):
 
 
 def _cmd_verify(args):
+    from . import verify
+    from . import report
+
     t_grid = _t_grid(args)
     params = _params(args, t_grid[0])
     bits = params.precision_bits
@@ -225,7 +256,7 @@ def _cmd_verify(args):
         raise ParameterError(f"--z-count must be >= 1, got {args.z_count}")
     z_samples = verify.sample_points(params, args.z_count, args.seed)
     reports = verify.check_suite(params, n_set, t_grid, z_samples=z_samples, suite=args.suite)
-    summary = verify.summarize(reports)
+    summary = report.summarize(reports)
     extra = {
         "t_grid": [report.numstr(tv, bits) for tv in t_grid],
         "suite": args.suite,
@@ -248,6 +279,12 @@ def _cmd_verify(args):
 
 
 def _cmd_ode(args):
+    from mpmath import mp
+
+    from . import ode as ode_mod
+    from .equations import beta_expr, phi_of, s_of, stencil_step
+    from . import report
+
     if args.samples < 2:
         raise ParameterError(f"--samples must be >= 2, got {args.samples}")
     if not 0 < args.ode_tol < float("inf"):  # false for nan too
@@ -258,7 +295,7 @@ def _cmd_ode(args):
         t0 = mp.mpf(args.t0)
         t1 = mp.mpf(args.t1)
         lo, hi = min(t0, t1), max(t0, t1)
-        h = verify.stencil_step(hi)
+        h = stencil_step(hi)
         if hi - lo <= 4 * h:  # the samples keep two stencil steps h from each end
             raise ParameterError(f"|t1 - t0| = {mp.nstr(hi - lo, 6)} must exceed 4h = "
                                  f"{mp.nstr(4 * h, 6)}, h = 1e-6 * max(t, 1) the stencil step")
@@ -284,13 +321,22 @@ def _cmd_ode(args):
 
 
 def _pv_residual_from_dense(traj, params, n, t, s, phi):
-    """``verify.pv_residual`` of the dense Phi(t) = phi, Phi(t -+ h) sampled densely."""
-    h = verify.stencil_step(t)
+    """``equations.pv_residual`` of the dense Phi(t) = phi, Phi(t -+ h) sampled densely."""
+    from .equations import phi_of, pv_residual, stencil_step
+
+    h = stencil_step(t)
     lo, hi = (phi_of(traj.sample(tv)[0], s) for tv in (t - h, t + h))
-    return verify.pv_residual(params, n, t, lo, phi, hi, h)
+    return pv_residual(params, n, t, lo, phi, hi, h)
 
 
 def _cmd_pv_residual(args):
+    from mpmath import mp
+
+    from . import ladder as ladder_mod
+    from . import verify
+    from .equations import phi_of, s_of
+    from . import report
+
     t_grid = _t_grid(args)
     params = _params(args, t_grid[0])
     bits = params.precision_bits

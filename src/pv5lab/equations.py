@@ -11,9 +11,34 @@ Every formula is type-neutral: it holds no mpf literal and uses only
 ``+ - * /`` and integer powers, so it runs unchanged on mpf or on the
 integrator's fixed-point numbers.  ``params`` may be a ``ModelParams`` or
 any object with ``alpha`` and ``k2`` attributes of the caller's number type.
+
+The t-stencil formulas live here too: ``stencil_step``, the step
+h = 1e-6 * max(t, 1) of the 5-point stencil {t-h, t-h/2, t, t+h/2, t+h},
+``central_differences``, the second-order central first and second
+differences at one step, and ``pv_residual``, the Painleve V residual
+PV_PHI forms from them.  The stencil checks of ``verify``,
+``verify.factor_split``, ``ode.pv_initial`` and the ``ode`` command all
+call them, and ``stencil_step`` alone is mpf-only.
 """
 
 from __future__ import annotations
+
+from mpmath import mp
+
+
+def _nres(lhs, rhs):
+    return abs(lhs - rhs) / (1 + max(abs(lhs), abs(rhs)))
+
+
+def stencil_step(t):
+    """h = 1e-6 * max(t, 1)."""
+    return mp.mpf("1e-6") * max(t, mp.mpf(1))
+
+
+def central_differences(lo, mid, hi, h):
+    """(first, second) central difference at step h of a value sampled at
+    t - h, t, t + h."""
+    return (hi - lo) / (2 * h), (hi - 2 * mid + lo) / (h * h)
 
 
 def s_of(n, params):
@@ -84,6 +109,12 @@ def pv_rhs(params, n, t, phi, phip):
             + (phi - 1) ** 2 / t ** 2 * (gamma * phi - 1 / (8 * phi))
             + epsilon * phi / t
             + eta * phi * (phi + 1) / (phi - 1))
+
+
+def pv_residual(params, n, t, lo, mid, hi, h):
+    """Painleve V residual of Phi at t from Phi at t - h, t, t + h, as PV_PHI forms it."""
+    d1, d2 = central_differences(lo, mid, hi, h)
+    return _nres(d2, pv_rhs(params, n, t, mid, d1))
 
 
 def beta_expr(params, n, t, R, r):

@@ -51,11 +51,11 @@ from mpmath import mp
 from mpmath.libmp import from_man_exp, round_nearest
 
 from . import ladder as ladder_mod
-from .equations import phi_of, pv_rhs, ric_bigr_rhs, ric_r_rhs, s_of
+from .equations import (central_differences, phi_of, pv_rhs, ric_bigr_rhs, ric_r_rhs, s_of,
+                        stencil_step)
 from .errors import ParameterError, PoleHit, SingularParams, StepUnderflow
 from .fixedpoint import fixed_type, record
 from .model import GUARD_BITS, ModelParams
-from .verify import central_differences, stencil_step
 
 # Cash-Karp 5(4) tableau (numerator, denominator pairs kept exact)
 _CK_C = [(0, 1), (1, 5), (3, 10), (3, 5), (1, 1), (7, 8)]

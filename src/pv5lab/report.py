@@ -1,4 +1,5 @@
-"""JSON and CSV emission for check reports and trajectory tables.
+"""JSON and CSV emission for check reports and trajectory tables, and the
+summary block of a check report (``summarize``).
 
 Numbers are serialized as decimal strings at full working precision (the
 values exceed what binary64 JSON numbers can carry).  Check rows contain
@@ -58,6 +59,40 @@ def check_rows(reports, bits: int):
             "pass": r.passed,
         })
     return rows
+
+
+def summarize(reports):
+    """Aggregate a report list into the summary block used by the emitters."""
+    required = [r for r in reports if r.tier.value == "required"]
+    required_ok = [r for r in required if r.status == "ok"]
+    max_required = max((r.residual for r in required_ok), default=mp.mpf(0))
+    # skipped-by-configuration rows do not fail the suite; errors do
+    required_pass = all(r.passed for r in required_ok) and not any(
+        r.status == "error" for r in required)
+    diag = {}
+    for r in reports:
+        if r.status != "ok":
+            continue
+        name = r.id.value
+        cur = diag.get(name)
+        if cur is None or r.residual > cur:
+            diag[name] = r.residual
+    ratios = {}
+    for r in reports:
+        if r.halving_ratio is not None and r.status == "ok":
+            ratios.setdefault(r.id.value, []).append(r.halving_ratio)
+    return {
+        "required_pass": required_pass,
+        "max_required_residual": max_required,
+        "diagnostics": {
+            "max_residual_by_id": diag,
+            "halving_ratio_range": {
+                k: (min(v), max(v)) for k, v in ratios.items()
+            },
+            "skipped": sum(1 for r in reports if r.status == "skipped"),
+            "errors": sum(1 for r in reports if r.status == "error"),
+        },
+    }
 
 
 def _jsonable_summary(summary, bits: int):

@@ -18,9 +18,10 @@ Evaluator and raised by every read, so it is attempted once per t and each
 row that reads it is an ERROR row.  ``check_suite`` makes one Evaluator per
 grid t, releases it once that t's rows are written, and concatenates the
 rows of each (identity, n) into (id, n, t, z) order.  Its independent
-units (the t points of a grid, or the z samples at one t) are cut into
-contiguous runs, one per usable CPU, and each run but the first goes to a
-forked worker (``_fork_map``); the rows are those of a one-process run.
+units are shared out over the usable CPUs: the t points of a grid dealt
+out point by point, the z samples at one t cut into contiguous runs; each
+share but the first goes to a forked worker (``_fork_map``), and the rows
+are those of a one-process run.
 A body returns its residual, normalized |LHS - RHS| / (1 + max(|LHS|,
 |RHS|)) unless it documents its own scale (functional ladder relations use
 the largest participating term; the recurrence-route checks are relative
@@ -33,11 +34,10 @@ REQUIRED row passes when its residual is within tolerance and, for a
 t-stencil row with a ratio, the ratio lies in [3, 5].
 
 t-derivatives use the 5-point stencil {t-h, t-h/2, t, t+h/2, t+h} with
-h = 1e-6 * max(t, 1).  ``central_differences`` forms the second-order
-central first and second differences at one step; the stencil checks,
-``factor_split``, ``pv_residual`` and ``ode.pv_initial`` all call it.
-The step-h/2 values are those of a 4X/h^2 formula bit for bit, since
-2 (h/2) = h and (h/2)^2 = h^2/4 are exact.
+h = ``equations.stencil_step(t)``, differenced by
+``equations.central_differences`` at step h and at step h/2.  The step-h/2
+values are those of a 4X/h^2 formula bit for bit, since 2 (h/2) = h and
+(h/2)^2 = h^2/4 are exact.
 """
 
 from __future__ import annotations
@@ -52,7 +52,8 @@ from dataclasses import dataclass
 from mpmath import mp
 
 from . import ladder as ladder_mod
-from .equations import beta_expr, factor_pair, ode_rn, phi_of, pv_rhs
+from .equations import (_nres, beta_expr, central_differences, factor_pair, ode_rn, phi_of,
+                        pv_rhs, stencil_step)
 from .equations import ric_bigr_rhs as _ric_bigr_rhs
 from .equations import ric_r_rhs as _ric_r_rhs
 from .equations import s_of as _s_of
@@ -79,21 +80,6 @@ class IdentityReport:
     status: str = "ok"  # ok | skipped | error
     message: str = ""
     halving_ratio: object = None
-
-
-def _nres(lhs, rhs):
-    return abs(lhs - rhs) / (1 + max(abs(lhs), abs(rhs)))
-
-
-def stencil_step(t):
-    """h = 1e-6 * max(t, 1)."""
-    return mp.mpf("1e-6") * max(t, mp.mpf(1))
-
-
-def central_differences(lo, mid, hi, h):
-    """(first, second) central difference at step h of a value sampled at
-    t - h, t, t + h."""
-    return (hi - lo) / (2 * h), (hi - 2 * mid + lo) / (h * h)
 
 
 def sample_points(params: ModelParams, count: int = 20, seed: int = 0):
@@ -464,12 +450,6 @@ def _chk_ode_rn(ev, ortho, lad, n, t, z):
             for R, d1, d2 in _differences(ev, lambda _, lad: lad.R[n])]
 
 
-def pv_residual(params, n, t, lo, mid, hi, h):
-    """Painleve V residual of Phi at t from Phi at t - h, t, t + h, as PV_PHI forms it."""
-    d1, d2 = central_differences(lo, mid, hi, h)
-    return _nres(d2, pv_rhs(params, n, t, mid, d1))
-
-
 def _chk_pv_phi(ev, ortho, lad, n, t, z):
     s = _s_of(n, ev.params)
     return [(d2, pv_rhs(ev.params, n, t, phi, d1))
@@ -662,30 +642,29 @@ def check(identity: IdentityId, params: ModelParams, n: int, t, z=None) -> Ident
         return _run_one(Evaluator(params, t, (n,)), identity, n, z)
 
 
-def _rows(params: ModelParams, keys, evaluators, z_samples, single_t: bool, plain=True):
-    """One list of rows per (identity, n) of ``keys``: at each Evaluator's t
-    in turn, a z-sampled identity's rows at each of ``z_samples`` and any
-    other identity's one row (only while ``plain``)."""
+def _rows(params: ModelParams, keys, ev, z_samples, single_t: bool, plain=True):
+    """One list of rows per (identity, n) of ``keys`` at ev.t: a z-sampled
+    identity's rows at each of ``z_samples`` and any other identity's one
+    row (only while ``plain``)."""
     buckets = {key: [] for key in keys}
-    for ev in evaluators:  # each released once its t's rows are written
-        t = ev.t
-        for (identity, n), rows in buckets.items():
-            d = REGISTRY[identity]
-            for z in z_samples if d.needs_z else (None,) if plain else ():
-                refusal = _refusal(identity, params, n, t, z, single_t)
-                if isinstance(refusal, IndexError):
-                    continue
-                if refusal is not None:
-                    rows.append(IdentityReport(
-                        id=identity, tier=d.tier, n=n, t=t, z=z,
-                        status="skipped", message=str(refusal)))
-                    continue
-                try:
-                    rows.append(_run_one(ev, identity, n, z))
-                except _ROW_ERRORS as exc:  # collected, not fatal
-                    rows.append(IdentityReport(
-                        id=identity, tier=d.tier, n=n, t=t, z=z,
-                        status="error", message=f"{type(exc).__name__}: {exc}"))
+    t = ev.t
+    for (identity, n), rows in buckets.items():
+        d = REGISTRY[identity]
+        for z in z_samples if d.needs_z else (None,) if plain else ():
+            refusal = _refusal(identity, params, n, t, z, single_t)
+            if isinstance(refusal, IndexError):
+                continue
+            if refusal is not None:
+                rows.append(IdentityReport(
+                    id=identity, tier=d.tier, n=n, t=t, z=z,
+                    status="skipped", message=str(refusal)))
+                continue
+            try:
+                rows.append(_run_one(ev, identity, n, z))
+            except _ROW_ERRORS as exc:  # collected, not fatal
+                rows.append(IdentityReport(
+                    id=identity, tier=d.tier, n=n, t=t, z=z,
+                    status="error", message=f"{type(exc).__name__}: {exc}"))
     return buckets
 
 
@@ -697,15 +676,20 @@ def _cpu_count():
         return os.cpu_count() or 1
 
 
-def _runs(units):
-    """``units`` cut into contiguous runs whose lengths differ by at most one:
-    one run per usable CPU and at most one per unit, or a single run where
-    this process cannot fork safely (no ``os.fork``, or other threads)."""
+def _workers(units):
+    """How many processes share ``units``: one per usable CPU and at most one
+    per unit, or one where this process cannot fork safely (no ``os.fork``,
+    or other threads)."""
     threading = sys.modules.get("threading")
     if not hasattr(os, "fork") or (threading is not None and threading.active_count() > 1):
-        count = 1
-    else:
-        count = max(1, min(_cpu_count(), len(units)))
+        return 1
+    return max(1, min(_cpu_count(), len(units)))
+
+
+def _runs(units):
+    """``units`` cut into ``_workers(units)`` contiguous runs whose lengths
+    differ by at most one, the longer first."""
+    count = _workers(units)
     size, extra = divmod(len(units), count)
     ends = [i * size + min(i, extra) for i in range(count + 1)]
     return [units[a:b] for a, b in zip(ends, ends[1:])]
@@ -795,7 +779,7 @@ def _z_shares(params: ModelParams, keys, ev, z_samples):
 
     def share(indexed_run):
         i, run = indexed_run
-        return _rows(params, keys, (ev,), run, True, plain=i == 0), ev.level()
+        return _rows(params, keys, ev, run, True, plain=i == 0), ev.level()
 
     out = _fork_map(share, runs)
     if start is not None:
@@ -825,12 +809,15 @@ def check_suite(params: ModelParams, n_set, t_grid, z_samples=None, suite: str =
     status='error', never fatal; any other exception propagates, from a
     worker too.
 
-    The work is spread over the usable CPUs (``_runs``): a grid of several
-    t by runs of t points, each worker building its own states, and one t
-    whose suite has a z-sampled identity by runs of z samples
-    (``_z_shares``).  Each run keeps one row list per (identity, n), and
-    the lists are concatenated in run order, so the rows are those of a
-    one-process run, in (id, n, t, z) order without a sort.
+    The work is spread over the usable CPUs (``_workers``): a grid of
+    several t dealt out point by point, worker i taking the grid points i,
+    i + k, ... of k, each building its own states, so that the costlier
+    small t do not all fall to one worker; and one t whose suite has a
+    z-sampled identity by contiguous runs of z samples (``_runs``,
+    ``_z_shares``).  Each grid t, or each run of z, keeps one row list per
+    (identity, n), and the lists are concatenated in grid order or in run
+    order, so the rows are those of a one-process run, in (id, n, t, z)
+    order without a sort.
     """
     ids = suite_ids(suite)
     with mp.workprec(params.work_bits):
@@ -842,10 +829,12 @@ def check_suite(params: ModelParams, n_set, t_grid, z_samples=None, suite: str =
         n_set = tuple(sorted(set(int(n) for n in n_set)))
         keys = [(identity, n) for identity in ids for n in n_set]
         if len(t_grid) > 1:
-            shares = _fork_map(
-                lambda run: _rows(params, keys, (Evaluator(params, t, n_set) for t in run),
-                                  z_samples, False),
-                _runs(t_grid))
+            count = _workers(t_grid)
+            dealt = _fork_map(  # each Evaluator released once its t's rows are written
+                lambda share: [_rows(params, keys, Evaluator(params, t, n_set), z_samples, False)
+                               for t in share],
+                [t_grid[i::count] for i in range(count)])
+            shares = [dealt[j % count][j // count] for j in range(len(t_grid))]
         else:
             if not any(REGISTRY[identity].needs_z for identity, _ in keys):
                 z_samples = ()  # nothing to share out
@@ -865,37 +854,3 @@ def factor_split(params: ModelParams, n: int, t):
         t = _admitted(IdentityId.FACTOR_PROD, params, n, t)
         ev = Evaluator(params, t)
         return _factor_values(ev, ev.states()[1], n)
-
-
-def summarize(reports):
-    """Aggregate a report list into the summary block used by the emitters."""
-    required = [r for r in reports if r.tier is Tier.REQUIRED]
-    required_ok = [r for r in required if r.status == "ok"]
-    max_required = max((r.residual for r in required_ok), default=mp.mpf(0))
-    # skipped-by-configuration rows do not fail the suite; errors do
-    required_pass = all(r.passed for r in required_ok) and not any(
-        r.status == "error" for r in required)
-    diag = {}
-    for r in reports:
-        if r.status != "ok":
-            continue
-        name = r.id.value
-        cur = diag.get(name)
-        if cur is None or r.residual > cur:
-            diag[name] = r.residual
-    ratios = {}
-    for r in reports:
-        if r.halving_ratio is not None and r.status == "ok":
-            ratios.setdefault(r.id.value, []).append(r.halving_ratio)
-    return {
-        "required_pass": required_pass,
-        "max_required_residual": max_required,
-        "diagnostics": {
-            "max_residual_by_id": diag,
-            "halving_ratio_range": {
-                k: (min(v), max(v)) for k, v in ratios.items()
-            },
-            "skipped": sum(1 for r in reports if r.status == "skipped"),
-            "errors": sum(1 for r in reports if r.status == "error"),
-        },
-    }

@@ -1,6 +1,8 @@
 """CLI contract: exit codes, CSV/JSON schemas, determinism, round trips."""
 
 import csv
+import importlib
+import importlib.util
 import io
 import json
 import os
@@ -357,13 +359,18 @@ def test_moments_refuse_a_negative_n_max(capsys):
     assert out == "" and "--n-max >= 0" in err
 
 
-def test_module_entry_point_exits_with_the_run_code():
+def _env():
+    """This environment with the checkout's src first on PYTHONPATH."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
+
+
+def test_module_entry_point_exits_with_the_run_code():
     proc = subprocess.run(
         [sys.executable, "-m", "pv5lab.cli", "moments", "--alpha", "0", "--k2", "-1",
-         "--n-max", "-1"], env=env, capture_output=True, text=True, timeout=120)
+         "--n-max", "-1"], env=_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 2, proc.stderr
     assert "configuration error" in proc.stderr
 
@@ -478,3 +485,107 @@ def test_verify_names_suite_identities_without_rows(capsys):
     code, _, err = _run(capsys, *argv)
     assert code == 0, err
     assert "no row for" not in err
+
+
+#: the modules that do numerical work
+_NUMERICAL = {"mpmath"} | {f"pv5lab.{name}" for name in (
+    "model", "quadrature", "orthopoly", "ladder", "verify", "ode", "fixedpoint", "report")}
+
+#: ``python -m pv5lab.cli`` as runpy runs it, then the names of every loaded
+#: module on the last line of stderr; a forked verify worker ends in
+#: os._exit and writes nothing
+_LOADED = """
+import runpy, sys
+try:
+    runpy.run_module("pv5lab.cli", run_name="__main__", alter_sys=True)
+finally:
+    sys.stderr.write("\\nloaded: " + " ".join(sorted(sys.modules)) + "\\n")
+"""
+
+
+def _loaded(*argv):
+    """(exit code, the modules loaded) of a fresh ``pv5lab *argv`` process.
+
+    Read from sys.modules at exit: ``-X importtime`` does not report a
+    submodule that ``from . import name`` loads, since that path runs in
+    importlib's Python code.
+    """
+    proc = subprocess.run([sys.executable, "-c", _LOADED, *argv], env=_env(),
+                          capture_output=True, text=True, timeout=300)
+    last = proc.stderr.rstrip("\n").rsplit("\n", 1)[-1]
+    assert last.startswith("loaded: "), proc.stderr
+    return proc.returncode, set(last.split()[1:])
+
+
+def _workload(name, out):
+    """The argv of the benchmark workload ``name`` at its reference seed."""
+    path = ROOT / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.WORKLOADS[name].argv(workloads.REFERENCE_SEED, out)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--help"], 0),
+    (["verify", "--help"], 0),
+    (["verify", "--alpha", "1"], 2),  # --k2 missing: a usage error
+], ids=["help", "verify-help", "usage-error"])
+def test_parsing_loads_no_numerical_module(argv, code):
+    got, loaded = _loaded(*argv)
+    assert got == code
+    assert "pv5lab.errors" in loaded  # the cli module ran
+    assert loaded & _NUMERICAL == set()
+
+
+def test_ode_command_does_not_load_verify(tmp_path):
+    code, loaded = _loaded(*_workload("trajectory", tmp_path / "trajectory.csv"))
+    assert code == 0
+    assert {"pv5lab.ode", "pv5lab.fixedpoint", "pv5lab.report"} <= loaded
+    assert "pv5lab.verify" not in loaded
+
+
+def test_verify_command_loads_neither_ode_nor_fixedpoint(tmp_path):
+    code, loaded = _loaded(*_workload("certify", tmp_path / "certify.json"))
+    assert code == 0
+    assert {"pv5lab.verify", "pv5lab.report"} <= loaded
+    assert loaded & {"pv5lab.ode", "pv5lab.fixedpoint"} == set()
+
+
+#: every public name of the package, by the module that defines it
+_PUBLIC = {
+    "errors": ["AlphaOutOfRange", "DomainError", "K2OutOfRange", "LadderIneligible",
+               "NegativeT", "NoConvergence", "NumericalError", "ParameterError",
+               "PoleError", "PoleHit", "PrecisionExhausted", "Pv5LabError",
+               "SingularParams", "StepUnderflow"],
+    "ladder": ["A_integral", "B_integral", "LadderState", "compute", "point_values"],
+    "model": ["ModelParams", "dd_quotient", "support", "v_prime", "v_second", "validate",
+              "weight"],
+    "ode": ["Trajectory", "crosscheck", "integrate_ivp", "integrate_pv",
+            "integrate_riccati", "pv_initial", "riccati_initial"],
+    "orthopoly": ["OrthoState", "build", "monic_values", "orthogonality_residual"],
+    "quadrature": ["IntegralResult", "WeightTable", "integrate", "moment"],
+    "report": ["summarize"],
+    "verify": ["IdentityId", "IdentityReport", "Tier", "check", "check_suite",
+               "factor_split", "sample_points"],
+}
+
+
+def test_package_resolves_every_public_name_to_its_module():
+    listed = dir(pv5lab)
+    for module, names in _PUBLIC.items():
+        mod = importlib.import_module(f"pv5lab.{module}")
+        assert getattr(pv5lab, module) is mod
+        for name in names:
+            assert getattr(pv5lab, name) is getattr(mod, name), name
+            assert name in listed, name
+    assert pv5lab.__version__ == "0.1.0"
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        pv5lab.no_such_name  # noqa: B018
+    # in a fresh process the import loads no submodule, and a submodule resolves by name
+    code = ("import sys, pv5lab\n"
+            "assert [m for m in sys.modules if m.startswith('pv5lab.')] == []\n"
+            "assert pv5lab.quadrature.moment is pv5lab.moment\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=_env(), capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -552,6 +552,8 @@ _SPLIT_CASES = {
                 ["0.8", "-0.7", "0.3"], "required"),
     "t-split": ((1, "0.25", "0.5", 128, 2, "1e-18", 12), [1, 2], ["0.4", "0.6"],
                 ["0.8"], "all"),
+    "t-split-dealt": ((1, "0.25", "0.5", 128, 2, "1e-18", 12), [1, 2],
+                      ["0.3", "0.4", "0.5", "0.6", "0.7"], ["0.8"], "all"),
     "no-z": ((1, "0.25", "0.5", 128, 3, "1e-18", 12), [1, 2], ["0.5"], [], "all"),
     "k2-zero-skipped": ((1, "0", "0.5", 128, 3, "1e-18", 12), [1, 2], ["0.5"],
                         ["0.8", "-0.7"], "all"),
@@ -563,7 +565,8 @@ _SPLIT_CASES = {
 @pytest.mark.parametrize("case", sorted(_SPLIT_CASES))
 def test_rows_do_not_depend_on_the_worker_count(monkeypatch, case):
     """The same rows, field for field, from one CPU and from two: split by z
-    samples at one t, split by t points on a grid, with no z samples, with
+    samples at one t, split by t points on a grid of two and of five (dealt
+    out point by point), with no z samples, with
     SKIPPED rows (k2 = 0) and with ERROR rows (a state build that fails at
     max_level 4)."""
     (alpha, k2, t, bits, n_max, rel_tol, max_level), n_set, grid, zs, suite = \
