@@ -11,8 +11,9 @@ Two layers:
 * ``WeightTable`` - the shared engine behind the orthogonal-polynomial
   pipeline.  It caches, per refinement level, the mapped nodes together
   with the weight already folded into the quadrature coefficients, the
-  reciprocals of the stable products 1-y^2 and y^2-k2, the values v'(y),
-  and (once the recurrence is frozen) the monic-polynomial rows.  y^2-k2
+  reciprocals of the stable products 1-y^2 and y^2-k2, and (once the
+  recurrence is frozen) the monic-polynomial rows; the values v'(y) are
+  made on the first divided difference ``dd`` that reads them.  y^2-k2
   and v'(y) come from the formulas of ``model``, fed with the exact
   endpoint distances of the tanh-sinh map.  The weight is even and the
   node set is symmetric about 0, so a table stores one mirror half, the
@@ -33,21 +34,23 @@ Two layers:
   of the interval centre's, with margin for every integrand factor there:
   the dropped terms are below the error floor (``WeightTable``).
 
-Node positions are generated from the closed forms 1 -+ x = 2/(e^{2v}+1),
-2/(1+e^{-2v}) of the tanh map, so distances to interval endpoints are known
-to full precision; node generation truncates 32 bits short of the working
-precision so a mapped node can never collapse onto an endpoint.
+Node positions are generated from the closed forms 1 - x = 2/(e^{2v}+1) and
+1 + x = 2 - (1 - x) of the tanh map, so distances to interval endpoints are
+known to full precision; node generation truncates 32 bits short of the
+working precision so a mapped node can never collapse onto an endpoint.
+Each node costs one exp, of 2v: e^{+-u} advance along a level by one
+product each, carried 24 bits finer than the nodes (``_ts_block``).
 """
 
 from __future__ import annotations
 
 import functools
-from itertools import compress, repeat
+from itertools import compress, islice, repeat
 from operator import add, floordiv, lshift, mul, neg, rshift, sub
 from typing import NamedTuple
 
 from mpmath import mp
-from mpmath.libmp import mpf_cosh_sinh, round_nearest
+from mpmath.libmp import mpf_add, mpf_exp, mpf_mul, mpf_sub, round_nearest
 
 from .errors import NoConvergence, ParameterError, PrecisionExhausted
 from .model import (MIN_LEVEL, ModelParams, _gap, _v_prime_from, _z2_minus_k2,
@@ -55,6 +58,9 @@ from .model import (MIN_LEVEL, ModelParams, _gap, _v_prime_from, _z2_minus_k2,
 
 #: node generation stops this many bits short of the working precision
 _EDGE_MARGIN_BITS = 32
+
+#: bits the running products of the node generator carry beyond the nodes
+_RUN_GUARD_BITS = 24
 
 #: fraction bits of the fixed-point arrays beyond the working precision
 FIXED_GUARD_BITS = 64
@@ -73,32 +79,43 @@ class IntegralResult(NamedTuple):
 def _ts_block(work_bits: int, level: int):
     """Positive-u tanh-sinh nodes first appearing at ``level`` (step 2^-level).
 
-    Returns a tuple of (x, 1-x, 1+x, W) with x = tanh((pi/2) sinh u) and
-    W = (pi/2) cosh(u) / cosh((pi/2) sinh u)^2; level 0 also contains the
-    center node x = 0.  Negative-u nodes are mirror images, which the
-    callers expand where they need them.
+    Returns a tuple of (x, 1-x, 1+x, W) with x = tanh(v), v = (pi/2) sinh u
+    and W = (pi/2) cosh(u) / cosh(v)^2; level 0 also contains the center
+    node x = 0.  Negative-u nodes are mirror images, which the callers
+    expand where they need them.
+
+    One exp per node, as in mpmath's ``TanhSinh.calc_nodes``: a = (pi/2) e^u
+    and b = (pi/2) e^-u advance from node to node by one product each with
+    e^(+-step), so that 2v = a - b and (pi/2) cosh u = (a + b)/2.  With
+    r = 1/(e^{2v} + 1), 1 - x = 2r, 1 + x = 2 - 2r, x = (e^{2v} - 1) r and,
+    as 1/cosh^2 v = (1 - x)(1 + x), W = (a + b) r (1 + x).  The running
+    products carry ``_RUN_GUARD_BITS`` more bits than the nodes: their
+    rounding accumulates along the level, and e^{2v} turns the absolute
+    error of 2v, which reaches about work_bits ln 2 at the edge, into its
+    relative error.
     """
+    prec = work_bits + 16
+    fine = prec + _RUN_GUARD_BITS
+    with mp.workprec(fine):
+        h = mp.ldexp(1, -level)
+        start = mp.exp(h) if level else mp.mpf(1)  # e^u at the first node
+        ratio = mp.exp(h if level == 0 else 2 * h)
+        a, b = (mp.pi / 2 * start)._mpf_, (mp.pi / 2 / start)._mpf_
+        up, down = ratio._mpf_, (1 / ratio)._mpf_
     nodes = []
-    with mp.workprec(work_bits + 16):
-        h = mp.mpf(2) ** (-level)
-        edge = mp.mpf(2) ** (-(work_bits - _EDGE_MARGIN_BITS))
-        half_pi = mp.pi / 2
-        j = 0 if level == 0 else 1
-        step = 1 if level == 0 else 2
+    with mp.workprec(prec):
+        edge = mp.ldexp(1, -(work_bits - _EDGE_MARGIN_BITS))
         while True:
-            u = j * h
-            # one call for both, which mp.cosh and mp.sinh would each make
-            cosh_u, sinh_u = map(mp.make_mpf, mpf_cosh_sinh(u._mpf_, mp.prec, round_nearest))
-            v = half_pi * sinh_u
-            e2v = mp.exp(2 * v)
-            one_minus_x = 2 / (e2v + 1)
+            e2v = mp.make_mpf(mpf_exp(mpf_sub(a, b, fine, round_nearest), prec, round_nearest))
+            r = 1 / (e2v + 1)
+            one_minus_x = 2 * r
             if one_minus_x < edge:
                 break
-            one_plus_x = 2 / (1 + 1 / e2v)
-            x = (e2v - 1) / (e2v + 1)
-            w = half_pi * cosh_u / mp.cosh(v) ** 2
-            nodes.append((x, one_minus_x, one_plus_x, w))
-            j += step
+            one_plus_x = 2 - one_minus_x
+            w = mp.make_mpf(mpf_add(a, b, prec, round_nearest)) * r * one_plus_x
+            nodes.append(((e2v - 1) * r, one_minus_x, one_plus_x, w))
+            a = mpf_mul(a, up, fine, round_nearest)
+            b = mpf_mul(b, down, fine, round_nearest)
     return tuple(nodes)
 
 
@@ -361,8 +378,6 @@ class WeightTable:
     ``inv_om2``  1/((1-y)(1+y)), om2 built from exact endpoint distances
     ``inv_zk2``  1/(y^2 - k2), zk2 built from the exact gap-edge distance
                  when a gap is open
-    ``vp``       v'(y) evaluated from om2/zk2 (no pole guard; the folded
-                 weight suppresses the near-edge blow-up)
 
     The node values are computed in mpf at the working precision and stored
     only in integer form; om2 and zk2 are packed and kept only as their
@@ -370,11 +385,13 @@ class WeightTable:
     derived from the stored ones lives in one cache keyed by its maker and
     the maker's arguments: the monic rows P_n(y) (fixed point, registered by
     ``freeze(beta)``), the folded products cw*P_n^2 (``sq``) and
-    cw*P_n*P_{n-1} (``adj``), and the mirror parts of the divided
-    differences of v' (``dd``, until ``release_dd`` drops them).  An entry
-    is made on first use over the levels built so far, and ``_add_level``
-    extends every entry in creation order, so the rows grow before the
-    products read them.  Every integral is a sum of ``_dot`` products over these arrays.
+    cw*P_n*P_{n-1} (``adj``), the values v'(y) (``_v_primes``, made on the
+    first ``dd`` from the node values ``_nodes`` forms again, so a table
+    that takes no ``dd`` never forms v'), and the mirror parts of the
+    divided differences of v' (``dd``, until ``release_dd`` drops them).
+    An entry is made on first use over the levels built so far, and
+    ``_add_level`` extends every entry in creation order, so the rows grow
+    before the products read them.  Every integral is a sum of ``_dot`` products over these arrays.
     ``trapezoid`` gives the sum at one given level; ``raw_integral`` is the
     one routine that decides when an integral stops and when it fails: it
     forms each level's sum once, compares the trapezoid values of the top
@@ -428,7 +445,6 @@ class WeightTable:
         self.cw = []
         self.inv_om2 = []
         self.inv_zk2 = []
-        self.vp = []
         self._mass = []  # per level: _dot of cw, for absolute error floors
         # the edge cut (class docstring): nodes dropped, largest term bound
         self.cut_nodes = 0
@@ -453,63 +469,95 @@ class WeightTable:
         with mp.workprec(self.work_bits):
             alpha = params.alpha
             t = params.t
-            k2 = params.k2
-            gap = _gap(params)
-            block = _ts_block(self.work_bits, level)
-            ys, cws, om2s, zk2s, vps = [], [], [], [], []
-            # the stored interval (a, 1): [-1, 1], which keeps the x >= 0 half
-            # of its rule, or a the edge rk (or 0 for k2 = 0) with t > 0
-            a = self.intervals[-1][0]
-            whole = a < 0
-            mid = (a + 1) / 2
-            half = (1 - a) / 2
-            mirrored = 2 * half  # exact: the mirror weight 2
-            cut = None if whole else self._edge_cut(mid)
-            # each side from the centre outward; sgn < 0 runs into the edge a
-            for sgn in (1,) if whole else (1, -1):
-                for i, (x, omx, opx, wq) in enumerate(block):
-                    if x == 0 and sgn < 0:
-                        continue  # the centre node, stored once
-                    scale = half if whole and x == 0 else mirrored
-                    yv = mid + half * x if sgn > 0 else mid - half * x
-                    d_lo = half * (opx if sgn > 0 else omx)  # y - a, exact
-                    # (1-y)(1+y) from the exact distances to 1 and, on [-1, 1], to -1
-                    om2 = half * (omx if sgn > 0 else opx) * (d_lo if whole else 1 + yv)
-                    # on a gap, d_lo is the exact |y| - rk
-                    zk2 = _z2_minus_k2(yv, k2, gap, d_lo if params.has_gap else None)
-                    wv = om2 ** alpha if alpha != 0 else mp.mpf(1)
-                    if t > 0:
-                        tz = t / zk2
-                        # the test only rises towards the edge: drop the rest
-                        if sgn < 0 and tz > cut and (
-                                over := tz + 2 * mp.log(zk2) - cut) > 0:
-                            self.cut_nodes += len(block) - i
-                            self.cut_bound = max(self.cut_bound, mp.ldexp(
-                                mp.exp(-over), -2 * self.work_bits))
-                            break
-                        wv = wv * mp.exp(-tz)
-                    vpv = _v_prime_from(yv, om2, zk2, params)
-                    ys.append(yv)
-                    cws.append(scale * wq * wv)
-                    om2s.append(om2)
-                    zk2s.append(zk2)
-                    vps.append(vpv)
+            powered = alpha != 0
+            damped = t > 0
+            one = mp.mpf(1)
+            cut = None if self.intervals[-1][0] < 0 else self._edge_cut()
+            ys, cws, om2s, zk2s = [], [], [], []
+            for left, yv, om2, zk2, c in self._nodes(level):
+                wv = om2 ** alpha if powered else one
+                if damped:
+                    tz = t / zk2
+                    # the test only rises towards the edge: drop the rest
+                    if left and tz > cut and (
+                            over := tz + 2 * mp.log(zk2) - cut) > 0:
+                        self.cut_nodes += left
+                        self.cut_bound = max(self.cut_bound, mp.ldexp(
+                            mp.exp(-over), -2 * self.work_bits))
+                        break
+                    wv = wv * mp.exp(-tz)
+                ys.append(yv)
+                cws.append(c * wv)
+                om2s.append(om2)
+                zk2s.append(zk2)
         bits = self.work_bits
         self.y.append(IntArray([_fixed(v, self.frac_bits) for v in ys], -self.frac_bits))
         self.cw.append(_pack(cws, bits))
         self.inv_om2.append(_reciprocal(_pack(om2s, bits), bits))
         self.inv_zk2.append(_reciprocal(_pack(zk2s, bits), bits))
-        self.vp.append(_pack(vps, bits))
         self._mass.append(_dot([self.cw[level]]))
         self.nlevels = level + 1
         for (make, args), arrs in self._derived.items():
             arrs.append(make(self, *args, level))
 
-    def _edge_cut(self, mid):
-        """t/zk2(m) + Lambda, the edge cut's threshold on the interval with
-        centre m (class docstring)."""
+    def _nodes(self, level: int):
+        """One level's nodes on the stored interval (a, 1), in stored order:
+        the side of the rule away from a, then, unless a = -1, the side into
+        the edge a, each from the centre outward; the centre node of level 0
+        comes once.  Yields (left, y, om2, zk2, c) at the working precision
+        of the caller:
+
+        * ``left`` is 0 on the first side and, on the edge side, the number
+          of that side's nodes from this one outward;
+        * om2 = (1-y)(1+y) from the exact distances to 1 and, on [-1, 1],
+          to -1;
+        * zk2 = y^2 - k2, from the exact |y| - rk on a gap;
+        * c = mirror weight * half-width * tanh-sinh weight.
+        """
+        params = self.params
+        k2 = params.k2
+        gap = _gap(params)
+        block = _ts_block(self.work_bits, level)
+        a = self.intervals[-1][0]
+        mid = (a + 1) / 2
+        half = (1 - a) / 2
+        mirrored = 2 * half  # exact: the mirror weight 2
+        whole = a < 0
+        # on [-1, 1] the centre node x = 0 is its own mirror: weight 1
+        scale = half if whole and level == 0 else mirrored
+        for x, omx, opx, wq in block:
+            yv = mid + half * x
+            d_lo = half * opx  # y - a, exact
+            if whole:
+                yield 0, yv, half * omx * d_lo, _z2_minus_k2(yv, k2, gap), scale * wq
+            else:  # on a gap, d_lo is the exact |y| - rk
+                yield 0, yv, half * omx * (1 + yv), _z2_minus_k2(yv, k2, gap, d_lo), scale * wq
+            scale = mirrored
+        if whole:
+            return
+        for i in range(1 if level == 0 else 0, len(block)):  # the centre node once
+            x, omx, opx, wq = block[i]
+            yv = mid - half * x
+            d_lo = half * omx
+            yield (len(block) - i, yv, half * opx * (1 + yv),
+                   _z2_minus_k2(yv, k2, gap, d_lo), mirrored * wq)
+
+    def _v_primes(self, level: int):
+        """v'(y) at one level's stored nodes, from the y, om2 and zk2 of the
+        fill (``_nodes``), with no pole guard: the folded weight suppresses
+        the near-edge blow-up.  Only ``dd`` reads it."""
+        kept = len(self.y[level].man)
+        with mp.workprec(self.work_bits):
+            return _pack([_v_prime_from(yv, om2, zk2, self.params)
+                          for _, yv, om2, zk2, _ in islice(self._nodes(level), kept)],
+                         self.work_bits)
+
+    def _edge_cut(self):
+        """t/zk2(m) + Lambda, the edge cut's threshold on the stored
+        interval, of centre m (class docstring)."""
         params = self.params
         gap = _gap(params)
+        mid = (self.intervals[-1][0] + 1) / 2
         om2 = (1 - mid) * (1 + mid)
         rho = gap[0] if params.has_gap else 1
         big_k = (1 + 2 * params.alpha + 16 * params.t / rho) / (pole_guard(params) ** 3 * om2)
@@ -641,7 +689,7 @@ class WeightTable:
         with mp.workprec(self.work_bits):
             reach = _fixed(pole_guard(self.params) * (1 + abs(z)), self.frac_bits)
             vz = _pack([v_prime(z, self.params)], self.work_bits)
-        y, vp = self.y[level], self.vp[level]
+        y, vp = self.y[level], self._cached(WeightTable._v_primes)[level]
         right = self._dd_side(z, vz, reach, y.man, vp)
         left = self._dd_side(z, vz, reach, list(map(neg, y.man)),
                              IntArray(list(map(neg, vp.man)), vp.exp))
@@ -662,7 +710,9 @@ class WeightTable:
         """
         with mp.workprec(self.work_bits):
             z = mp.mpf(z)
-        self._cached(WeightTable._dd_mirror, z)  # made before its parts
+        # each made before its readers: v' before the pair, the pair before its parts
+        self._cached(WeightTable._v_primes)
+        self._cached(WeightTable._dd_mirror, z)
         return (self._cached(WeightTable._dd_part, z, 0),
                 self._cached(WeightTable._dd_part, z, 1))
 

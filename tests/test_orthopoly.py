@@ -139,3 +139,33 @@ def test_build_loses_a_norm_at_the_cap():
     with pytest.raises(PrecisionExhausted,
                        match=r"^norm h_\d+ = 0\.0 at level 4; no significant digits left$"):
         pv5lab.build(p)
+
+
+# beta_1..beta_n_max of the benchmark's two seed states (certify and
+# trajectory), to 100 digits: one ulp at 320 working bits is about 5e-97 of
+# the value, so a move of the last bit shows.  BETA_ROUTES compares beta with
+# a difference of p_sub, so its residual, and with it certify's
+# required_margin_digits, is set by these bits.
+_WORKLOAD_BETA = {
+    ("0.25", 8): [
+        "0.6582810765327070450749710995855990901358376670442263954849105541391109873132338132329343498330387315",
+        "0.03073616996570413879100877708470629803687306477056729919015646871540277726973504165260835689767338051",
+        "0.6411942544695503583963487472220288061107746039832200993281355477801830905680383210403249931153629405",
+        "0.03856151001967489950011223419520374193356532270078279546669525109585756362182858761245146364607636303",
+        "0.6279961372932163562766882028230984805060962525895039964195765198161308311233409644542910673721176424",
+        "0.04266043191555142963670694034179856238946168635063757876744023293632015405270028259024209934458081577",
+        "0.6190676402905161491695296052009456295817166237799587690626683436245383048901282974657304208644696562",
+        "0.04528820085789306181994768572932088211384625362047708463934853381691951990062456530830900460460893665",
+    ],
+    ("0.04", 2): [
+        "0.5236399507929480403247079362266543897435374664190568239380567683313729897940726360060344298825664922",
+        "0.0679237492028882512947135420928663556145183052114550640138690600732236335677639077809370413299413765",
+    ],
+}
+
+
+@pytest.mark.parametrize("k2,n_max", list(_WORKLOAD_BETA))
+def test_workload_seed_betas_are_pinned(k2, n_max):
+    state = pv5lab.build(pv5lab.validate(1, k2, "0.5", 256, n_max, rel_tol=1e-40,
+                                         max_level=12))
+    assert [mp.nstr(b, 100) for b in state.beta[1:]] == _WORKLOAD_BETA[(k2, n_max)]

@@ -318,7 +318,7 @@ def test_frozen_table_grows_every_derived_array_in_step(gap_params, gap_state):
     def derived(table):
         return {"sq": table.sq(3), "adj": table.adj(3), "inv_zk2": table.inv_zk2,
                 "inv_om2": table.inv_om2, "dd_even": table.dd(z)[0],
-                "dd_odd": table.dd(z)[1],
+                "dd_odd": table.dd(z)[1], "vp": table._cached(WeightTable._v_primes),
                 "rows": [[table.row(n, lv) for n in range(gap_params.n_max + 1)]
                          for lv in range(table.nlevels)]}
 
@@ -339,6 +339,28 @@ def test_frozen_table_grows_every_derived_array_in_step(gap_params, gap_state):
             assert before[key] is after[key], key
         for lv in range(6):
             assert after[key][lv] == arrs[lv], (key, lv)
+
+
+def test_seed_state_forms_no_v_prime(monkeypatch):
+    """v'(y) at the nodes is read only by ``dd``: a ladder state on the
+    trajectory workload's shape (k2 0.04, t 0.5, n_max 2) never forms it,
+    and its table holds no v' array until its first ``dd``."""
+    from pv5lab import ladder, quadrature
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _v_prime_from(*args)
+
+    monkeypatch.setattr(quadrature, "_v_prime_from", counted)
+    ladder._states.cache_clear()  # a fresh table
+    params = pv5lab.validate(1, "0.04", "0.5", 256, 2, rel_tol=1e-40, max_level=12)
+    table = ladder.state_at(params, "0.5")[0].table
+    assert calls == []
+    assert WeightTable._v_primes not in {make for make, _ in table._derived}
+    table.dd("0.7")
+    assert len(calls) == table.node_count()
 
 
 @pytest.mark.parametrize("alpha,k2,t", [
@@ -493,10 +515,11 @@ def test_edge_cut_stays_below_the_floor(k2, t):
     assert table.cut_nodes * table.cut_bound < mp.mpf(2) ** (-(table.work_bits - 8))
 
 
-def _ts_block_two_calls(work_bits, level):
-    """``_ts_block`` as formed with separate mp.sinh(u) and mp.cosh(u) calls."""
+def _ts_block_two_calls(work_bits, level, prec):
+    """``_ts_block``'s nodes for ``work_bits`` from mp.sinh(u), mp.cosh(u) and
+    mp.cosh(v), formed at ``prec`` bits."""
     nodes = []
-    with mp.workprec(work_bits + 16):
+    with mp.workprec(prec):
         h = mp.mpf(2) ** (-level)
         edge = mp.mpf(2) ** (-(work_bits - 32))
         half_pi = mp.pi / 2
@@ -515,7 +538,19 @@ def _ts_block_two_calls(work_bits, level):
 
 
 @pytest.mark.parametrize("work_bits", [128, 192, 320, 576])
-def test_ts_block_bits_match_separate_cosh_sinh(work_bits):
-    # one mpf_cosh_sinh call per node gives the bits of mp.cosh and mp.sinh
+def test_ts_block_matches_the_closed_forms_at_twice_the_bits(work_bits):
+    """The one-exp node update against the closed forms at 2 work_bits + 64
+    bits: the same nodes on every level, and x, 1-x, 1+x and W each within
+    2^-(work_bits+6) relative error (the centre node x = 0 exactly)."""
+    bound = mp.mpf(2) ** (-(work_bits + 6))
     for level in range(9):
-        assert _ts_block.__wrapped__(work_bits, level) == _ts_block_two_calls(work_bits, level)
+        block = _ts_block.__wrapped__(work_bits, level)
+        ref = _ts_block_two_calls(work_bits, level, 2 * work_bits + 64)
+        assert len(block) == len(ref), level
+        with mp.workprec(2 * work_bits + 64):
+            for node, exact in zip(block, ref):
+                for value, want in zip(node, exact):
+                    if want == 0:
+                        assert value == 0, level
+                    else:
+                        assert abs(value / want - 1) <= bound, (level, value, want)
