@@ -7,10 +7,11 @@ failure (no convergence, precision exhausted, pole hit, step underflow).
 
 Every subcommand but ``ode`` takes ``--t`` (or, for verify and pv-residual,
 a t grid); ``ode`` runs from ``--t0`` to ``--t1``.  Output is
-deterministic.  ``verify`` spreads its checks over the usable CPUs, by runs
-of t points on a grid or of z samples at one t, in forked workers that
-end before it returns (``verify.check_suite``); its report is the same on
-any number of CPUs.  Every other command runs in one process.
+deterministic.  ``verify`` spreads its checks over the usable CPUs, dealing
+a t grid out point by point or cutting the z samples at one t into runs,
+in forked workers that end before it returns (``verify.check_suite``); its
+report is the same on any number of CPUs.  Every other command runs in one
+process.
 
 Only ``argparse``, ``sys`` and ``errors`` load with this module, so parsing,
 ``--help`` and usage errors (exit 2) load neither mpmath nor any numerical

@@ -33,12 +33,13 @@ and P_n P_{n-1} against its odd part (``WeightTable.dd``).  r_0 = b_0 = 0
 other sequence value, and every A_n(z) and B_n(z) but B_0 = 0, is one
 ``WeightTable.raw_integral`` divided by a norm; that routine refines the
 shared table and raises NoConvergence at its level cap, so no value here
-comes from an unconverged integral.
+comes from an unconverged integral.  Each integral starts at its state's
+build level, so no value here depends on which integrals ran before it.
 
 ``point_values`` is the one entry to the rational route at a z: one pole
 test, one recurrence pass for P_n(z) and P_n'(z), and each rational form
-once, for every degree.  The lowering and raising residuals are methods of
-its ``PointValues``.
+once, for every degree.  Its ``PointValues`` holds values only; the
+lowering and raising residuals are formed by their checks in ``verify``.
 
 ``state_at`` is the one way to the states at a time t, and refuses
 ladder-ineligible parameters before any quadrature.  It is the package's
@@ -168,38 +169,11 @@ class PointValues:
     """The rational-route values at one z, for 0 <= n <= n_max: v'(z),
     P_n(z), P_n'(z) and the rational forms A_n(z), B_n(z)."""
 
-    ortho: OrthoState
     vp: object
     P: tuple
     dP: tuple
     A: tuple
     B: tuple
-
-    def lowering_residual(self, n: int):
-        """|P_n' + B_n P_n - beta_n A_n P_{n-1}| over the largest term."""
-        _ladder_degree(self.ortho, n)
-        with mp.workprec(self.ortho.params.work_bits):
-            t1 = self.dP[n]
-            t2 = self.B[n] * self.P[n]
-            t3 = self.ortho.beta[n] * self.A[n] * self.P[n - 1]
-            scale = 1 + max(abs(t1), abs(t2), abs(t3))
-            return abs(t1 + t2 - t3) / scale
-
-    def raising_residual(self, n: int):
-        """|P_{n-1}' - (B_n + v') P_{n-1} + A_{n-1} P_n| over the largest term."""
-        _ladder_degree(self.ortho, n)
-        with mp.workprec(self.ortho.params.work_bits):
-            t1 = self.dP[n - 1]
-            t2 = (self.B[n] + self.vp) * self.P[n - 1]
-            t3 = self.A[n - 1] * self.P[n]
-            scale = 1 + max(abs(t1), abs(t2), abs(t3))
-            return abs(t1 - t2 + t3) / scale
-
-
-def _ladder_degree(ortho: OrthoState, n: int):
-    # the relations pair P_n with P_{n-1}
-    if not 1 <= n <= ortho.n_max:
-        raise IndexError(f"degree {n} outside [1, {ortho.n_max}]")
 
 
 def point_values(z, ortho: OrthoState, lad: LadderState) -> PointValues:
@@ -212,6 +186,6 @@ def point_values(z, ortho: OrthoState, lad: LadderState) -> PointValues:
         P, dP = monic_values(ortho, z)
         degrees = range(params.n_max + 1)
         return PointValues(
-            ortho=ortho, vp=_v_prime_from(z, om2, zk2, params), P=P, dP=dP,
+            vp=_v_prime_from(z, om2, zk2, params), P=P, dP=dP,
             A=tuple(_a_form(n, z, om2, zk2, params, lad) for n in degrees),
             B=tuple(_b_form(n, z, om2, zk2, params, lad) for n in degrees))

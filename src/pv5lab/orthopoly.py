@@ -36,12 +36,16 @@ class OrthoState:
     h: tuple
     beta: tuple
     p_sub: tuple
-    level: int
     table: WeightTable = field(repr=False)
 
     @property
     def n_max(self) -> int:
         return self.params.n_max
+
+    @property
+    def level(self) -> int:
+        """The build level, where every integral on the table starts."""
+        return self.table.start_level
 
 
 def _stieltjes_pass(table: WeightTable, level: int, n_max: int):
@@ -110,7 +114,6 @@ def build(params: ModelParams) -> OrthoState:
             h=tuple(h),
             beta=tuple(beta),
             p_sub=tuple(p_sub),
-            level=table.nlevels - 1,
             table=table,
         )
 

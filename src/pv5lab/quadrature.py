@@ -28,7 +28,11 @@ Two layers:
   products are summed as one Python int, so the loops run in C through
   ``map`` over ``operator`` functions.  The truncation is less than
   N * 2^emax for N nodes; that bound is added to each integral's error
-  floor, beside the doubling-based error estimate.  Where the weight
+  floor, beside the doubling-based error estimate.  Every integral on a
+  frozen table starts at the level its state was built at and adds levels
+  only while its own estimate asks for them, whatever levels earlier
+  integrals left in the table; so its bits do not depend on what ran on
+  the table before it.  Where the weight
   vanishes at the gap edge (t > 0, k2 >= 0), each level's rule stops at the
   first node whose weight factor e^{-t/(y^2-k2)} lies below 2^-2work_bits
   of the interval centre's, with margin for every integrand factor there:
@@ -394,9 +398,10 @@ class WeightTable:
     before the products read them.  Every integral is a sum of ``_dot`` products over these arrays.
     ``trapezoid`` gives the sum at one given level; ``raw_integral`` is the
     one routine that decides when an integral stops and when it fails: it
-    forms each level's sum once, compares the trapezoid values of the top
-    two levels, adds a level while they disagree, and raises NoConvergence
-    at the level cap.
+    starts at ``start_level`` (the build level, fixed by ``freeze``) however
+    many levels the table holds, forms each level's sum once, compares the
+    trapezoid values of the top two levels, adds a level while they
+    disagree, and raises NoConvergence at the level cap.
 
     Edge cut.  When t > 0 and k2 >= 0 the stored interval (a, 1) has the gap
     edge a = rk (or a = 0 for k2 = 0) at its left end, where the weight
@@ -446,6 +451,7 @@ class WeightTable:
         self.inv_om2 = []
         self.inv_zk2 = []
         self._mass = []  # per level: _dot of cw, for absolute error floors
+        self.start_level = MIN_LEVEL + 1  # every integral's first top level (freeze)
         # the edge cut (class docstring): nodes dropped, largest term bound
         self.cut_nodes = 0
         self.cut_bound = mp.mpf(0)
@@ -600,10 +606,13 @@ class WeightTable:
         return IntArray(list(map(rshift, acc, repeat(fb))), -fb)
 
     def freeze(self, beta):
-        """Attach recurrence coefficients; monic rows become available.
+        """Attach recurrence coefficients; monic rows become available, and
+        every later integral starts at the table's current top level (the
+        level its state was built at), and at least at MIN_LEVEL + 1.
 
         The rows hold P_n at the stored nodes y >= 0; P_n(-y) = (-1)^n P_n(y)."""
         self.beta = tuple(beta)
+        self.start_level = max(self.nlevels - 1, MIN_LEVEL + 1)
         self._cached(WeightTable._level_rows)
 
     def _level_rows(self, level: int):
@@ -753,24 +762,28 @@ class WeightTable:
         kernel's exact sum at the top level, not rounded to the working
         precision.
 
-        Each level's kernel sum is formed once.  The error estimate compares
-        the trapezoid values of the top two levels, the lower one at least
-        ``MIN_LEVEL``; it is at least the kernel's truncation bound plus the
-        absolute floor 2^-(work_bits-8) * sum |cw|, which also covers every
+        The first top level is ``start_level``, whatever levels the table
+        holds: the state's build level once ``freeze`` has run, MIN_LEVEL + 1
+        before.  So an integral's bits do not depend on which integrals ran
+        on the table before it.  Each level's kernel sum is formed once.  The
+        error estimate compares the trapezoid values of the top two levels;
+        it is at least the kernel's truncation bound plus the absolute floor
+        2^-(work_bits-8) * sum |cw| at the top level, which also covers every
         node the edge cut dropped (class docstring).  While the estimate
-        exceeds rel_tol * max(|value|, scale) and the floor, the table gains
-        a level; at ``max_level`` this raises NoConvergence with the value
-        and the estimate attached.  So a returned result is always converged.
+        exceeds rel_tol * max(|value|, scale) and the floor, the top level
+        rises by one, built if the table does not hold it yet; at
+        ``max_level`` this raises NoConvergence with the value and the
+        estimate attached.  So a returned result is always converged.
         """
         with mp.workprec(self.work_bits):
             floor_eps = mp.mpf(2) ** (-(self.work_bits - 8))
             rel = mp.mpf(self.params.rel_tol)
-            self.ensure_levels(MIN_LEVEL + 1)
-            terms = _level_terms(factors, self.nlevels - 1)
+            top = self.start_level
+            self.ensure_levels(top)
+            terms = _level_terms(factors, top)
             while True:
-                top = self.nlevels - 1
                 value, bound = self._value(terms, top)
-                floor = floor_eps * self._abs_mass_total() + bound
+                floor = floor_eps * self._abs_mass_total(top) + bound
                 err = max(abs(value - self._value(terms[:-1], top - 1)[0]), floor)
                 if err <= max(rel * max(abs(value), mp.mpf(scale or 0)), floor):
                     return IntegralResult(value, err, True, top)
@@ -778,12 +791,13 @@ class WeightTable:
                     raise NoConvergence(
                         f"table integral did not converge at level {top} "
                         f"(estimate {mp.nstr(err, 6)})", value=value, error=err)
-                self.ensure_levels(top + 1)
-                terms.append(_dot([fac[top + 1] for fac in factors]))
+                top += 1
+                self.ensure_levels(top)
+                terms.append(_dot([fac[top] for fac in factors]))
 
-    def _abs_mass_total(self):
-        """sum |cw| * 2^-(top level); cw >= 0, so this is the sum of cw."""
-        return self._value(self._mass, self.nlevels - 1)[0]
+    def _abs_mass_total(self, top):
+        """sum |cw| * 2^-top over levels 0..top; cw >= 0, so this is the sum of cw."""
+        return self._value(self._mass[:top + 1], top)[0]
 
     def node_count(self):
         return sum(len(block.man) for block in self.y)

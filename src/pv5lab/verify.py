@@ -20,8 +20,9 @@ grid t, releases it once that t's rows are written, and concatenates the
 rows of each (identity, n) into (id, n, t, z) order.  Its independent
 units are shared out over the usable CPUs: the t points of a grid dealt
 out point by point, the z samples at one t cut into contiguous runs; each
-share but the first goes to a forked worker (``_fork_map``), and the rows
-are those of a one-process run.
+share but the first goes to a forked worker (``_fork_map``).  No integral
+depends on the integrals taken on its table before it, so the rows are
+those of a one-process run.
 A body returns its residual, normalized |LHS - RHS| / (1 + max(|LHS|,
 |RHS|)) unless it documents its own scale (functional ladder relations use
 the largest participating term; the recurrence-route checks are relative
@@ -170,12 +171,6 @@ class Evaluator:
             self._states[o] = _attempt(ladder_mod.state_at, self.params, t)
         return _read(self._states[o])
 
-    def level(self):
-        """The level count of the weight table at t, or None while its state
-        is unbuilt or failed."""
-        state = self._states.get(0)
-        return state[0].table.nlevels if isinstance(state, tuple) else None
-
     def stencil(self):
         """States at t + o*h/2 for o in (-2, -1, 0, 1, 2)."""
         return {o: self.states(o) for o in (-2, -1, 0, 1, 2)}
@@ -233,11 +228,23 @@ def _chk_s2p(ev, ortho, lad, n, t, z):
 
 
 def _chk_lower(ev, ortho, lad, n, t, z):
-    return ev.sweep(z).point.lowering_residual(n)
+    # |P_n' + B_n P_n - beta_n A_n P_{n-1}| over the largest term
+    pt = ev.sweep(z).point
+    t1 = pt.dP[n]
+    t2 = pt.B[n] * pt.P[n]
+    t3 = ortho.beta[n] * pt.A[n] * pt.P[n - 1]
+    scale = 1 + max(abs(t1), abs(t2), abs(t3))
+    return abs(t1 + t2 - t3) / scale
 
 
 def _chk_raise(ev, ortho, lad, n, t, z):
-    return ev.sweep(z).point.raising_residual(n)
+    # |P_{n-1}' - (B_n + v') P_{n-1} + A_{n-1} P_n| over the largest term
+    pt = ev.sweep(z).point
+    t1 = pt.dP[n - 1]
+    t2 = (pt.B[n] + pt.vp) * pt.P[n - 1]
+    t3 = pt.A[n - 1] * pt.P[n]
+    scale = 1 + max(abs(t1), abs(t2), abs(t3))
+    return abs(t1 - t2 + t3) / scale
 
 
 def _chk_a_form(ev, ortho, lad, n, t, z):
@@ -762,37 +769,6 @@ def _fork_map(fn, shares):
             os.waitpid(pid, 0)
 
 
-def _z_shares(params: ModelParams, keys, ev, z_samples):
-    """The ``_rows`` of ev.t cut by runs of ``z_samples`` (the first run also
-    writes the rows without z), with the states at ev.t built once, before
-    the fork, so that every worker reads them.
-
-    A z's integrals start from the levels its weight table holds, so a run
-    sees what a one-process run sees only while the runs before it added
-    no level.  From the first run after one that did, the runs are taken
-    again here, in order, on this process's table brought to that level;
-    at the end the table holds the levels a one-process run leaves."""
-    runs = list(enumerate(_runs(z_samples)))
-    if len(runs) > 1:
-        _attempt(ev.states)  # kept by ev when it fails
-    start = ev.level()
-
-    def share(indexed_run):
-        i, run = indexed_run
-        return _rows(params, keys, ev, run, True, plain=i == 0), ev.level()
-
-    out = _fork_map(share, runs)
-    if start is not None:
-        table = ev.states()[0].table
-        for i in range(1, len(out)):
-            if out[i - 1][1] != start:
-                table.ensure_levels(out[i - 1][1] - 1)
-                out[i:] = [share(run) for run in runs[i:]]
-                break
-        table.ensure_levels(max(level for _, level in out) - 1)
-    return [rows for rows, _ in out]
-
-
 def check_suite(params: ModelParams, n_set, t_grid, z_samples=None, suite: str = "all"):
     """Cartesian product of the suite's checks; deterministic (id, n, t, z) order.
 
@@ -813,8 +789,12 @@ def check_suite(params: ModelParams, n_set, t_grid, z_samples=None, suite: str =
     several t dealt out point by point, worker i taking the grid points i,
     i + k, ... of k, each building its own states, so that the costlier
     small t do not all fall to one worker; and one t whose suite has a
-    z-sampled identity by contiguous runs of z samples (``_runs``,
-    ``_z_shares``).  Each grid t, or each run of z, keeps one row list per
+    z-sampled identity by contiguous runs of z samples (``_runs``), with
+    the states at t built once, before the fork, so that every worker reads
+    them; the first run also writes the rows without z.  Every integral
+    starts at its state's build level (``WeightTable.raw_integral``), so a
+    run's rows do not depend on what the runs before it added to the
+    table.  Each grid t, or each run of z, keeps one row list per
     (identity, n), and the lists are concatenated in grid order or in run
     order, so the rows are those of a one-process run, in (id, n, t, z)
     order without a sort.
@@ -838,7 +818,12 @@ def check_suite(params: ModelParams, n_set, t_grid, z_samples=None, suite: str =
         else:
             if not any(REGISTRY[identity].needs_z for identity, _ in keys):
                 z_samples = ()  # nothing to share out
-            shares = _z_shares(params, keys, Evaluator(params, t_grid[0], n_set), z_samples)
+            ev = Evaluator(params, t_grid[0], n_set)
+            runs = list(enumerate(_runs(z_samples)))
+            if len(runs) > 1:
+                _attempt(ev.states)  # built before the fork; kept by ev when it fails
+            shares = _fork_map(  # the first run also writes the rows without z
+                lambda run: _rows(params, keys, ev, run[1], True, plain=run[0] == 0), runs)
         return [row for key in keys for rows in shares for row in rows[key]]
 
 

@@ -11,7 +11,7 @@ from pv5lab.errors import LadderIneligible, PoleError
 from pv5lab.ladder import state_at
 from pv5lab.model import gap_edge
 from pv5lab.quadrature import WeightTable
-from pv5lab.verify import sample_points
+from pv5lab.verify import IdentityId, sample_points
 
 
 def test_hand_integral_oracles_at_t_zero(jacobi_ladder):
@@ -106,11 +106,43 @@ def test_large_z_sum_rule_with_decay_trend(gap_state, gap_ladder):
 
 
 @pytest.mark.parametrize("n", [1, 3, 6])
-def test_lowering_and_raising_relations(n, gap_state, gap_ladder):
-    for z in sample_points(gap_state.params, count=5, seed=9):
-        point = pv5lab.point_values(z, gap_state, gap_ladder)
-        assert point.lowering_residual(n) < mp.mpf("1e-25")
-        assert point.raising_residual(n) < mp.mpf("1e-25")
+def test_lowering_and_raising_relations(n, gap_params):
+    """The LOWER_FUNC and RAISE_FUNC rows, whose checks form the residuals
+    from ``point_values``, at five sampled z."""
+    zs = sample_points(gap_params, count=5, seed=9)
+    rows = [r for r in pv5lab.check_suite(gap_params, [n], [gap_params.t], z_samples=zs,
+                                          suite="required")
+            if r.id in (IdentityId.LOWER_FUNC, IdentityId.RAISE_FUNC)]
+    assert len(rows) == 10
+    assert all(r.status == "ok" and r.residual < mp.mpf("1e-25") for r in rows)
+
+
+def test_ladder_sequences_do_not_depend_on_earlier_levels(gap_params):
+    """``compute`` gives the same four sequences, bit for bit, on a fresh
+    state and on one whose table holds an extra level: every integral
+    starts at the state's build level."""
+    state = pv5lab.build(gap_params)
+    state.table.ensure_levels(state.table.nlevels)
+    assert state.table.nlevels == state.level + 2
+    extended = pv5lab.compute(state)
+    fresh = pv5lab.compute(pv5lab.build(gap_params))
+    for name in ("R", "r", "a", "b"):
+        assert getattr(fresh, name) == getattr(extended, name), name
+
+
+def test_ab_integrals_do_not_depend_on_earlier_reads(gap_params):
+    """A_n(z) and B_n(z) at a second z read the same bits on a fresh state
+    and on one whose table an earlier z's read, and then one more level,
+    extended."""
+    fresh = pv5lab.build(gap_params)
+    extended = pv5lab.build(gap_params)
+    for n in range(gap_params.n_max + 1):  # an earlier read at another z
+        pv5lab.A_integral(n, "0.8", extended)
+        pv5lab.B_integral(n, "0.8", extended)
+    extended.table.ensure_levels(extended.table.nlevels)
+    for n in range(gap_params.n_max + 1):
+        assert pv5lab.A_integral(n, "-0.3", fresh) == pv5lab.A_integral(n, "-0.3", extended), n
+        assert pv5lab.B_integral(n, "-0.3", fresh) == pv5lab.B_integral(n, "-0.3", extended), n
 
 
 def test_state_at_keeps_one_stencil_of_states(monkeypatch):

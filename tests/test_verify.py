@@ -559,6 +559,11 @@ _SPLIT_CASES = {
                         ["0.8", "-0.7"], "all"),
     "max-level-error": ((1, "0.25", "0.5", 128, 3, "1e-18", 4), [1, 2], ["0.5"],
                         ["0.8", "-0.7"], "all"),
+    # verify --alpha 1 --k2 0.25 --t 0.5 --n-max 3 --bits 160 --rel-tol 1e-25
+    # --suite required --z-count 4 (seed 0): A_2 at the first z adds a table level
+    "bits-160": ((1, "0.25", "0.5", 160, 3, "1e-25", 12), [0, 1, 2, 3], ["0.5"],
+                 [-0.18062513884421283, -0.15091399642139447, 0.02142197060035622,
+                  0.6544015178975915], "required"),
 }
 
 
@@ -567,8 +572,8 @@ def test_rows_do_not_depend_on_the_worker_count(monkeypatch, case):
     """The same rows, field for field, from one CPU and from two: split by z
     samples at one t, split by t points on a grid of two and of five (dealt
     out point by point), with no z samples, with
-    SKIPPED rows (k2 = 0) and with ERROR rows (a state build that fails at
-    max_level 4)."""
+    SKIPPED rows (k2 = 0), with ERROR rows (a state build that fails at
+    max_level 4), and where the first z run adds a table level (bits 160)."""
     (alpha, k2, t, bits, n_max, rel_tol, max_level), n_set, grid, zs, suite = \
         _SPLIT_CASES[case]
     params = pv5lab.validate(alpha, k2, t, bits, n_max, rel_tol=float(rel_tol),
@@ -588,10 +593,10 @@ def test_rows_do_not_depend_on_the_worker_count(monkeypatch, case):
 
 @pytest.mark.parametrize("extends", [0, 1], ids=["first-run-extends", "worker-extends"])
 def test_rows_stay_in_step_when_a_sweep_adds_a_level(monkeypatch, extends):
-    """A sweep that refines the weight table moves the integrals of every
-    later z to the new level.  With three runs of one z each, the runs after
-    the one that refined are taken again in order, so the rows and the
-    table's final level are those of one process."""
+    """A sweep that refines the weight table leaves the rows of every later
+    z as they were: with three runs of one z each, the rows are those of one
+    process, and so is a later read on the table, which the one-process run
+    extended and the split run, when a worker refined, did not."""
     params = pv5lab.validate(1, "0.25", "0.5", 128, 3, rel_tol=1e-18)
     zs = ["0.8", "-0.7", "0.3"]
     real = ladder.A_integral
@@ -604,16 +609,17 @@ def test_rows_stay_in_step_when_a_sweep_adds_a_level(monkeypatch, extends):
         return real(n, z, ortho)
 
     monkeypatch.setattr(ladder, "A_integral", refine)
-    rows, levels = {}, {}
+    rows, later = {}, {}
     for cpus in (1, 3):
         monkeypatch.setattr(verify, "_cpu_count", lambda cpus=cpus: cpus)
         ladder._states.cache_clear()  # each run starts from a fresh table
         rows[cpus] = _fields(pv5lab.check_suite(params, [1, 2], ["0.5"], z_samples=zs,
                                                 suite="required"))
-        levels[cpus] = ladder.state_at(params, "0.5")[0].table.nlevels
+        ortho = ladder.state_at(params, "0.5")[0]
+        later[cpus] = (real(2, "0.1", ortho), ladder.B_integral(2, "0.1", ortho))
     ladder._states.cache_clear()
     assert rows[1] == rows[3]
-    assert levels[1] == levels[3]
+    assert later[1] == later[3]
 
 
 def test_no_dd_entry_outlives_its_sweep(monkeypatch):
