@@ -7,11 +7,12 @@ failure (no convergence, precision exhausted, pole hit, step underflow).
 
 Every subcommand but ``ode`` takes ``--t`` (or, for verify and pv-residual,
 a t grid); ``ode`` runs from ``--t0`` to ``--t1``.  Output is
-deterministic.  ``verify`` spreads its checks over the usable CPUs, dealing
-a t grid out point by point or cutting the z samples at one t into runs,
-in forked workers that end before it returns (``verify.check_suite``); its
-report is the same on any number of CPUs.  Every other command runs in one
-process.
+deterministic.  ``verify`` and ``pv-residual`` deal their independent
+units out over the usable CPUs, to forked workers that end before the
+command returns (``verify._fork_map``): ``verify`` its t grid point by
+point, or at one t its z samples (``verify.check_suite``), and
+``pv-residual`` its t grid.  Their output is the same on any number of
+CPUs.  Every other command runs in one process.
 
 Only ``argparse``, ``sys`` and ``errors`` load with this module, so parsing,
 ``--help`` and usage errors (exit 2) load neither mpmath nor any numerical
@@ -341,15 +342,17 @@ def _cmd_pv_residual(args):
     t_grid = _t_grid(args)
     params = _params(args, t_grid[0])
     bits = params.precision_bits
-    rows = []
     s = s_of(args.n, params)
+
+    def row(tv):
+        # check refuses (k2 = 0, t too small for the stencil) before any build
+        res = verify.check(verify.IdentityId.PV_PHI, params, args.n, tv).residual
+        ortho, lad = ladder_mod.state_at(params, tv)
+        phi = phi_of(lad.R[args.n], s)
+        return tv, lad.R[args.n], lad.r[args.n], ortho.beta[args.n], phi, res
+
     with mp.workprec(params.work_bits):
-        for tv in t_grid:
-            # check refuses (k2 = 0, t too small for the stencil) before any build
-            res = verify.check(verify.IdentityId.PV_PHI, params, args.n, tv).residual
-            ortho, lad = ladder_mod.state_at(params, tv)
-            phi = phi_of(lad.R[args.n], s)
-            rows.append((tv, lad.R[args.n], lad.r[args.n], ortho.beta[args.n], phi, res))
+        rows = verify._fork_map(row, t_grid)
     _emit_csv(args, report.TRAJECTORY_HEADER, rows, bits)
     extra = {"t_grid": [report.numstr(tv, bits) for tv in t_grid], "n": args.n}
     _emit_params_report(args, params, extra)

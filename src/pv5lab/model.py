@@ -85,15 +85,16 @@ def validate(alpha, k2, t, precision_bits=256, n_max=12, rel_tol=1e-40,
     """Validate raw inputs and return frozen ``ModelParams``.
 
     alpha = 0 is accepted (moment-only use; the params are flagged
-    ladder-ineligible), alpha < 0 is rejected.  max_level is an int in
-    [MIN_LEVEL + 1, 16], and rel_tol a real number below 1 and at least
-    2^(-precision_bits+16); a bool is neither.  Nothing is clamped.
+    ladder-ineligible), alpha < 0 is rejected.  n_max is an int >= 1,
+    max_level an int in [MIN_LEVEL + 1, 16], and rel_tol a real number
+    below 1 and at least 2^(-precision_bits+16); a bool is none of them.
+    Nothing is clamped.
     """
     if not isinstance(precision_bits, int) or precision_bits < 64:
         raise ParameterError(f"precision_bits must be an integer >= 64, got {precision_bits!r}")
     if precision_bits > 4096:
         raise ParameterError("precision_bits above 4096 is not supported")
-    if not isinstance(n_max, int) or n_max < 1:
+    if type(n_max) is not int or n_max < 1:
         raise ParameterError(f"n_max must be an integer >= 1, got {n_max!r}")
     with mp.workprec(precision_bits + GUARD_BITS):
         alpha = mp.mpf(alpha)

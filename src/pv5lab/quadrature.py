@@ -138,7 +138,7 @@ def integration_intervals(params: ModelParams):
     return support(params)
 
 
-def _interval_series(f, a, b, params: ModelParams, scale=None):
+def _interval_series(f, a, b, params: ModelParams):
     """Tanh-sinh level series for one interval; returns IntegralResult."""
     with mp.workprec(params.work_bits):
         a = mp.mpf(a)
@@ -170,14 +170,13 @@ def _interval_series(f, a, b, params: ModelParams, scale=None):
             if prev is not None:
                 floor = floor_eps * abs_mass * half * step
                 err = max(abs(value - prev), floor)
-                target = mp.mpf(params.rel_tol) * max(abs(value), mp.mpf(scale or 0))
-                if err <= max(target, floor):
+                if err <= max(mp.mpf(params.rel_tol) * abs(value), floor):
                     return IntegralResult(value, err, True, level)
             prev = value
         return IntegralResult(value, err, False, params.max_level)
 
 
-def integrate(f, intervals, params: ModelParams, scale=None) -> IntegralResult:
+def integrate(f, intervals, params: ModelParams) -> IntegralResult:
     """Integrate ``f`` over an iterable of (lo, hi) intervals, such as
     ``model.support``, at the working precision, target relative error and
     level cap of ``params``.
@@ -191,7 +190,7 @@ def integrate(f, intervals, params: ModelParams, scale=None) -> IntegralResult:
         converged = True
         top = MIN_LEVEL
         for a, b in intervals:
-            res = _interval_series(f, a, b, params, scale=scale)
+            res = _interval_series(f, a, b, params)
             total += res.value
             err += res.error
             converged = converged and res.converged

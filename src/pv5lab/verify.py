@@ -16,13 +16,14 @@ A/B integrals of that z, each taken once, and a t-stencil body reads
 ``ev.stencil()``.  A state build or sweep that failed is kept by the
 Evaluator and raised by every read, so it is attempted once per t and each
 row that reads it is an ERROR row.  ``check_suite`` makes one Evaluator per
-grid t, releases it once that t's rows are written, and concatenates the
-rows of each (identity, n) into (id, n, t, z) order.  Its independent
-units are shared out over the usable CPUs: the t points of a grid dealt
-out point by point, the z samples at one t cut into contiguous runs; each
-share but the first goes to a forked worker (``_fork_map``).  No integral
-depends on the integrals taken on its table before it, so the rows are
-those of a one-process run.
+grid t, releases it once that t's rows are written, and merges the rows
+into (id, n, t, z) order.  Its independent
+units, the t points of a grid or the cells (None, then each z sample) at
+one t, are dealt out over the usable CPUs by the one rule of
+``_fork_map``: of k processes, process i takes the units i, i + k, ...,
+each share but the first in a forked worker, and the results are merged
+in unit order.  No integral depends on the integrals taken on its table
+before it, so the rows are those of a one-process run.
 A body returns its residual, normalized |LHS - RHS| / (1 + max(|LHS|,
 |RHS|)) unless it documents its own scale (functional ladder relations use
 the largest participating term; the recurrence-route checks are relative
@@ -649,30 +650,29 @@ def check(identity: IdentityId, params: ModelParams, n: int, t, z=None) -> Ident
         return _run_one(Evaluator(params, t, (n,)), identity, n, z)
 
 
-def _rows(params: ModelParams, keys, ev, z_samples, single_t: bool, plain=True):
-    """One list of rows per (identity, n) of ``keys`` at ev.t: a z-sampled
-    identity's rows at each of ``z_samples`` and any other identity's one
-    row (only while ``plain``)."""
-    buckets = {key: [] for key in keys}
-    t = ev.t
-    for (identity, n), rows in buckets.items():
+def _rows(params: ModelParams, keys, ev, cells, single_t: bool):
+    """The rows at ev.t, in (identity, n) order of ``keys``, then cell order:
+    a z-sampled identity's row at each z of ``cells``, any other identity's
+    one row at a cell None."""
+    rows = []
+    for identity, n in keys:
         d = REGISTRY[identity]
-        for z in z_samples if d.needs_z else (None,) if plain else ():
-            refusal = _refusal(identity, params, n, t, z, single_t)
+        for z in [z for z in cells if (z is None) != d.needs_z]:
+            refusal = _refusal(identity, params, n, ev.t, z, single_t)
             if isinstance(refusal, IndexError):
                 continue
             if refusal is not None:
                 rows.append(IdentityReport(
-                    id=identity, tier=d.tier, n=n, t=t, z=z,
+                    id=identity, tier=d.tier, n=n, t=ev.t, z=z,
                     status="skipped", message=str(refusal)))
                 continue
             try:
                 rows.append(_run_one(ev, identity, n, z))
             except _ROW_ERRORS as exc:  # collected, not fatal
                 rows.append(IdentityReport(
-                    id=identity, tier=d.tier, n=n, t=t, z=z,
+                    id=identity, tier=d.tier, n=n, t=ev.t, z=z,
                     status="error", message=f"{type(exc).__name__}: {exc}"))
-    return buckets
+    return rows
 
 
 def _cpu_count():
@@ -693,26 +693,17 @@ def _workers(units):
     return max(1, min(_cpu_count(), len(units)))
 
 
-def _runs(units):
-    """``units`` cut into ``_workers(units)`` contiguous runs whose lengths
-    differ by at most one, the longer first."""
-    count = _workers(units)
-    size, extra = divmod(len(units), count)
-    ends = [i * size + min(i, extra) for i in range(count + 1)]
-    return [units[a:b] for a, b in zip(ends, ends[1:])]
-
-
 def _work(fn, share, fd):
-    """The body of a forked worker: write the pickled (True, fn(share)), or
-    (False, the exception fn raised), to the pipe end ``fd``, then end the
-    process with its status, running no exit handler and flushing no
-    output inherited from the parent."""
+    """The body of a forked worker: write the pickled (True, [fn(u) for u in
+    share]), or (False, the exception fn raised), to the pipe end ``fd``,
+    then end the process with its status, running no exit handler and
+    flushing no output inherited from the parent."""
     import pickle
 
     status = 1
     try:
         try:
-            payload = (True, fn(share))
+            payload = (True, [fn(u) for u in share])
         except Exception as exc:  # handed to the parent, which raises it
             payload = (False, exc)
         data = pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
@@ -723,33 +714,50 @@ def _work(fn, share, fd):
         os._exit(status)
 
 
-def _fork_map(fn, shares):
-    """[fn(share) for share in shares]: the first share in this process,
-    every other in a forked worker whose result comes back pickled over a
-    pipe, so it sees this process's memory as it was at the fork.
+def _fork_map(fn, units):
+    """[fn(u) for u in units], shared out over ``_workers(units)`` processes.
+
+    Of k processes, process i takes the units i, i + k, i + 2k, ...: the
+    first share runs in this process, every other in a forked worker whose
+    results come back pickled over a pipe, so it sees this process's memory
+    as it was at the fork.  A share whose pipe or fork fails (OSError) runs
+    in this process too, after the first.  The results are returned in unit
+    order.
 
     An exception a worker raised is raised here; a worker that ends without
     a result raises ChildProcessError.  No partial list is returned, and
     every worker is reaped on every path: one still running when the call
     fails (this process's own share raised, say) is killed first.
     """
-    if len(shares) == 1:
-        return [fn(shares[0])]
+    count = _workers(units)
+    if count == 1:
+        return [fn(u) for u in units]
     import pickle  # kept off the import path of the commands that never fork
     import signal
 
-    pending = {}  # pid -> the read end of its pipe, until the worker is reaped
+    shares = [units[i::count] for i in range(count)]
+    results = [None] * count
+    here = [0]  # the shares this process runs
+    pending = {}  # pid -> (its share, the read end of its pipe), until the worker is reaped
     try:
-        for share in shares[1:]:
-            read, write = os.pipe()
-            pid = os.fork()
+        for i in range(1, count):
+            fds = ()
+            try:
+                fds = os.pipe()
+                pid = os.fork()
+            except OSError:  # no worker for this share: it runs here
+                for fd in fds:
+                    os.close(fd)
+                here.append(i)
+                continue
             if pid == 0:
-                os.close(read)
-                _work(fn, share, write)  # never returns
-            os.close(write)
-            pending[pid] = os.fdopen(read, "rb")
-        results = [fn(shares[0])]
-        for pid, pipe in list(pending.items()):
+                os.close(fds[0])
+                _work(fn, shares[i], fds[1])  # never returns
+            os.close(fds[1])
+            pending[pid] = (i, os.fdopen(fds[0], "rb"))
+        for i in here:
+            results[i] = [fn(u) for u in shares[i]]
+        for pid, (i, pipe) in list(pending.items()):
             data = pipe.read()
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             del pending[pid]
@@ -757,13 +765,12 @@ def _fork_map(fn, shares):
             if code != 0 or not data:
                 raise ChildProcessError(
                     f"verify worker {pid} ended without a result (exit code {code})")
-            ok, value = pickle.loads(data)
+            ok, results[i] = pickle.loads(data)
             if not ok:
-                raise value
-            results.append(value)
-        return results
+                raise results[i]
+        return [results[j % count][j // count] for j in range(len(units))]
     finally:
-        for pid, pipe in pending.items():
+        for pid, (_, pipe) in pending.items():
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
@@ -785,19 +792,17 @@ def check_suite(params: ModelParams, n_set, t_grid, z_samples=None, suite: str =
     status='error', never fatal; any other exception propagates, from a
     worker too.
 
-    The work is spread over the usable CPUs (``_workers``): a grid of
-    several t dealt out point by point, worker i taking the grid points i,
-    i + k, ... of k, each building its own states, so that the costlier
-    small t do not all fall to one worker; and one t whose suite has a
-    z-sampled identity by contiguous runs of z samples (``_runs``), with
-    the states at t built once, before the fork, so that every worker reads
-    them; the first run also writes the rows without z.  Every integral
-    starts at its state's build level (``WeightTable.raw_integral``), so a
-    run's rows do not depend on what the runs before it added to the
-    table.  Each grid t, or each run of z, keeps one row list per
-    (identity, n), and the lists are concatenated in grid order or in run
+    The work is dealt out over the usable CPUs by ``_fork_map``: the points
+    of a grid of several t, each building its own states, so that the
+    costlier small t do not all fall to one worker; or, at one t, its cells
+    (None for the rows without z, then each z sample), with the states at t
+    built once, before the fork, so that every worker reads them.  Every
+    integral starts at its state's build level
+    (``WeightTable.raw_integral``), so a unit's rows do not depend on what
+    the units before it added to the table.  Each unit returns its rows in
+    (id, n) order, and a stable sort on the (id, n) rank merges them in unit
     order, so the rows are those of a one-process run, in (id, n, t, z)
-    order without a sort.
+    order.
     """
     ids = suite_ids(suite)
     with mp.workprec(params.work_bits):
@@ -808,23 +813,17 @@ def check_suite(params: ModelParams, n_set, t_grid, z_samples=None, suite: str =
             z_samples = tuple(mp.mpf(z) for z in z_samples)
         n_set = tuple(sorted(set(int(n) for n in n_set)))
         keys = [(identity, n) for identity in ids for n in n_set]
+        cells = (None, *z_samples)
         if len(t_grid) > 1:
-            count = _workers(t_grid)
-            dealt = _fork_map(  # each Evaluator released once its t's rows are written
-                lambda share: [_rows(params, keys, Evaluator(params, t, n_set), z_samples, False)
-                               for t in share],
-                [t_grid[i::count] for i in range(count)])
-            shares = [dealt[j % count][j // count] for j in range(len(t_grid))]
+            unit_rows = _fork_map(  # each Evaluator released once its t's rows are written
+                lambda t: _rows(params, keys, Evaluator(params, t, n_set), cells, False), t_grid)
         else:
-            if not any(REGISTRY[identity].needs_z for identity, _ in keys):
-                z_samples = ()  # nothing to share out
             ev = Evaluator(params, t_grid[0], n_set)
-            runs = list(enumerate(_runs(z_samples)))
-            if len(runs) > 1:
+            if _workers(cells) > 1:
                 _attempt(ev.states)  # built before the fork; kept by ev when it fails
-            shares = _fork_map(  # the first run also writes the rows without z
-                lambda run: _rows(params, keys, ev, run[1], True, plain=run[0] == 0), runs)
-        return [row for key in keys for rows in shares for row in rows[key]]
+            unit_rows = _fork_map(lambda cell: _rows(params, keys, ev, (cell,), True), cells)
+        rank = {key: i for i, key in enumerate(keys)}  # a stable sort keeps unit order
+        return sorted((row for rows in unit_rows for row in rows), key=lambda r: rank[r.id, r.n])
 
 
 def factor_split(params: ModelParams, n: int, t):

@@ -189,6 +189,28 @@ def test_pv_residual_trajectory_schema(capsys, tmp_path):
         assert all(mp.isfinite(mp.mpf(cell)) for cell in row)
 
 
+@pytest.mark.parametrize("k2, code", [("-0.5", 0), ("0", 2)], ids=["grid", "refused"])
+def test_pv_residual_is_the_same_on_one_cpu_and_two(capsys, monkeypatch, tmp_path, k2, code):
+    """pv-residual deals its t grid out over the usable CPUs: the CSV, or
+    the refusal of a k2 = 0 grid, is that of one process."""
+    from pv5lab import verify
+
+    runs = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(verify, "_cpu_count", lambda cpus=cpus: cpus)
+        out_csv = tmp_path / f"pv-{cpus}.csv"
+        got, _, err = _run(capsys, "pv-residual", "--alpha", "1", "--k2", k2,
+                           "--n", "1", "--n-max", "2", "--bits", "160",
+                           "--rel-tol", "1e-25", "--t-start", "0.4", "--t-stop", "0.6",
+                           "--t-count", "3", "--t-spacing", "linear",
+                           "--out-csv", str(out_csv))
+        runs[cpus] = (got, err, out_csv.read_text() if out_csv.exists() else None)
+    assert runs[1] == runs[2]
+    assert runs[1][0] == code, runs[1][1]
+    if code == 0:
+        assert len(runs[1][2].splitlines()) == 4
+
+
 def test_ode_trajectory_csv(capsys, tmp_path):
     out_csv = tmp_path / "traj.csv"
     code, _, err = _run(capsys, "ode", "--alpha", "1", "--k2", "0.04",

@@ -50,6 +50,8 @@ def test_validate_rejects_bad_meta():
         pv5lab.validate(1, 0.25, 0.5, 32, 12)
     with pytest.raises(ParameterError):
         pv5lab.validate(1, 0.25, 0.5, 256, 0)
+    with pytest.raises(ParameterError, match="n_max must be an integer >= 1, got True"):
+        pv5lab.validate(1, 0.25, 0.5, 128, True)
 
 
 @pytest.mark.parametrize("run, message", [

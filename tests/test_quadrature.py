@@ -430,8 +430,7 @@ def test_half_table_matches_full_support_route(alpha, k2, t):
                                             lambda y, n=n, dd=dd: dd(y) * P(n, y) * P(n - 1, y))
         for name, (factors, f) in checks.items():
             half = table.raw_integral(factors, scale=state.h[0])
-            full = pv5lab.integrate(lambda y: f(y) * w(y), sup, params,
-                                    scale=state.h[0])
+            full = pv5lab.integrate(lambda y: f(y) * w(y), sup, params)
             assert half.converged and full.converged, name
             assert abs(half.value - full.value) <= half.error + full.error, (
                 name, mp.nstr(half.value, 20), mp.nstr(full.value, 20),

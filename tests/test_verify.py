@@ -498,11 +498,11 @@ def test_a_failing_worker_fails_the_suite(vp, monkeypatch, failure):
     real = ladder.A_integral
     this_process = os.getpid()
     with mp.workprec(vp.work_bits):
-        theirs = mp.mpf("-0.7")  # the second of two runs: a worker's
+        theirs = mp.mpf("0.8")  # cells (None, 0.8, -0.7) dealt to two: a worker's
 
     def failing(n, z, ortho):
         if z == theirs:
-            assert os.getpid() != this_process, "no worker took the second run"
+            assert os.getpid() != this_process, "no worker took the first z"
             if failure == "exit":
                 os._exit(3)
             raise TypeError("patched worker error")
@@ -518,27 +518,76 @@ def test_a_failing_worker_fails_the_suite(vp, monkeypatch, failure):
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_units_are_cut_into_one_contiguous_run_per_worker(monkeypatch):
-    """One run per usable CPU and at most one per unit, lengths within one
-    of each other and the longer first; one run in a process that runs
-    other threads or has no os.fork."""
-    monkeypatch.setattr(verify, "_cpu_count", lambda: 2)
-    assert verify._runs(tuple(range(5))) == [(0, 1, 2), (3, 4)]
-    assert verify._runs((7,)) == [(7,)]
-    assert verify._runs(()) == [()]
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_fork_map_deals_units_out_and_returns_them_in_order(monkeypatch, cpus):
+    """[fn(u) for u in units] in unit order, with more units than CPUs and
+    with fewer: of k = min(CPUs, units) processes, process i takes the units
+    i, i + k, ..., and process 0 is this one; every worker is reaped."""
+    monkeypatch.setattr(verify, "_cpu_count", lambda: cpus)
+    for units in (tuple(range(7)), (5, 6), (4,), ()):
+        out = verify._fork_map(lambda u: (u * u, os.getpid()), units)
+        assert [value for value, _ in out] == [u * u for u in units]
+        pids = [pid for _, pid in out]
+        k = max(1, min(cpus, len(units)))
+        assert pids == [pids[j % k] for j in range(len(units))]
+        assert len(set(pids)) == min(cpus, len(units))
+        assert os.getpid() in pids or not units
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_fork_map_runs_in_one_process_when_it_cannot_fork(monkeypatch):
+    """One process while another thread is alive or without os.fork."""
     monkeypatch.setattr(verify, "_cpu_count", lambda: 3)
-    assert verify._runs(tuple(range(7))) == [(0, 1, 2), (3, 4), (5, 6)]
+    here = [os.getpid()] * 4
     stop = threading.Event()
     thread = threading.Thread(target=stop.wait)
     thread.start()
     try:
-        assert verify._runs(tuple(range(4))) == [(0, 1, 2, 3)]
+        assert verify._fork_map(lambda u: os.getpid(), tuple(range(4))) == here
     finally:
         stop.set()
         thread.join(timeout=10)
     assert not thread.is_alive()
     monkeypatch.delattr(os, "fork")
-    assert verify._runs(tuple(range(4))) == [(0, 1, 2, 3)]
+    assert verify._fork_map(lambda u: os.getpid(), tuple(range(4))) == here
+
+
+def _open_fds():
+    return sorted(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+@pytest.mark.parametrize("call", ["fork", "pipe"])
+@pytest.mark.parametrize("failing", ["every", "second"])
+def test_a_failed_fork_runs_its_share_here(monkeypatch, call, failing):
+    """An OSError from os.fork or os.pipe leaves the rows those of one CPU:
+    each share that got no worker runs in this process, its pipe ends are
+    closed, and every worker that started is reaped."""
+    import errno
+
+    params = pv5lab.validate(1, "0.25", "0.5", 128, 3, rel_tol=1e-18)
+    args = (params, [1, 2], ["0.5"])
+    kw = {"z_samples": ["0.8", "-0.7", "0.3", "-0.2"], "suite": "all"}
+    monkeypatch.setattr(verify, "_cpu_count", lambda: 1)
+    expected = _fields(pv5lab.check_suite(*args, **kw))
+    real = getattr(os, call)
+    calls = []
+
+    def flaky():
+        calls.append(call)
+        if failing == "every" or len(calls) == 2:
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return real()
+
+    monkeypatch.setattr(os, call, flaky)
+    monkeypatch.setattr(verify, "_cpu_count", lambda: 3)
+    before = _open_fds()
+    assert _fields(pv5lab.check_suite(*args, **kw)) == expected
+    assert len(calls) == 2
+    assert _open_fds() == before
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _fields(reports):
@@ -569,21 +618,21 @@ _SPLIT_CASES = {
 
 @pytest.mark.parametrize("case", sorted(_SPLIT_CASES))
 def test_rows_do_not_depend_on_the_worker_count(monkeypatch, case):
-    """The same rows, field for field, from one CPU and from two: split by z
-    samples at one t, split by t points on a grid of two and of five (dealt
-    out point by point), with no z samples, with
+    """The same rows, field for field, from one CPU, two and three: split by
+    z samples at one t, split by t points on a grid of two and of five
+    (dealt out point by point), with no z samples, with
     SKIPPED rows (k2 = 0), with ERROR rows (a state build that fails at
-    max_level 4), and where the first z run adds a table level (bits 160)."""
+    max_level 4), and where a z sweep adds a table level (bits 160)."""
     (alpha, k2, t, bits, n_max, rel_tol, max_level), n_set, grid, zs, suite = \
         _SPLIT_CASES[case]
     params = pv5lab.validate(alpha, k2, t, bits, n_max, rel_tol=float(rel_tol),
                              max_level=max_level)
     rows = {}
-    for cpus in (1, 2):
+    for cpus in (1, 2, 3):
         monkeypatch.setattr(verify, "_cpu_count", lambda cpus=cpus: cpus)
         rows[cpus] = _fields(pv5lab.check_suite(params, n_set, grid, z_samples=zs,
                                                 suite=suite))
-    assert rows[1] == rows[2] and rows[1]
+    assert rows[1] == rows[2] == rows[3] and rows[1]
     statuses = {row[7] for row in rows[1]}
     if case == "k2-zero-skipped":
         assert "skipped" in statuses
@@ -591,14 +640,16 @@ def test_rows_do_not_depend_on_the_worker_count(monkeypatch, case):
         assert "error" in statuses
 
 
-@pytest.mark.parametrize("extends", [0, 1], ids=["first-run-extends", "worker-extends"])
+@pytest.mark.parametrize("extends", [1, 0], ids=["first-run-extends", "worker-extends"])
 def test_rows_stay_in_step_when_a_sweep_adds_a_level(monkeypatch, extends):
     """A sweep that refines the weight table leaves the rows of every later
-    z as they were: with three runs of one z each, the rows are those of one
-    process, and so is a later read on the table, which the one-process run
-    extended and the split run, when a worker refined, did not."""
+    z as they were: with the cells (None, z0, z1, z2, z3) dealt out to two
+    processes, this one sweeping z1 and z3 and a worker z0 and z2, the rows
+    are those of one process whichever of them refines at its first z, and
+    so is a later read on the table, which the one-process run extended and
+    the split run, when the worker refined, did not."""
     params = pv5lab.validate(1, "0.25", "0.5", 128, 3, rel_tol=1e-18)
-    zs = ["0.8", "-0.7", "0.3"]
+    zs = ["0.8", "-0.7", "0.3", "-0.2"]
     real = ladder.A_integral
     with mp.workprec(params.work_bits):
         refining = mp.mpf(zs[extends])
@@ -610,7 +661,7 @@ def test_rows_stay_in_step_when_a_sweep_adds_a_level(monkeypatch, extends):
 
     monkeypatch.setattr(ladder, "A_integral", refine)
     rows, later = {}, {}
-    for cpus in (1, 3):
+    for cpus in (1, 2):
         monkeypatch.setattr(verify, "_cpu_count", lambda cpus=cpus: cpus)
         ladder._states.cache_clear()  # each run starts from a fresh table
         rows[cpus] = _fields(pv5lab.check_suite(params, [1, 2], ["0.5"], z_samples=zs,
@@ -618,8 +669,8 @@ def test_rows_stay_in_step_when_a_sweep_adds_a_level(monkeypatch, extends):
         ortho = ladder.state_at(params, "0.5")[0]
         later[cpus] = (real(2, "0.1", ortho), ladder.B_integral(2, "0.1", ortho))
     ladder._states.cache_clear()
-    assert rows[1] == rows[3]
-    assert later[1] == later[3]
+    assert rows[1] == rows[2]
+    assert later[1] == later[2]
 
 
 def test_no_dd_entry_outlives_its_sweep(monkeypatch):
