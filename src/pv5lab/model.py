@@ -223,6 +223,13 @@ def _pole_basis(z, params: ModelParams):
     return (1 - z) * (1 + z), _z2_minus_k2(z, params.k2, gap)
 
 
+def _v_prime_coefficients(params: ModelParams):
+    """(2 alpha, 2 t), the coefficients of v'(z) = 2 alpha z/(1-z^2) - 2 t z/(z^2-k2)^2,
+    exact at the working precision."""
+    with mp.workprec(params.work_bits):
+        return 2 * params.alpha, 2 * params.t
+
+
 def _v_prime_from(z, om2, zk2, params: ModelParams):
     """v'(z) from om2 = 1-z^2 and zk2 = z^2-k2, without a pole guard."""
     value = 2 * params.alpha * z / om2

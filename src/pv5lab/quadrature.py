@@ -13,9 +13,10 @@ Two layers:
   with the weight already folded into the quadrature coefficients, the
   reciprocals of the stable products 1-y^2 and y^2-k2, and (once the
   recurrence is frozen) the monic-polynomial rows; the values v'(y) are
-  made on the first divided difference ``dd`` that reads them.  y^2-k2
-  and v'(y) come from the formulas of ``model``, fed with the exact
-  endpoint distances of the tanh-sinh map.  The weight is even and the
+  made on the first divided difference ``dd`` that reads them, from the
+  stored y and reciprocals and the coefficients of ``model``.  y^2-k2
+  comes from the formula of ``model``, fed with the exact endpoint
+  distances of the tanh-sinh map.  The weight is even and the
   node set is symmetric about 0, so a table stores one mirror half, the
   nodes y >= 0, with the mirror weight 2 folded into each coefficient (the
   centre node y = 0 of [-1, 1] keeps weight 1); an even integrand sums to
@@ -49,7 +50,7 @@ product each, carried 24 bits finer than the nodes (``_ts_block``).
 from __future__ import annotations
 
 import functools
-from itertools import compress, islice, repeat
+from itertools import compress, repeat
 from operator import add, floordiv, lshift, mul, neg, rshift, sub
 from typing import NamedTuple
 
@@ -57,7 +58,7 @@ from mpmath import mp
 from mpmath.libmp import mpf_add, mpf_exp, mpf_mul, mpf_sub, round_nearest
 
 from .errors import NoConvergence, ParameterError, PrecisionExhausted
-from .model import (MIN_LEVEL, ModelParams, _gap, _v_prime_from, _z2_minus_k2,
+from .model import (MIN_LEVEL, ModelParams, _gap, _v_prime_coefficients, _z2_minus_k2,
                     pole_guard, support, v_prime, v_second, weight)
 
 #: node generation stops this many bits short of the working precision
@@ -356,6 +357,16 @@ def _mirror_halves(p, q):
     return IntArray(plus, exps), IntArray(minus, exps)
 
 
+@functools.lru_cache(maxsize=64)
+def _dd_constants(z, params: ModelParams):
+    """The constants of ``WeightTable.dd`` at z, made once per z for all
+    levels and only read: the pole-guard radius around z in fixed point,
+    and v'(z) packed (``model.v_prime``, so PoleError at a pole)."""
+    with mp.workprec(params.work_bits):
+        return (_fixed(pole_guard(params) * (1 + abs(z)), params.work_bits + FIXED_GUARD_BITS),
+                _pack([v_prime(z, params)], params.work_bits))
+
+
 class WeightTable:
     """Cached per-level node data for one ``ModelParams``, whose rel_tol and
     max_level fix every integral's tolerance and level cap.
@@ -389,9 +400,11 @@ class WeightTable:
     the maker's arguments: the monic rows P_n(y) (fixed point, registered by
     ``freeze(beta)``), the folded products cw*P_n^2 (``sq``) and
     cw*P_n*P_{n-1} (``adj``), the values v'(y) (``_v_primes``, made on the
-    first ``dd`` from the node values ``_nodes`` forms again, so a table
-    that takes no ``dd`` never forms v'), and the mirror parts of the
-    divided differences of v' (``dd``, until ``release_dd`` drops them).
+    first ``dd`` from the stored y, inv_om2 and inv_zk2, so a table that
+    takes no ``dd`` never forms v', and only the fill runs ``_nodes``), the
+    mirror parts of the divided differences of v' (``dd``, until
+    ``release_dd`` drops them), and the mass totals ``raw_integral`` reads
+    (``_abs_mass_total``).
     An entry is made on first use over the levels built so far, and
     ``_add_level`` extends every entry in creation order, so the rows grow
     before the products read them.  Every integral is a sum of ``_dot`` products over these arrays.
@@ -416,7 +429,7 @@ class WeightTable:
     k2 = 0.  The break is exact: t/u + 2 ln u decreases in u = zk2 for
     u < t/2 and stays below 2 < Lambda for u >= t/2, and zk2 falls along
     the side, so every later node passes the test too.  The dropped nodes
-    never reach the weight's exp or ``_v_prime_from``.  The constant 2 in
+    never reach the weight's exp or v'.  The constant 2 in
     Lambda covers the test's rounding at the working precision.  Each
     dropped node's term is negligible:
 
@@ -445,6 +458,9 @@ class WeightTable:
         self.frac_bits = params.work_bits + FIXED_GUARD_BITS
         with mp.workprec(params.work_bits):
             self.intervals = integration_intervals(params)
+            # raw_integral's constants: absolute floor per unit mass, rel_tol
+            self._floor_eps = mp.ldexp(1, -(params.work_bits - 8))
+            self._rel = mp.mpf(params.rel_tol)
         self.y = []
         self.cw = []
         self.inv_om2 = []
@@ -548,14 +564,21 @@ class WeightTable:
                    _z2_minus_k2(yv, k2, gap, d_lo), mirrored * wq)
 
     def _v_primes(self, level: int):
-        """v'(y) at one level's stored nodes, from the y, om2 and zk2 of the
-        fill (``_nodes``), with no pole guard: the folded weight suppresses
-        the near-edge blow-up.  Only ``dd`` reads it."""
-        kept = len(self.y[level].man)
-        with mp.workprec(self.work_bits):
-            return _pack([_v_prime_from(yv, om2, zk2, self.params)
-                          for _, yv, om2, zk2, _ in islice(self._nodes(level), kept)],
-                         self.work_bits)
+        """v'(y) = 2 alpha y inv_om2 - 2 t y inv_zk2^2 at one level's stored
+        nodes, from the stored y and reciprocals, with no pole guard: the
+        folded weight suppresses the near-edge blow-up.  The two terms are
+        exact mantissa products, subtracted exactly by ``_mirror_halves``
+        (aligned to the smaller exponent), and v' is floored once to the
+        working precision.  Only ``dd`` reads it."""
+        (am, tm), (ae, te) = _pack(_v_prime_coefficients(self.params), self.work_bits)
+        y, iom, izk = self.y[level], self.inv_om2[level], self.inv_zk2[level]
+        # both terms doubled (exponent + 1): _mirror_halves returns their half difference
+        a_term = IntArray(list(map(mul, map(mul, y.man, iom.man), repeat(am))),
+                          list(map(add, iom.exp, repeat(ae + y.exp + 1))))
+        t_term = IntArray(list(map(mul, map(mul, map(mul, y.man, izk.man), izk.man), repeat(tm))),
+                          list(map(add, map(add, izk.exp, izk.exp), repeat(te + y.exp + 1))))
+        vp = _mirror_halves(a_term, t_term)[1]
+        return _normalize(vp.man, vp.exp, self.work_bits)
 
     def _edge_cut(self):
         """t/zk2(m) + Lambda, the edge cut's threshold on the stored
@@ -694,9 +717,7 @@ class WeightTable:
         dd(z, -y) is ``_dd_side`` at the mirror nodes -y, where v'(-y) =
         -v'(y) since v' is odd; the two halves are formed exactly.
         """
-        with mp.workprec(self.work_bits):
-            reach = _fixed(pole_guard(self.params) * (1 + abs(z)), self.frac_bits)
-            vz = _pack([v_prime(z, self.params)], self.work_bits)
+        reach, vz = _dd_constants(z, self.params)
         y, vp = self.y[level], self._cached(WeightTable._v_primes)[level]
         right = self._dd_side(z, vz, reach, y.man, vp)
         left = self._dd_side(z, vz, reach, list(map(neg, y.man)),
@@ -775,16 +796,14 @@ class WeightTable:
         estimate attached.  So a returned result is always converged.
         """
         with mp.workprec(self.work_bits):
-            floor_eps = mp.mpf(2) ** (-(self.work_bits - 8))
-            rel = mp.mpf(self.params.rel_tol)
             top = self.start_level
             self.ensure_levels(top)
             terms = _level_terms(factors, top)
             while True:
                 value, bound = self._value(terms, top)
-                floor = floor_eps * self._abs_mass_total(top) + bound
+                floor = self._floor_eps * self._cached(WeightTable._abs_mass_total)[top] + bound
                 err = max(abs(value - self._value(terms[:-1], top - 1)[0]), floor)
-                if err <= max(rel * max(abs(value), mp.mpf(scale or 0)), floor):
+                if err <= max(self._rel * max(abs(value), mp.mpf(scale or 0)), floor):
                     return IntegralResult(value, err, True, top)
                 if top >= self.params.max_level:
                     raise NoConvergence(
@@ -795,8 +814,10 @@ class WeightTable:
                 terms.append(_dot([fac[top] for fac in factors]))
 
     def _abs_mass_total(self, top):
-        """sum |cw| * 2^-top over levels 0..top; cw >= 0, so this is the sum of cw."""
-        return self._value(self._mass[:top + 1], top)[0]
+        """sum |cw| * 2^-top over levels 0..top; cw >= 0, so this is the sum of
+        cw.  ``raw_integral`` reads it from the cache, made once per level."""
+        with mp.workprec(self.work_bits):
+            return self._value(self._mass[:top + 1], top)[0]
 
     def node_count(self):
         return sum(len(block.man) for block in self.y)

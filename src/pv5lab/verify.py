@@ -795,7 +795,8 @@ def check_suite(params: ModelParams, n_set, t_grid, z_samples=None, suite: str =
     The work is dealt out over the usable CPUs by ``_fork_map``: the points
     of a grid of several t, each building its own states, so that the
     costlier small t do not all fall to one worker; or, at one t, its cells
-    (None for the rows without z, then each z sample), with the states at t
+    (None for the rows without z, then each z sample if an identity of the
+    suite reads z; so a suite with none forks no worker), with the states at t
     built once, before the fork, so that every worker reads them.  Every
     integral starts at its state's build level
     (``WeightTable.raw_integral``), so a unit's rows do not depend on what
@@ -813,7 +814,7 @@ def check_suite(params: ModelParams, n_set, t_grid, z_samples=None, suite: str =
             z_samples = tuple(mp.mpf(z) for z in z_samples)
         n_set = tuple(sorted(set(int(n) for n in n_set)))
         keys = [(identity, n) for identity in ids for n in n_set]
-        cells = (None, *z_samples)
+        cells = (None, *z_samples) if any(REGISTRY[i].needs_z for i in ids) else (None,)
         if len(t_grid) > 1:
             unit_rows = _fork_map(  # each Evaluator released once its t's rows are written
                 lambda t: _rows(params, keys, Evaluator(params, t, n_set), cells, False), t_grid)

@@ -2,6 +2,7 @@
 the integer dot-product kernel behind the weight tables."""
 
 import functools
+import itertools
 import random
 
 import pytest
@@ -343,24 +344,60 @@ def test_frozen_table_grows_every_derived_array_in_step(gap_params, gap_state):
 
 def test_seed_state_forms_no_v_prime(monkeypatch):
     """v'(y) at the nodes is read only by ``dd``: a ladder state on the
-    trajectory workload's shape (k2 0.04, t 0.5, n_max 2) never forms it,
-    and its table holds no v' array until its first ``dd``."""
-    from pv5lab import ladder, quadrature
+    trajectory workload's shape (k2 0.04, t 0.5, n_max 2) holds no v' array
+    until its first ``dd``, and then one per level.  v' is made from the
+    stored arrays, so ``_nodes`` runs only in the fill: not in ``dd``, and
+    once for a level added after it."""
+    from pv5lab import ladder
 
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return _v_prime_from(*args)
-
-    monkeypatch.setattr(quadrature, "_v_prime_from", counted)
     ladder._states.cache_clear()  # a fresh table
     params = pv5lab.validate(1, "0.04", "0.5", 256, 2, rel_tol=1e-40, max_level=12)
     table = ladder.state_at(params, "0.5")[0].table
-    assert calls == []
     assert WeightTable._v_primes not in {make for make, _ in table._derived}
+    calls = []
+    nodes = WeightTable._nodes
+
+    def counted(self, level):
+        calls.append(level)
+        return nodes(self, level)
+
+    monkeypatch.setattr(WeightTable, "_nodes", counted)
     table.dd("0.7")
-    assert len(calls) == table.node_count()
+    assert calls == []
+    vp = table._derived[(WeightTable._v_primes, ())]
+    assert [len(a.man) for a in vp] == [len(a.man) for a in table.y]
+    table.ensure_levels(table.nlevels)
+    assert calls == [table.nlevels - 1] and len(vp) == table.nlevels
+
+
+@pytest.mark.parametrize("alpha,k2,t", [
+    (1, "0.25", "0.5"),   # the gap (-1, -rk) u (rk, 1)
+    (1, "0", "0.5"),      # split at the pole of v' at 0
+    (1, "-0.5", "0.5"),   # [-1, 1] with its centre node, where v'(0) = 0
+    (1, "0.25", "0"),     # t = 0
+    (0, "0.25", "0.5"),   # alpha = 0
+])
+def test_table_v_prime_matches_the_mpf_formula(alpha, k2, t):
+    """v'(y) made from the stored y and reciprocals, at every kept node,
+    against ``_v_prime_from`` on the fill's geometry (``_nodes``) at twice
+    the fixed-point precision: within 2^-(work_bits-8) of the larger of its
+    two terms, and exactly 0 at the centre node."""
+    params = pv5lab.validate(alpha, k2, t, 128, 3, rel_tol=1e-20)
+    table = WeightTable(params)
+    table.ensure_levels(5)
+    vp = table._cached(WeightTable._v_primes)
+    with mp.workprec(2 * table.frac_bits):
+        a2, t2 = 2 * params.alpha, 2 * params.t
+        for lv in range(table.nlevels):
+            kept = len(table.y[lv].man)
+            geometry = list(itertools.islice(table._nodes(lv), kept))
+            assert len(geometry) == len(vp[lv].man) == kept
+            for (_, y, om2, zk2, _), m, e in zip(geometry, *vp[lv]):
+                ref = _v_prime_from(y, om2, zk2, params)
+                big = max(abs(a2 * y / om2), abs(t2 * y / zk2 ** 2))
+                assert abs(mp.ldexp(m, e) - ref) <= mp.ldexp(big, 8 - table.work_bits), (lv, y)
+    if table.intervals[-1][0] < 0:  # the centre node y = 0
+        assert table.y[0].man[0] == 0 and vp[0].man[0] == 0
 
 
 @pytest.mark.parametrize("alpha,k2,t", [

@@ -553,6 +553,28 @@ def test_fork_map_runs_in_one_process_when_it_cannot_fork(monkeypatch):
     assert verify._fork_map(lambda u: os.getpid(), tuple(range(4))) == here
 
 
+@pytest.mark.parametrize("suite,forks", [("diagnostic", 0), ("required", 1)])
+def test_a_single_t_suite_forks_only_for_its_z_samples(monkeypatch, suite, forks):
+    """At one t the z samples are dealt out only when an identity of the
+    suite reads z: the diagnostic suite, which has none, forks no worker at
+    two CPUs, while the required suite does; the rows are those of one CPU."""
+    params = pv5lab.validate(1, "0.25", "0.5", 128, 3, rel_tol=1e-18)
+    args = (params, [1, 2], ["0.5"])
+    kw = {"z_samples": ["0.8", "-0.7"], "suite": suite}
+    monkeypatch.setattr(verify, "_cpu_count", lambda: 1)
+    expected = _fields(pv5lab.check_suite(*args, **kw))
+    real, calls = os.fork, []
+
+    def counted():
+        calls.append(1)
+        return real()
+
+    monkeypatch.setattr(os, "fork", counted)
+    monkeypatch.setattr(verify, "_cpu_count", lambda: 2)
+    assert _fields(pv5lab.check_suite(*args, **kw)) == expected
+    assert len(calls) == forks
+
+
 def _open_fds():
     return sorted(os.listdir("/proc/self/fd"))
 
