@@ -129,18 +129,24 @@ def gap_edge(params: ModelParams):
     """
     if params.k2 <= 0:
         raise ParameterError("gap_edge is defined only for k2 > 0")
-    return _gap_edge(params.k2, params.work_bits)
+    return _gap_edge(params.k2, params.work_bits)[0]
 
 
 @functools.lru_cache(maxsize=64)
 def _gap_edge(k2, work_bits: int):
+    """(rk, rk^2 - k2) with rk = gap_edge.  rk^2 is exact at 2 work_bits and
+    within a factor 2 of k2, so the excess is formed exactly there and
+    rounded once to work_bits."""
     # depends on k2 and the precision only, so all t of one sweep share it
     with mp.workprec(work_bits):
         rk = mp.sqrt(k2)
         bump = 1 + mp.mpf(2) ** (2 - work_bits)
         while rk * rk < k2:
             rk = rk * bump
-        return rk
+    with mp.workprec(2 * work_bits):
+        excess = rk * rk - k2
+    with mp.workprec(work_bits):
+        return rk, +excess
 
 
 def support(params: ModelParams) -> tuple:
@@ -155,11 +161,11 @@ def support(params: ModelParams) -> tuple:
 
 
 def _gap(params: ModelParams):
-    """(rk, rk^2 - k2) with rk = gap_edge, at the current precision; None for k2 <= 0."""
+    """(rk, rk^2 - k2) with rk = gap_edge, the excess rounded once to the
+    working precision; None for k2 <= 0."""
     if params.k2 <= 0:
         return None
-    rk = _gap_edge(params.k2, params.work_bits)
-    return rk, rk * rk - params.k2
+    return _gap_edge(params.k2, params.work_bits)
 
 
 def _z2_minus_k2(z, k2, gap, d_in=None):

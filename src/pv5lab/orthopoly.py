@@ -80,7 +80,6 @@ def build(params: ModelParams) -> OrthoState:
     """
     with mp.workprec(params.work_bits):
         table = WeightTable(params)
-        table.ensure_levels(MIN_LEVEL)
         rel = mp.mpf(params.rel_tol)
         prev_h = None
         h = beta = None

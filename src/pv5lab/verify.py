@@ -10,10 +10,12 @@ acceptance suite.
 
 Body contract: an ``Evaluator`` holds the states and z sweeps of one t.
 ``_run_one`` reads the (ortho, ladder) states at ev.t once and calls the
-check's body as fn(ev, ortho, lad, n, t, z); a z-sampled body reads
-everything else from ``ev.sweep(z)``, which holds the point values and the
-A/B integrals of that z, each taken once, and a t-stencil body reads
-``ev.stencil()``.  A state build or sweep that failed is kept by the
+check's body as fn(ev, ortho, lad, n, t, z).  A coefficient identity's
+body is ``_pair`` of its formula in ``equations``, which gives (lhs, rhs)
+from the states; a z-sampled body reads everything else from
+``ev.sweep(z)``, which holds the point values and the A/B integrals of that
+z, each taken once, and a t-stencil body reads ``ev.stencil()``.  A state
+build or sweep that failed is kept by the
 Evaluator and raised by every read, so it is attempted once per t and each
 row that reads it is an ERROR row.  ``check_suite`` makes one Evaluator per
 grid t, releases it once that t's rows are written, and merges the rows
@@ -53,9 +55,10 @@ from dataclasses import dataclass
 
 from mpmath import mp
 
+from . import equations as eq
 from . import ladder as ladder_mod
-from .equations import (_nres, beta_expr, central_differences, factor_pair, ode_rn, phi_of,
-                        pv_rhs, stencil_step)
+from .equations import (_nres, central_differences, factor_pair, ode_rn, phi_of, pv_rhs,
+                        stencil_step)
 from .equations import ric_bigr_rhs as _ric_bigr_rhs
 from .equations import ric_r_rhs as _ric_r_rhs
 from .equations import s_of as _s_of
@@ -204,7 +207,8 @@ def _differences(ev, get):
 # ----------------------------------------------------------------------
 # individual check bodies, called as fn(ev, ortho, lad, n, t, z) with the
 # states at t; a body returns its residual, a t-stencil body its (lhs, rhs)
-# pairs at step h and h/2 (_run_one forms the residuals)
+# pairs at step h and h/2 (_run_one forms the residuals); the coefficient
+# identities' bodies are _pair of their formulas in equations
 
 def _chk_s1(ev, ortho, lad, n, t, z):
     sw = ev.sweep(z)
@@ -285,149 +289,12 @@ def _chk_dp(ev, ortho, lad, n, t, z):
     return [(2 * t * d1, rhs) for _, d1, _ in _differences(ev, lambda o, _: o.p_sub[n])]
 
 
-def _chk_c_s1_b(ev, ortho, lad, n, t, z):
-    return _nres(lad.b[n + 1] + lad.b[n], lad.a[n] - 2 * ev.params.alpha)
-
-
-def _chk_c_s1_r(ev, ortho, lad, n, t, z):
-    return _nres(lad.r[n + 1] + lad.r[n], ev.params.k2 * lad.R[n] + 2 * t)
-
-
-def _chk_c_s2_b(ev, ortho, lad, n, t, z):
-    return _nres(lad.b[n + 1] - lad.b[n],
-                 ortho.beta[n + 1] * lad.a[n + 1] - ortho.beta[n] * lad.a[n - 1])
-
-
-def _chk_c_s2_r(ev, ortho, lad, n, t, z):
-    return _nres(lad.r[n + 1] - lad.r[n],
-                 ortho.beta[n + 1] * lad.R[n + 1] - ortho.beta[n] * lad.R[n - 1])
-
-
-def _chk_c_s2_mix(ev, ortho, lad, n, t, z):
-    k2 = ev.params.k2
-    s = _s_of(n, ev.params)
-    lhs = lad.r[n + 1] - lad.r[n] + (k2 - 1) * (lad.b[n + 1] - lad.b[n]) - k2
-    rhs = ortho.beta[n] * (s - 2) - ortho.beta[n + 1] * (s + 2)
-    return _nres(lhs, rhs)
-
-
-def _chk_yj3(ev, ortho, lad, n, t, z):
-    s = _s_of(n, ev.params)
-    lhs = lad.b[n + 1] - lad.b[n]
-    rhs = (ortho.beta[n] * (lad.R[n - 1] + s - 2)
-           - ortho.beta[n + 1] * (lad.R[n + 1] + s + 2))
-    return _nres(lhs, rhs)
-
-
-def _chk_yj4(ev, ortho, lad, n, t, z):
-    return _nres(lad.a[n], lad.R[n] + _s_of(n, ev.params))
-
-
-def _chk_tele_sum(ev, ortho, lad, n, t, z):
-    k2 = ev.params.k2
-    lhs = lad.r[n] + (k2 - 1) * lad.b[n] - n * k2
-    rhs = -ortho.beta[n] * _s_of(n, ev.params) + 2 * ortho.p_sub[n]
-    return _nres(lhs, rhs)
-
-
-def _chk_q1(ev, ortho, lad, n, t, z):
-    return _nres(lad.b[n] ** 2 + 2 * ev.params.alpha * lad.b[n],
-                 ortho.beta[n] * lad.a[n] * lad.a[n - 1])
-
-
-def _chk_q2(ev, ortho, lad, n, t, z):
-    return _nres(lad.r[n] ** 2 - 2 * t * lad.r[n],
-                 ev.params.k2 * ortho.beta[n] * lad.R[n] * lad.R[n - 1])
-
-
-def _chk_q3(ev, ortho, lad, n, t, z):
-    lhs = (lad.b[n] ** 2 - 2 * n * (lad.b[n] + ev.params.alpha)
-           + mp.fsum(lad.a[j] for j in range(n)))
-    return _nres(lhs, mp.mpf(0))
-
-
-def _chk_q4(ev, ortho, lad, n, t, z):
-    lhs = 2 * lad.b[n] * (lad.r[n] - t) + 2 * ev.params.alpha * lad.r[n]
-    rhs = ortho.beta[n] * (lad.a[n] * lad.R[n - 1] + lad.a[n - 1] * lad.R[n])
-    return _nres(lhs, rhs)
-
-
-def _chk_q5(ev, ortho, lad, n, t, z):
-    k2 = ev.params.k2
-    bn = lad.b[n]
-    lhs = (k2 * (bn - n) ** 2 - 2 * t * (bn - n) + 2 * lad.r[n] * (bn - n)
-           + k2 * mp.fsum(lad.R[j] for j in range(n)))
-    rhs = ortho.beta[n] * lad.R[n] * lad.R[n - 1]
-    return _nres(lhs, rhs)
-
-
-def _chk_q6(ev, ortho, lad, n, t, z):
-    k2 = ev.params.k2
-    alpha = ev.params.alpha
-    bn = lad.b[n]
-    lhs = (2 * k2 * (bn - n) * (bn + alpha)
-           + 2 * bn * (lad.r[n] - t) + 2 * alpha * lad.r[n])
-    rhs = ortho.beta[n] * (lad.a[n - 1] * lad.R[n] + lad.a[n] * lad.R[n - 1])
-    return _nres(lhs, rhs)
-
-
-def _chk_q7(ev, ortho, lad, n, t, z):
-    k2 = ev.params.k2
-    lhs = (lad.r[n] ** 2 - 2 * t * lad.r[n]
-           + 2 * k2 * (lad.b[n] - n) * (lad.r[n] - t))
-    rhs = 2 * k2 * ortho.beta[n] * lad.R[n] * lad.R[n - 1]
-    return _nres(lhs, rhs)
-
-
-def _chk_qp3(ev, ortho, lad, n, t, z):
-    lhs = lad.b[n] ** 2 + 2 * ev.params.alpha * lad.b[n]
-    return _nres(lhs, mp.fsum(lad.a[j] for j in range(n)))
-
-
-def _chk_qp4(ev, ortho, lad, n, t, z):
-    alpha = ev.params.alpha
-    lhs = 2 * lad.b[n] * lad.r[n] + 2 * alpha * lad.r[n] - 2 * alpha * t * lad.b[n]
-    rhs = ev.params.k2 * ortho.beta[n] * (
-        lad.a[n] * lad.R[n - 1] + lad.a[n - 1] * lad.R[n])
-    return _nres(lhs, rhs)
-
-
-def _chk_qp5(ev, ortho, lad, n, t, z):
-    k2 = ev.params.k2
-    alpha = ev.params.alpha
-    bn = lad.b[n]
-    lhs = (k2 * (bn - n) ** 2 - 2 * t * (bn - n) - 2 * lad.r[n] * (n + alpha)
-           + 2 * alpha * t * bn + k2 * mp.fsum(lad.R[j] for j in range(n)))
-    rhs = ortho.beta[n] * lad.R[n] * lad.R[n - 1]
-    return _nres(lhs, rhs)
-
-
-def _chk_qp6(ev, ortho, lad, n, t, z):
-    alpha = ev.params.alpha
-    lhs = 2 * (lad.b[n] + alpha) * (lad.b[n] - n)
-    rhs = ortho.beta[n] * (lad.a[n - 1] * lad.R[n] + lad.a[n] * lad.R[n - 1])
-    return _nres(lhs, rhs)
-
-
-def _chk_mutex(ev, ortho, lad, n, t, z):
-    # Q3 and QP3 jointly force this product to vanish; measured, not asserted
-    val = (lad.b[n] + ev.params.alpha) * (lad.b[n] - n)
-    return _nres(val, mp.mpf(0))
-
-
-def _chk_zhu232(ev, ortho, lad, n, t, z):
-    k2 = ev.params.k2
-    alpha = ev.params.alpha
-    s = _s_of(n, ev.params)
-    rn = lad.r[n]
-    lhs = (rn ** 2 - 2 * k2 * (n + alpha) * rn + 2 * k2 * t * n - 2 * t * rn
-           + ortho.beta[n] * k2 * lad.R[n] * (s - 2)
-           + ortho.beta[n] * k2 * lad.R[n - 1] * (s + 2))
-    return _nres(lhs, mp.mpf(0))
-
-
-def _chk_beta_expr(ev, ortho, lad, n, t, z):
-    return _nres(ortho.beta[n], beta_expr(ev.params, n, t, lad.R[n], lad.r[n]))
+def _pair(identity):
+    """The body of a coefficient identity of ``equations``: its (lhs, rhs)
+    on the states at t, normalized."""
+    def body(ev, ortho, lad, n, t, z):
+        return _nres(*identity(ev.params, n, t, ortho, lad))
+    return body
 
 
 def _chk_ric_r(ev, ortho, lad, n, t, z):
@@ -507,31 +374,31 @@ _CHECKS = {
     # carries content only from n = 2 on
     "DP": CheckDef(Tier.REQUIRED, _chk_dp, stencil=True, min_n=2, required_tol=1e-10),
     # coefficient identities from the supplementary conditions
-    "C_S1_B": CheckDef(Tier.DIAGNOSTIC, _chk_c_s1_b, shift=1),
-    "C_S1_R": CheckDef(Tier.DIAGNOSTIC, _chk_c_s1_r, shift=1),
-    "C_S2_B": CheckDef(Tier.DIAGNOSTIC, _chk_c_s2_b, min_n=1, shift=1),
-    "C_S2_R": CheckDef(Tier.DIAGNOSTIC, _chk_c_s2_r, min_n=1, shift=1),
-    "C_S2_MIX": CheckDef(Tier.DIAGNOSTIC, _chk_c_s2_mix, min_n=1, shift=1),
-    "YJ3": CheckDef(Tier.DIAGNOSTIC, _chk_yj3, min_n=1, shift=1),
-    "YJ4": CheckDef(Tier.DIAGNOSTIC, _chk_yj4),
-    "TELE_SUM": CheckDef(Tier.DIAGNOSTIC, _chk_tele_sum, min_n=1),
-    "Q1": CheckDef(Tier.DIAGNOSTIC, _chk_q1, min_n=1),
-    "Q2": CheckDef(Tier.DIAGNOSTIC, _chk_q2, min_n=1, needs_k2=True),
-    "Q3": CheckDef(Tier.DIAGNOSTIC, _chk_q3, min_n=1),
-    "Q4": CheckDef(Tier.DIAGNOSTIC, _chk_q4, min_n=1),
-    "Q5": CheckDef(Tier.DIAGNOSTIC, _chk_q5, min_n=1),
-    "Q6": CheckDef(Tier.DIAGNOSTIC, _chk_q6, min_n=1),
-    "Q7": CheckDef(Tier.DIAGNOSTIC, _chk_q7, min_n=1),
-    "QP1": CheckDef(Tier.DIAGNOSTIC, _chk_q1, min_n=1),
-    "QP2": CheckDef(Tier.DIAGNOSTIC, _chk_q2, min_n=1, needs_k2=True),
-    "QP3": CheckDef(Tier.DIAGNOSTIC, _chk_qp3, min_n=1),
-    "QP4": CheckDef(Tier.DIAGNOSTIC, _chk_qp4, min_n=1),
-    "QP5": CheckDef(Tier.DIAGNOSTIC, _chk_qp5, min_n=1),
-    "QP6": CheckDef(Tier.DIAGNOSTIC, _chk_qp6, min_n=1),
-    "QP7": CheckDef(Tier.DIAGNOSTIC, _chk_q7, min_n=1),
-    "MUTEX_WITNESS": CheckDef(Tier.DIAGNOSTIC, _chk_mutex, min_n=1),
-    "ZHU232": CheckDef(Tier.DIAGNOSTIC, _chk_zhu232, min_n=1),
-    "BETA_EXPR": CheckDef(Tier.DIAGNOSTIC, _chk_beta_expr, min_n=1, needs_k2=True),
+    "C_S1_B": CheckDef(Tier.DIAGNOSTIC, _pair(eq.c_s1_b), shift=1),
+    "C_S1_R": CheckDef(Tier.DIAGNOSTIC, _pair(eq.c_s1_r), shift=1),
+    "C_S2_B": CheckDef(Tier.DIAGNOSTIC, _pair(eq.c_s2_b), min_n=1, shift=1),
+    "C_S2_R": CheckDef(Tier.DIAGNOSTIC, _pair(eq.c_s2_r), min_n=1, shift=1),
+    "C_S2_MIX": CheckDef(Tier.DIAGNOSTIC, _pair(eq.c_s2_mix), min_n=1, shift=1),
+    "YJ3": CheckDef(Tier.DIAGNOSTIC, _pair(eq.yj3), min_n=1, shift=1),
+    "YJ4": CheckDef(Tier.DIAGNOSTIC, _pair(eq.yj4)),
+    "TELE_SUM": CheckDef(Tier.DIAGNOSTIC, _pair(eq.tele_sum), min_n=1),
+    "Q1": CheckDef(Tier.DIAGNOSTIC, _pair(eq.q1), min_n=1),
+    "Q2": CheckDef(Tier.DIAGNOSTIC, _pair(eq.q2), min_n=1, needs_k2=True),
+    "Q3": CheckDef(Tier.DIAGNOSTIC, _pair(eq.q3), min_n=1),
+    "Q4": CheckDef(Tier.DIAGNOSTIC, _pair(eq.q4), min_n=1),
+    "Q5": CheckDef(Tier.DIAGNOSTIC, _pair(eq.q5), min_n=1),
+    "Q6": CheckDef(Tier.DIAGNOSTIC, _pair(eq.q6), min_n=1),
+    "Q7": CheckDef(Tier.DIAGNOSTIC, _pair(eq.q7), min_n=1),
+    "QP1": CheckDef(Tier.DIAGNOSTIC, _pair(eq.q1), min_n=1),
+    "QP2": CheckDef(Tier.DIAGNOSTIC, _pair(eq.q2), min_n=1, needs_k2=True),
+    "QP3": CheckDef(Tier.DIAGNOSTIC, _pair(eq.qp3), min_n=1),
+    "QP4": CheckDef(Tier.DIAGNOSTIC, _pair(eq.qp4), min_n=1),
+    "QP5": CheckDef(Tier.DIAGNOSTIC, _pair(eq.qp5), min_n=1),
+    "QP6": CheckDef(Tier.DIAGNOSTIC, _pair(eq.qp6), min_n=1),
+    "QP7": CheckDef(Tier.DIAGNOSTIC, _pair(eq.q7), min_n=1),
+    "MUTEX_WITNESS": CheckDef(Tier.DIAGNOSTIC, _pair(eq.mutex_witness), min_n=1),
+    "ZHU232": CheckDef(Tier.DIAGNOSTIC, _pair(eq.zhu232), min_n=1),
+    "BETA_EXPR": CheckDef(Tier.DIAGNOSTIC, _pair(eq.beta_closed), min_n=1, needs_k2=True),
     # dynamics in t
     "RIC_R": CheckDef(Tier.DIAGNOSTIC, _chk_ric_r, min_n=1, stencil=True, needs_k2=True),
     "RIC_BIGR": CheckDef(Tier.DIAGNOSTIC, _chk_ric_bigr, min_n=1, stencil=True, needs_k2=True),

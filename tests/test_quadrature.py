@@ -376,6 +376,7 @@ def test_seed_state_forms_no_v_prime(monkeypatch):
     (1, "-0.5", "0.5"),   # [-1, 1] with its centre node, where v'(0) = 0
     (1, "0.25", "0"),     # t = 0
     (0, "0.25", "0.5"),   # alpha = 0
+    ("0.37", "0.09", "1e-3"),  # small t on an open gap: nodes crowd the edge rk
 ])
 def test_table_v_prime_matches_the_mpf_formula(alpha, k2, t):
     """v'(y) made from the stored y and reciprocals, at every kept node,
@@ -494,12 +495,12 @@ def _half_rule_count(table, top):
 # h_0..h_3 and beta_1..beta_3 of the uncut rule, 100 digits at 320 bits
 _UNCUT = {
     ("0.95", "50"): (
-        ["1.261483870008302732881417764783858026801744327336885384364808628930180106880608058893943109143338918e-443",
-         "1.261358469415077871417225287502990717128077914747601586446141334422490292680059665365538059728083288e-443",
-         "6.195905230111633214353882849933733318260760431392141362996736504362835391831054249097583171128713774e-452",
-         "6.194680646730317233408063353989719465680310101562522087777134990378582250838728226335646241675595597e-452"],
+        ["1.261483870008302732881417764783858026801744327336885384364808628930180106880608058893943109139651287e-443",
+         "1.261358469415077871417225287502990717128077914747601586446141334422490292680059665365538059724396373e-443",
+         "6.195905230111633214353882849933733318260760431392141362996736504362835391831054249097583171110406007e-452",
+         "6.194680646730317233408063353989719465680310101562522087777134990378582250838728226335646241657287831e-452"],
         ["0.999900592789011217311345288401123955745900914806705223090955935540847194812264245459706298112776207",
-         "0.000000004912089132746556056874390541404180474364374676031358986018139504497760938544416701132625072936583335",
+         "0.00000000491208913274655605687439054140418047436437467603135898601813950449776093854441670113262507293642637",
          "0.9998023560180739050276242870751297703816301416287455299265928451576268012531020411538720489047666186"]),
     ("0.25", "0.5"): (
         ["0.05140715588960843957637680981314693126153557850620464387136278295836421937447495439199107928212867233",
